@@ -4,14 +4,14 @@ Orders all length-n words over {0..m-1} with digit sum k so that consecutive
 words differ in exactly two positions: one digit rises by some amount and
 another falls by the same amount (a single-position change would break the
 weight).  The scheme is reflective: words are grouped by leading digit in
-increasing order, and each group recursively orders its tails, emitted
+increasing order, and each group orders its tails the same way, emitted
 forward or backward depending on the parity of the digits already fixed.
 That parity rule is what makes every group boundary a two-position change.
 
-Two independent realizations are provided: ``gray_list`` builds the full
-list via direction-flag recursion, while ``gray_stream`` walks an explicit
-frame stack and yields one word at a time in O(n) memory.  They produce
-identical sequences and are tested against each other.
+Both ``gray_list`` (the full, capped list) and ``gray_stream`` (one word at
+a time in O(n) memory) come from the iterative walker in ``words``.  The
+tests check them against an independent recursive builder kept in
+``tests/word_oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .words import (
     DEFAULT_MATERIALIZATION_CAP,
     MaterializationLimitError,
     Word,
+    _check_params,
+    _walk,
     count_fixed_weight,
     format_word,
     weight,
@@ -83,76 +85,17 @@ def gray_list(
         raise MaterializationLimitError(
             f"ordering holds {total} words, cap is {cap}"
         )
-    out: list[Word] = []
-    if total:
-        _extend(m, n, k, False, (), out)
-    return GrayList(m, n, k, tuple(out))
-
-
-def _extend(
-    m: int, n: int, k: int, backwards: bool, prefix: Word, out: list[Word]
-) -> None:
-    # Reversal is realized by flipping the iteration direction, never by
-    # materializing a sublist and reversing it.
-    if k < 0 or k > (m - 1) * n:
-        return
-    if n == 0:
-        out.append(prefix)
-        return
-    hi = min(m - 1, k)
-    digits = range(hi, -1, -1) if backwards else range(hi + 1)
-    for i in digits:
-        # An odd leading digit flips its group; under reversal the flip
-        # applies to the complement, hence the xor.
-        _extend(m, n - 1, k - i, backwards ^ (i % 2 == 1), prefix + (i,), out)
+    return GrayList(m, n, k, tuple(_walk(m, n, k, k, True)))
 
 
 def gray_stream(m: int, n: int, k: int) -> Iterator[Word]:
     """Yield gray_list(m, n, k) one word at a time without building the list.
 
-    Keeps a stack of (digit, direction) frames of depth n; the direction at
-    each level is the parity of the digits chosen above it.  Memory is O(n)
-    regardless of how many words the parameters generate.
+    Memory is O(n) regardless of how many words the parameters generate.
+    Out-of-range k yields nothing; m < 1 or n < 0 raise on the first next().
     """
-    if m < 1:
-        raise ValueError(f"alphabet size m must be >= 1, got {m}")
-    if n < 0:
-        raise ValueError(f"word length n must be >= 0, got {n}")
-    if k < 0 or k > (m - 1) * n:
-        return
-    if n == 0:
-        yield ()
-        return
-
-    # Frame fields: digit, backwards flag, digit bounds, weight left at entry.
-    frames: list[tuple[int, bool, int, int, int]] = []
-
-    def descend(backwards: bool, rem: int) -> None:
-        while len(frames) < n:
-            left = n - len(frames)
-            lo = max(0, rem - (m - 1) * (left - 1))
-            hi = min(m - 1, rem)
-            digit = hi if backwards else lo
-            frames.append((digit, backwards, lo, hi, rem))
-            rem -= digit
-            backwards ^= digit % 2 == 1
-
-    descend(False, k)
-    while True:
-        yield tuple(frame[0] for frame in frames)
-        while frames:
-            digit, backwards, lo, hi, rem = frames.pop()
-            if backwards and digit > lo:
-                digit -= 1
-            elif not backwards and digit < hi:
-                digit += 1
-            else:
-                continue
-            frames.append((digit, backwards, lo, hi, rem))
-            descend(backwards ^ (digit % 2 == 1), rem - digit)
-            break
-        if not frames:
-            return
+    _check_params(m, n)
+    yield from _walk(m, n, k, k, True)
 
 
 def _require_nonempty(m: int, n: int, k: int) -> None:

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 from .words import (
     Word,
+    _check_params,
     enumerate_fixed_weight,
     format_word,
     parse_word,
@@ -332,10 +333,7 @@ def exists_fixed_weight_ocycle(m: int, n: int, k: int, s: int) -> ExistenceVerdi
     rule is not reliable there, so the verdict is decided by actually
     constructing a cycle.  An empty set never has a cycle.
     """
-    if m < 1:
-        raise ValueError(f"alphabet size m must be >= 1, got {m}")
-    if n < 2 or not 1 <= s <= n - 1:
-        raise ValueError(f"overlap length s={s} out of range for n={n}")
+    _check_params(m, n, s=s)
     if k < 0 or k > (m - 1) * n:
         return ExistenceVerdict(False, REASON_EMPTY, detail=f"no weight-{k} words exist")
     if 1 < k < (m - 1) * n - 1:
@@ -362,14 +360,7 @@ def exists_weight_range_ocycle(
     the slack of even a single extra weight level keeps the transition
     digraph connected.  Parameter violations raise.
     """
-    if m < 1:
-        raise ValueError(f"alphabet size m must be >= 1, got {m}")
-    if not 1 <= s < n:
-        raise ValueError(f"overlap length s={s} out of range for n={n}")
-    if not 0 <= p < q <= (m - 1) * n:
-        raise ValueError(
-            f"weight range requires 0 <= p < q <= (m-1)*n, got p={p}, q={q}"
-        )
+    _check_params(m, n, s=s, p=p, q=q)
     return ExistenceVerdict(True, REASON_WEIGHT_RANGE)
 
 

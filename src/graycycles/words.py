@@ -1,9 +1,10 @@
 """Words over {0, ..., m-1}: enumeration, counting, slicing, block machinery.
 
 A word is a plain tuple of ints, leftmost digit first, so lexicographic
-order is just tuple order.  All enumeration here is exact and brute-force
-friendly: these functions are the ground truth that the fancier generators
-in the rest of the package are checked against.
+order is just tuple order.  Every word order in the package comes from one
+iterative walker, ``_walk``: the lexicographic enumerators here and the
+reflected Gray order in ``graycode``.  Tests check it against brute-force
+and recursive oracles kept in ``tests/``.
 """
 
 from __future__ import annotations
@@ -47,11 +48,77 @@ class MaterializationLimitError(Exception):
     """A full-list operation would exceed the configured word cap."""
 
 
-def _check_params(m: int, n: int) -> None:
+def _check_params(
+    m: int, n: int, *, s: int | None = None, p: int | None = None, q: int | None = None
+) -> None:
+    """Raise ValueError on the first bad parameter: m, then s, then n, then [p, q]."""
     if m < 1:
         raise ValueError(f"alphabet size m must be >= 1, got {m}")
+    if s is not None and not 1 <= s < n:
+        raise ValueError(f"overlap length s={s} out of range for n={n}")
     if n < 0:
         raise ValueError(f"word length n must be >= 0, got {n}")
+    if p is not None and not 0 <= p < q <= (m - 1) * n:
+        raise ValueError(
+            f"weight range requires 0 <= p < q <= (m-1)*n, got p={p}, q={q}"
+        )
+
+
+def _walk(m: int, n: int, p: int, q: int, reflected: bool) -> Iterator[Word]:
+    """Yield the length-n words over {0..m-1} with weight in [p, q].
+
+    Ascending lexicographic order, or with ``reflected`` the two-change Gray
+    order of ``graycode``: a position runs through its digits backward when
+    the digits before it have an odd sum.  Each position keeps its digit,
+    its step (+1 or -1), the digit it ends on, and the weight placed before
+    it.  A successor step advances the last position that has not reached
+    its end and restarts every position after it, so memory is O(n) and
+    there is no recursion.  Assumes m >= 1 and n >= 0; an empty window
+    yields nothing.
+    """
+    top = m - 1
+    if max(p, 0) > min(q, top * n):
+        return
+    digits = [0] * n
+    step = [1] * n
+    end = [0] * n
+    before = [0] * n
+    i, acc, back = 0, 0, False
+    while True:
+        while i < n:
+            hi = q - acc
+            if hi == 0:  # no weight left: every later digit is 0
+                digits[i:] = end[i:] = [0] * (n - i)
+                break
+            if hi > top:
+                hi = top
+            # Smallest digit that leaves the tail positions able to reach p.
+            lo = p - acc - top * (n - 1 - i)
+            if lo < 0:
+                lo = 0
+            before[i] = acc
+            if back:
+                d, step[i], end[i] = hi, -1, lo
+            else:
+                d, step[i], end[i] = lo, 1, hi
+            digits[i] = d
+            acc += d
+            if reflected and d & 1:
+                back = not back
+            i += 1
+        yield tuple(digits)
+        i = n - 1
+        while i >= 0 and digits[i] == end[i]:
+            i -= 1
+        if i < 0:
+            return
+        d = digits[i] + step[i]
+        digits[i] = d
+        acc = before[i] + d
+        back = step[i] < 0
+        if reflected and d & 1:
+            back = not back
+        i += 1
 
 
 def weight(word: Sequence[int]) -> int:
@@ -71,21 +138,7 @@ def iter_fixed_weight(m: int, n: int, k: int) -> Iterator[Word]:
     subject to the materialization cap.  Out-of-range k yields nothing.
     """
     _check_params(m, n)
-    if k < 0 or k > (m - 1) * n:
-        return
-    digits = [0] * n
-
-    def fill(pos: int, rem: int) -> Iterator[Word]:
-        if pos == n:
-            yield tuple(digits)
-            return
-        # Digits that leave a completable remainder for the tail positions.
-        tail = (m - 1) * (n - pos - 1)
-        for d in range(max(0, rem - tail), min(m - 1, rem) + 1):
-            digits[pos] = d
-            yield from fill(pos + 1, rem - d)
-
-    yield from fill(0, k)
+    yield from _walk(m, n, k, k, False)
 
 
 def enumerate_fixed_weight(
@@ -129,26 +182,8 @@ def iter_weight_range(m: int, n: int, p: int, q: int) -> Iterator[Word]:
 
     Requires 0 <= p < q <= (m-1)*n.
     """
-    _check_params(m, n)
-    if not 0 <= p < q <= (m - 1) * n:
-        raise ValueError(
-            f"weight range requires 0 <= p < q <= (m-1)*n, got p={p}, q={q}"
-        )
-    digits = [0] * n
-
-    def fill(pos: int, acc: int) -> Iterator[Word]:
-        if pos == n:
-            yield tuple(digits)
-            return
-        tail = (m - 1) * (n - pos - 1)
-        for d in range(m):
-            # Can the remaining positions still land the total inside [p, q]?
-            if acc + d > q or acc + d + tail < p:
-                continue
-            digits[pos] = d
-            yield from fill(pos + 1, acc + d)
-
-    yield from fill(0, 0)
+    _check_params(m, n, p=p, q=q)
+    yield from _walk(m, n, p, q, False)
 
 
 def enumerate_weight_range(
@@ -165,11 +200,7 @@ def enumerate_weight_range(
 
 def count_weight_range(m: int, n: int, p: int, q: int) -> int:
     """Number of length-n words with weight in [p, q], exactly."""
-    _check_params(m, n)
-    if not 0 <= p < q <= (m - 1) * n:
-        raise ValueError(
-            f"weight range requires 0 <= p < q <= (m-1)*n, got p={p}, q={q}"
-        )
+    _check_params(m, n, p=p, q=q)
     return sum(count_fixed_weight(m, n, k) for k in range(p, q + 1))
 
 

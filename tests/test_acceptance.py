@@ -9,7 +9,6 @@ import math
 import time
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import product
 from pathlib import Path
 
 from graycycles import (
@@ -37,6 +36,7 @@ from graycycles import (
     witness_non_rotation,
 )
 from graycycles.cli import main as cli_main
+from word_oracles import brute_fixed_weight, gray_oracle
 
 GOLDEN_345_FILE = Path(__file__).parent / "data" / "gray_3_4_5.txt"
 
@@ -144,8 +144,11 @@ def test_criterion_3_endpoint_formulas():
 def test_criterion_4_stream_list_equivalence():
     with criterion(4, "stream/list equivalence and yield counts"):
         for m, n, k in gray_sweep():
+            # stream and list share one walker; the recursive oracle is independent
+            expected = gray_oracle(m, n, k)
             streamed = list(gray_stream(m, n, k))
-            assert streamed == list(gray_list(m, n, k).words), (m, n, k)
+            assert streamed == expected, (m, n, k)
+            assert list(gray_list(m, n, k).words) == expected, (m, n, k)
             assert len(streamed) == count_fixed_weight(m, n, k), (m, n, k)
 
 
@@ -234,6 +237,6 @@ def test_cross_check_brute_force_enumeration():
     # belt and braces: the library's enumeration agrees with a raw product
     # scan on the exact parameters the criteria lean on
     for m, n, k in [(3, 4, 5), (2, 4, 2), (2, 6, 3), (3, 3, 4)]:
-        brute = sorted(w for w in product(range(m), repeat=n) if sum(w) == k)
+        brute = brute_fixed_weight(m, n, k)
         assert enumerate_fixed_weight(m, n, k) == brute
         assert count_fixed_weight(m, n, k) == len(brute)

@@ -208,3 +208,18 @@ def test_byte_identical_reruns(capsys):
     third = run(capsys, "gray", "4", "4", "6")
     fourth = run(capsys, "gray", "4", "4", "6")
     assert third == fourth
+
+
+@pytest.mark.parametrize("argv, lines", [
+    ("gray 2 1200 1", 1200),
+    ("gray 2 1200 1 --stream", 1200),
+    ("ocycle range 2 1200 0 1 1", 1201),
+    ("ocycle fixed 2 1200 1 1", 1200),
+    ("exists 2 1200 1 5", 1),
+    ("digraph fixed 2 1200 1 1", 1204),
+])
+def test_deep_words_exit_cleanly(capsys, argv, lines):
+    # n = 1200 lies above the interpreter's default recursion limit
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert out.count("\n") == lines

@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graycycles import (
     MaterializationLimitError,
@@ -16,6 +18,7 @@ from graycycles import (
     verify_gray,
     weight,
 )
+from word_oracles import gray_oracle
 
 # The known-good 16-word ordering for (m, n, k) = (3, 4, 5).
 GOLDEN_345 = [
@@ -128,9 +131,32 @@ def test_consecutive_weights_shift_endpoints_by_one():
 
 
 def test_stream_equals_list():
+    # Both come from one walker, so each is checked against the recursive oracle.
     for m, n, k in sweep():
-        assert list(gray_stream(m, n, k)) == list(gray_list(m, n, k).words), (m, n, k)
+        expected = gray_oracle(m, n, k)
+        assert list(gray_stream(m, n, k)) == expected, (m, n, k)
+        assert list(gray_list(m, n, k).words) == expected, (m, n, k)
     assert as_text(gray_stream(3, 4, 5)) == GOLDEN_345
+
+
+@st.composite
+def gray_params(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 7))
+    k = draw(st.integers(-1, (m - 1) * n + 1))
+    return m, n, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(gray_params())
+def test_stream_matches_oracle_property(params):
+    m, n, k = params
+    words = list(gray_stream(m, n, k))
+    assert words == gray_oracle(m, n, k)
+    assert all(hamming_distance(a, b) == 2 for a, b in zip(words, words[1:]))
+    if words and n > 0:
+        assert words[0] == first_word(m, n, k)
+        assert words[-1] == last_word(m, n, k)
 
 
 def test_stream_yield_count_is_exact():
@@ -144,6 +170,7 @@ def test_stream_head_and_degenerates():
     assert list(gray_stream(3, 0, 0)) == [()]
     assert list(gray_stream(3, 2, 5)) == []
     assert list(gray_stream(2, 3, -2)) == []
+    assert list(gray_stream(1, 3, 0)) == [(0, 0, 0)]
 
 
 def test_stream_is_lazy_and_unbounded():

@@ -14,9 +14,12 @@ from graycycles import (
     enumerate_fixed_weight,
     enumerate_weight_range,
     format_word,
+    gray_list,
+    gray_stream,
     is_cyclic_rotation,
     is_word,
     iter_fixed_weight,
+    iter_weight_range,
     parse_word,
     s_prefix,
     s_suffix,
@@ -24,15 +27,7 @@ from graycycles import (
     weight_decomposition,
     witness_non_rotation,
 )
-
-
-def brute_fixed_weight(m, n, k):
-    # Independent oracle: scan the full m^n product space.
-    return sorted(w for w in product(range(m), repeat=n) if sum(w) == k)
-
-
-def brute_weight_range(m, n, p, q):
-    return sorted(w for w in product(range(m), repeat=n) if p <= sum(w) <= q)
+from word_oracles import brute_fixed_weight, brute_weight_range
 
 
 def sweep_params():
@@ -124,6 +119,40 @@ def test_weight_range_matches_brute_force():
                 for q in range(p + 1, top + 1):
                     assert enumerate_weight_range(m, n, p, q) == brute_weight_range(m, n, p, q)
                     assert count_weight_range(m, n, p, q) == len(brute_weight_range(m, n, p, q))
+
+
+def test_iterators_follow_product_scan_order():
+    # The walker's lexicographic order, word by word, against a full scan.
+    for m in (1, 2, 3, 4):
+        for n in range(0, 7):
+            space = list(product(range(m), repeat=n))
+            top = (m - 1) * n
+            for k in range(-1, top + 2):
+                expected = [w for w in space if sum(w) == k]
+                assert list(iter_fixed_weight(m, n, k)) == expected, (m, n, k)
+            for p in range(0, top):
+                for q in range(p + 1, top + 1):
+                    expected = [w for w in space if p <= sum(w) <= q]
+                    assert list(iter_weight_range(m, n, p, q)) == expected, (m, n, p, q)
+
+
+def test_iterators_validate_lazily():
+    # Bad parameters raise on the first next(), not when the generator is made.
+    for bad in (iter_fixed_weight(0, 3, 1), iter_fixed_weight(2, -1, 0),
+                iter_weight_range(0, 3, 0, 1), iter_weight_range(2, -1, 0, 1),
+                iter_weight_range(2, 4, 2, 2)):
+        with pytest.raises(ValueError):
+            next(bad)
+
+
+def test_deep_words_do_not_recurse():
+    # n far above the interpreter's recursion limit
+    assert len(gray_list(2, 1200, 1)) == 1200
+    words = enumerate_weight_range(2, 1200, 0, 1)
+    assert len(words) == 1201
+    assert words[0] == (0,) * 1200 and words[-1] == (1,) + (0,) * 1199
+    assert sum(1 for _ in gray_stream(2, 5000, 1)) == 5000
+    assert next(iter_weight_range(2, 5000, 4999, 5000)) == (0,) + (1,) * 4999
 
 
 def test_weight_range_rejects_bad_bounds():
