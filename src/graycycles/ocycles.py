@@ -6,12 +6,29 @@ around).  Encoding every word as a directed edge from its s-prefix to its
 s-suffix turns these cycles into exactly the Euler tours of the resulting
 multigraph, so existence reduces to the classic criterion: balanced and
 weakly connected.
+
+``euler_tour`` and ``construct_ocycle`` share one engine, ``_euler``, that
+works on integer codes rather than tuples.  Each word becomes the number its
+digits spell in base b = 1 + largest digit, so numeric order is word order,
+the s-prefix vertex is ``code // b**(n-s)`` and the s-suffix vertex is
+``code % b**s``.  The engine counts degrees once, rejects an unbalanced
+digraph first, and reads a tour that misses edges as a disconnected one.
+``TransitionDigraph`` is the tuple view for DOT export, components and
+degree queries.  ``build_transition_digraph`` groups its edges by code,
+with no per-word tuple slicing, and keeps the codes, so ``euler_tour`` does
+not encode the words again.  The tests check the engine against the earlier
+tuple-based Hierholzer, kept in ``tests/ocycle_oracles.py``, and against
+networkx.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, groupby, repeat
+from operator import eq, getitem
 from typing import Mapping, Sequence
 
 from .words import (
@@ -20,8 +37,6 @@ from .words import (
     enumerate_fixed_weight,
     format_word,
     parse_word,
-    s_prefix,
-    s_suffix,
 )
 
 __all__ = [
@@ -76,7 +91,8 @@ class TransitionDigraph:
 
     ``edges`` maps (prefix, suffix) vertex pairs to the lexicographically
     sorted tuple of word labels travelling that way; parallel edges are just
-    longer tuples.  Instances are treated as immutable once built.
+    longer tuples.  Instances are treated as immutable once built; the
+    degree table is computed on first use and kept.
     """
 
     s: int
@@ -87,56 +103,150 @@ class TransitionDigraph:
     def edge_count(self) -> int:
         return sum(len(labels) for labels in self.edges.values())
 
-    def out_degree(self, vertex: Word) -> int:
-        return sum(
-            len(labels) for (u, _), labels in self.edges.items() if u == vertex
+    @cached_property
+    def _degrees(self) -> tuple[dict[Word, int], dict[Word, int]]:
+        """(out-degree, in-degree) by vertex, counted in one pass over the edges."""
+        outs: dict[Word, int] = {}
+        ins: dict[Word, int] = {}
+        for (u, v), labels in self.edges.items():
+            outs[u] = outs.get(u, 0) + len(labels)
+            ins[v] = ins.get(v, 0) + len(labels)
+        return outs, ins
+
+    @cached_property
+    def _codes(self) -> tuple[int, dict[int, Word]]:
+        """(base, edge labels by integer code) for the Euler engine."""
+        _, base, by_code = _index_words(
+            [w for labels in self.edges.values() for w in labels], self.s
         )
+        return base, by_code
+
+    def out_degree(self, vertex: Word) -> int:
+        return self._degrees[0].get(vertex, 0)
 
     def in_degree(self, vertex: Word) -> int:
-        return sum(
-            len(labels) for (_, v), labels in self.edges.items() if v == vertex
+        return self._degrees[1].get(vertex, 0)
+
+
+# Byte d in 0..35 becomes the base-36 digit character for d; other bytes
+# become 0xFF, which int() rejects in every base.
+_BASE36_DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"\xff")
+
+
+def _index_words(words: Sequence[Word], s: int) -> tuple[int, int, dict[int, Word]]:
+    """Check a word set and key each word by an order-preserving integer code.
+
+    All words must share one length n with 1 <= s <= n-1 and be pairwise
+    distinct; an empty list only needs s >= 1.  Returns (n, b, words by
+    code, in input order).  A code is the number the word's digits spell in
+    base b = 1 + largest digit (at least 2).  If some digit lies outside
+    0..35, every digit is first lowered by the smallest one and b shrinks to
+    match.  Among words of length n numeric order is then lexicographic
+    order, the s-prefix vertex is ``code // b**(n-s)`` and the s-suffix
+    vertex is ``code % b**s``.
+    """
+    labels = list(map(tuple, words))
+    if not labels:
+        if s < 1:
+            raise ValueError(f"overlap length s={s} out of range")
+        return 0, 2, {}
+    n = len(labels[0])
+    if len(set(map(len, labels))) > 1:
+        w = next(w for w in labels if len(w) != n)
+        raise ValueError(
+            f"mixed word lengths: {format_word(w)} has length {len(w)}, expected {n}"
         )
+    if not 1 <= s <= n - 1:
+        raise ValueError(f"overlap length s={s} out of range for n={n}")
+    high = max(map(max, labels))
+    try:
+        base = max(high + 1, 2)
+        texts = map(bytes.translate, map(bytes, labels), repeat(_BASE36_DIGITS))
+        by_code = dict(zip(map(int, texts, repeat(base)), labels))
+    except ValueError:  # a digit outside 0..35, or too many digits for int()
+        low = min(map(min, labels))
+        base = max(high - low + 1, 2)
+        by_code = {}
+        for w in labels:
+            code = 0
+            for d in w:
+                code = code * base + d - low
+            by_code[code] = w
+    if len(by_code) != len(labels):
+        raise ValueError("duplicate words in input set")
+    return n, base, by_code
+
+
+def _euler(by_code: dict[int, Word], base: int, n: int, s: int) -> list[Word]:
+    """Hierholzer's algorithm over integer codes (see ``_index_words``).
+
+    Deterministic: the walk starts at the smallest vertex and always leaves
+    on the smallest unused out-edge, so the tour begins with the smallest
+    word.  Degrees are counted once and balance is checked first; in a
+    balanced digraph the walk from one vertex covers exactly that vertex's
+    weak component, so a tour shorter than the edge count means the
+    digraph is not weakly connected.
+    """
+    cut, mask = base ** (n - s), base ** s
+    prefix_of, suffix_of = cut.__rfloordiv__, mask.__rmod__
+    codes = sorted(by_code, reverse=True)
+    if Counter(map(prefix_of, codes)) != Counter(map(suffix_of, codes)):
+        raise NotEulerianError(
+            REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex"
+        )
+    # Out-lists run largest code first, so pop() yields the smallest.
+    out = {u: list(group) for u, group in groupby(codes, prefix_of)}
+    stack: list[int] = []
+    tour: list[int] = []
+    vertex = codes[-1] // cut
+    while True:
+        ready = out[vertex]  # balanced: every vertex entered has an out-list
+        if ready:
+            code = ready.pop()
+            stack.append(code)
+            vertex = code % mask
+        elif stack:
+            code = stack.pop()
+            tour.append(code)
+            vertex = code // cut
+        else:
+            break
+    if len(tour) != len(codes):
+        raise NotEulerianError(
+            REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected"
+        )
+    tour.reverse()
+    return list(map(by_code.__getitem__, tour))
 
 
 def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph:
     """One edge per word, from its s-prefix vertex to its s-suffix vertex.
 
     All words must share one length n with 1 <= s <= n-1 and be pairwise
-    distinct.  An empty word list builds an empty digraph.
+    distinct.  An empty word list builds an empty digraph.  The digraph
+    keeps the integer codes it was built from, for ``euler_tour``.
     """
-    labels = [tuple(w) for w in words]
-    n = len(labels[0]) if labels else 0
-    if labels:
-        for w in labels:
-            if len(w) != n:
-                raise ValueError(
-                    f"mixed word lengths: {format_word(w)} has length {len(w)}, expected {n}"
-                )
-        if not 1 <= s <= n - 1:
-            raise ValueError(f"overlap length s={s} out of range for n={n}")
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate words in input set")
-    elif s < 1:
-        raise ValueError(f"overlap length s={s} out of range")
-
-    grouped: dict[tuple[Word, Word], list[Word]] = {}
-    vertices: set[Word] = set()
-    for w in labels:
-        u, v = w[:s], w[n - s:]
-        grouped.setdefault((u, v), []).append(w)
-        vertices.add(u)
-        vertices.add(v)
-    edges = {key: tuple(sorted(group)) for key, group in grouped.items()}
-    return TransitionDigraph(s=s, n=n, vertices=frozenset(vertices), edges=edges)
+    n, base, by_code = _index_words(words, s)
+    prefix_of, suffix_of = (base ** (n - s)).__rfloordiv__, (base ** s).__rmod__
+    vertex: dict[int, Word] = {}
+    edges: dict[tuple[Word, Word], tuple[Word, ...]] = {}
+    for u, group in groupby(sorted(by_code), prefix_of):
+        # A stable sort by suffix keeps each label tuple in ascending order.
+        for v, codes in groupby(sorted(group, key=suffix_of), suffix_of):
+            labels = tuple(map(by_code.__getitem__, codes))
+            if u not in vertex:
+                vertex[u] = labels[0][:s]
+            if v not in vertex:
+                vertex[v] = labels[0][n - s:]
+            edges[vertex[u], vertex[v]] = labels
+    digraph = TransitionDigraph(s=s, n=n, vertices=frozenset(vertex.values()), edges=edges)
+    digraph.__dict__["_codes"] = base, by_code  # fills the cached_property
+    return digraph
 
 
 def is_balanced(digraph: TransitionDigraph) -> bool:
     """True iff in-degree equals out-degree at every vertex."""
-    outs: dict[Word, int] = {}
-    ins: dict[Word, int] = {}
-    for (u, v), labels in digraph.edges.items():
-        outs[u] = outs.get(u, 0) + len(labels)
-        ins[v] = ins.get(v, 0) + len(labels)
+    outs, ins = digraph._degrees
     return all(outs.get(v, 0) == ins.get(v, 0) for v in digraph.vertices)
 
 
@@ -180,45 +290,10 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word]:
     unused out-edge label.  Raises NotEulerianError when the digraph is
     unbalanced or not weakly connected, and ValueError when it has no edges.
     """
-    total = digraph.edge_count()
-    if total == 0:
+    base, by_code = digraph._codes
+    if not by_code:
         raise ValueError("digraph has no edges")
-    if not is_balanced(digraph):
-        raise NotEulerianError(
-            REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex"
-        )
-    if not is_weakly_connected(digraph):
-        raise NotEulerianError(
-            REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected"
-        )
-
-    out: dict[Word, list[Word]] = {}
-    for (u, _), labels in digraph.edges.items():
-        out.setdefault(u, []).extend(labels)
-    for labels in out.values():
-        labels.sort()
-    cursor = {u: 0 for u in out}
-    tail = digraph.n - digraph.s
-
-    start = min(out)
-    stack: list[tuple[Word, Word | None]] = [(start, None)]
-    tour: list[Word] = []
-    while stack:
-        vertex, incoming = stack[-1]
-        ready = out.get(vertex, ())
-        i = cursor.get(vertex, 0)
-        if i < len(ready):
-            cursor[vertex] = i + 1
-            label = ready[i]
-            stack.append((label[tail:], label))
-        else:
-            stack.pop()
-            if incoming is not None:
-                tour.append(incoming)
-    tour.reverse()
-    if len(tour) != total:  # unreachable once balanced + connected hold
-        raise NotEulerianError(REASON_DISCONNECTED, "no Euler tour: edges left over")
-    return tour
+    return _euler(by_code, base, digraph.n, digraph.s)
 
 
 @dataclass(frozen=True)
@@ -250,19 +325,19 @@ def construct_ocycle(words: Sequence[Word], s: int) -> OcycleSolution:
     s-suffix.  Deterministic for a given input set.
     """
     digraph = build_transition_digraph(words, s)
-    if digraph.edge_count() == 0:
+    total = digraph.edge_count()
+    if total == 0:
         raise ValueError("cannot build an overlap cycle for an empty word set")
-    if digraph.edge_count() == 1:
+    if total == 1:
         word = next(iter(digraph.edges.values()))[0]
-        if s_prefix(word, s) != s_suffix(word, s):
+        if word[:s] != word[digraph.n - s:]:
             raise NotEulerianError(
                 REASON_SINGLETON,
                 f"single word {format_word(word)} does not overlap itself in {s} digits",
             )
         return OcycleSolution(s=s, cycle=(word,))
-    tour = euler_tour(digraph)
-    pivot = tour.index(min(tour))
-    return OcycleSolution(s=s, cycle=tuple(tour[pivot:] + tour[:pivot]))
+    # The tour already begins with the smallest word: no rotation needed.
+    return OcycleSolution(s=s, cycle=tuple(euler_tour(digraph)))
 
 
 def verify_ocycle(
@@ -364,26 +439,33 @@ def exists_weight_range_ocycle(
     return ExistenceVerdict(True, REASON_WEIGHT_RANGE)
 
 
-def _check_solution(solution: OcycleSolution, n: int) -> None:
-    cycle, s = solution.cycle, solution.s
-    if not cycle:
-        raise ValueError("cannot compress an empty cycle")
-    report = verify_ocycle(cycle, cycle, s)
-    if not report.ok or any(len(w) != n for w in cycle):
-        raise ValueError("refusing to compress an unverified cycle")
-
-
 def compress_cycle(solution: OcycleSolution, n: int) -> str:
     """Compressed text form: the first n-s digits of each word, around the cycle.
 
     The result is a cyclic string of len(cycle) * (n-s) symbols whose
     stride-(n-s) windows of length n spell out the cycle's words in order;
     the s overlapping digits of each word are supplied by its successors.
-    The input is re-verified first and rejected if it is not a valid cycle.
+    The input is checked first, in O(len(cycle)): it is rejected unless its
+    words are distinct, all of length n with 1 <= s <= n-1, and each word's
+    last s digits equal the next word's first s digits, wrapping around.
     """
-    _check_solution(solution, n)
-    step = n - solution.s
-    digits = [d for w in solution.cycle for d in w[:step]]
+    cycle, s = tuple(map(tuple, solution.cycle)), solution.s
+    if not cycle:
+        raise ValueError("cannot compress an empty cycle")
+    step = n - s
+    suffixes = map(getitem, cycle, repeat(slice(step, None)))
+    next_prefixes = map(getitem, cycle[1:] + cycle[:1], repeat(slice(None, s)))
+    if (
+        not 1 <= s < n
+        or set(map(len, cycle)) != {n}
+        or len(set(cycle)) != len(cycle)
+        or not all(map(eq, suffixes, next_prefixes))
+    ):
+        raise ValueError("refusing to compress an unverified cycle")
+    try:  # one byte per digit when every digit fits in a byte
+        digits = bytes(chain.from_iterable(map(getitem, cycle, repeat(slice(None, step)))))
+    except ValueError:
+        digits = [d for w in cycle for d in w[:step]]
     return format_word(digits)
 
 

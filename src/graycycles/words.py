@@ -3,14 +3,17 @@
 A word is a plain tuple of ints, leftmost digit first, so lexicographic
 order is just tuple order.  Every word order in the package comes from one
 iterative walker, ``_walk``: the lexicographic enumerators here and the
-reflected Gray order in ``graycode``.  Tests check it against brute-force
-and recursive oracles kept in ``tests/``.
+reflected Gray order in ``graycode``.  Counts come from one dynamic
+program, ``_weight_counts``, whose rows stop at the largest weight asked
+for.  Tests check both against brute-force, recursive and
+inclusion-exclusion oracles kept in ``tests/``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -156,25 +159,29 @@ def enumerate_fixed_weight(
     return list(iter_fixed_weight(m, n, k))
 
 
-def count_fixed_weight(m: int, n: int, k: int) -> int:
-    """Number of length-n words over {0..m-1} with digit sum k, exactly.
+def _weight_counts(m: int, n: int, top: int) -> list[int]:
+    """Numbers of length-n words over {0..m-1} by weight, for weights 0..top.
 
-    Computed by the length recurrence (append one digit at a time) with a
-    sliding-window prefix sum; plain Python ints, so no overflow.
+    The length recurrence (append one digit at a time) with a sliding-window
+    prefix sum.  Each row stops at weight min(top, (m-1)*length), so the
+    cost is O(n * top) additions of plain Python ints, which never overflow.
     """
+    row = [1]  # counts by weight for length 0
+    for length in range(1, n + 1):
+        prefix = list(accumulate(row, initial=0))
+        row = [
+            prefix[min(kk, len(row) - 1) + 1] - prefix[max(0, kk - (m - 1))]
+            for kk in range(min(top, (m - 1) * length) + 1)
+        ]
+    return row
+
+
+def count_fixed_weight(m: int, n: int, k: int) -> int:
+    """Number of length-n words over {0..m-1} with digit sum k, exactly."""
     _check_params(m, n)
     if k < 0 or k > (m - 1) * n:
         return 0
-    row = [1]  # counts by weight for length 0
-    for length in range(1, n + 1):
-        prefix = [0] * (len(row) + 1)
-        for i, c in enumerate(row):
-            prefix[i + 1] = prefix[i] + c
-        row = [
-            prefix[min(kk, len(row) - 1) + 1] - prefix[max(0, kk - (m - 1))]
-            for kk in range((m - 1) * length + 1)
-        ]
-    return row[k]
+    return _weight_counts(m, n, k)[k]
 
 
 def iter_weight_range(m: int, n: int, p: int, q: int) -> Iterator[Word]:
@@ -201,7 +208,7 @@ def enumerate_weight_range(
 def count_weight_range(m: int, n: int, p: int, q: int) -> int:
     """Number of length-n words with weight in [p, q], exactly."""
     _check_params(m, n, p=p, q=q)
-    return sum(count_fixed_weight(m, n, k) for k in range(p, q + 1))
+    return sum(_weight_counts(m, n, q)[p:q + 1])
 
 
 def s_prefix(word: Sequence[int], s: int) -> Word:
@@ -305,6 +312,11 @@ def witness_non_rotation(m: int, n: int, k: int, s: int) -> tuple[Word, Word]:
     return tuple(first), tuple(second)
 
 
+# Byte d in 0..9 becomes ASCII digit d; every other byte becomes 0xFF, which
+# is not ASCII, so decoding a word with such a digit fails.
+_DIGIT_TABLE = b"0123456789".ljust(256, b"\xff")
+
+
 def format_word(word: Sequence[int], m: int | None = None) -> str:
     """Text form of a word: digits concatenated, or comma-separated values.
 
@@ -312,6 +324,15 @@ def format_word(word: Sequence[int], m: int | None = None) -> str:
     alphabets separate decimal values with commas ("0,1,11,2").  When m is
     not supplied the form is inferred from the digits present.
     """
+    if (m is None or m <= 10) and isinstance(word, (tuple, list, bytes)):
+        # One table lookup per digit; a digit outside 0..9 makes bytes() or
+        # decode() raise, and the general form below handles that word.
+        # Other sequence types skip this: bytes() would copy a buffer such
+        # as an array('i') as raw memory, not digit by digit.
+        try:
+            return bytes(word).translate(_DIGIT_TABLE).decode("ascii")
+        except (TypeError, ValueError):
+            pass
     wide = (m > 10) if m is not None else any(d > 9 for d in word)
     if wide:
         return ",".join(str(d) for d in word)

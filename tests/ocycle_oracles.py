@@ -1,0 +1,94 @@
+"""An independent, tuple-based overlap-cycle builder, for tests only.
+
+The library finds Euler tours on integer word codes.  This oracle shares
+none of that code: it keys vertices by s-digit tuples, counts degrees per
+vertex, decides weak connectivity with its own union-find, and walks
+Hierholzer's algorithm over tuple labels with a per-vertex cursor.  It
+follows the same deterministic rule (start at the smallest vertex, leave on
+the smallest unused label) and raises the same errors, so the library must
+match it exactly.
+
+(The module is not called ``oracles`` because ``perfbench/oracles.py``
+already owns that import name on the shared test path.)
+"""
+
+from graycycles import NotEulerianError, format_word
+from graycycles.ocycles import REASON_DISCONNECTED, REASON_SINGLETON, REASON_UNBALANCED
+
+
+def oracle_tour(words, s):
+    """Euler tour of the transition digraph of ``words``, as a list of words.
+
+    The words must be distinct, of one length n, with 1 <= s <= n-1.
+    """
+    labels = [tuple(w) for w in words]
+    n = len(labels[0])
+    tail = n - s
+    out, outs, ins = {}, {}, {}
+    for w in labels:
+        u, v = w[:s], w[tail:]
+        out.setdefault(u, []).append(w)
+        outs[u] = outs.get(u, 0) + 1
+        ins[v] = ins.get(v, 0) + 1
+    vertices = set(outs) | set(ins)
+    if any(outs.get(v, 0) != ins.get(v, 0) for v in vertices):
+        raise NotEulerianError(
+            REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex"
+        )
+
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for w in labels:
+        ru, rv = find(w[:s]), find(w[tail:])
+        if ru != rv:
+            parent[ru] = rv
+    if len({find(v) for v in vertices}) > 1:
+        raise NotEulerianError(
+            REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected"
+        )
+
+    for ready in out.values():
+        ready.sort()
+    cursor = {u: 0 for u in out}
+    stack = [(min(out), None)]
+    tour = []
+    while stack:
+        vertex, incoming = stack[-1]
+        ready = out.get(vertex, ())
+        i = cursor.get(vertex, 0)
+        if i < len(ready):
+            cursor[vertex] = i + 1
+            label = ready[i]
+            stack.append((label[tail:], label))
+        else:
+            stack.pop()
+            if incoming is not None:
+                tour.append(incoming)
+    tour.reverse()
+    return tour
+
+
+def oracle_cycle(words, s):
+    """The s-overlap cycle of a nonempty word set, rotated to its smallest word.
+
+    A single word forms a cycle by itself iff its s-prefix equals its
+    s-suffix; otherwise the cycle is the Euler tour above.
+    """
+    labels = [tuple(w) for w in words]
+    if len(labels) == 1:
+        (word,) = labels
+        if word[:s] != word[len(word) - s:]:
+            raise NotEulerianError(
+                REASON_SINGLETON,
+                f"single word {format_word(word)} does not overlap itself in {s} digits",
+            )
+        return (word,)
+    tour = oracle_tour(labels, s)
+    pivot = tour.index(min(tour))
+    return tuple(tour[pivot:] + tour[:pivot])

@@ -1,9 +1,13 @@
 """Transition digraphs, Euler tours, overlap cycles, and existence predicates."""
 
 import math
+import random
 from itertools import product
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graycycles import (
     NotEulerianError,
@@ -29,6 +33,8 @@ from graycycles import (
     weak_components,
     witness_non_rotation,
 )
+from graycycles.ocycles import REASON_DISCONNECTED, REASON_SINGLETON, REASON_UNBALANCED
+from ocycle_oracles import oracle_cycle, oracle_tour
 
 B24_2 = enumerate_fixed_weight(2, 4, 2)  # 0011 0101 0110 1001 1010 1100
 
@@ -338,6 +344,117 @@ def test_disconnected_cases_separate_the_witness_pair():
                     )
 
 
+# ------------------------------------------------ engine against the oracles
+
+
+def grid_sets():
+    """Every nonempty fixed-weight and weight-range set for m <= 3, 2 <= n <= 6."""
+    for m in (1, 2, 3):
+        for n in range(2, 7):
+            top = (m - 1) * n
+            for k in range(top + 1):
+                yield enumerate_fixed_weight(m, n, k)
+            for p in range(top):
+                for q in range(p + 1, top + 1):
+                    yield enumerate_weight_range(m, n, p, q)
+
+
+def outcome(build, words, s):
+    """The built sequence, or the (reason, message) of the NotEulerianError."""
+    try:
+        return tuple(build(words, s))
+    except NotEulerianError as exc:
+        return exc.reason, str(exc)
+
+
+def library_cycle(words, s):
+    return construct_ocycle(words, s).cycle
+
+
+def library_tour(words, s):
+    return euler_tour(build_transition_digraph(words, s))
+
+
+def assert_matches_oracle(words, s, orders=()):
+    """construct_ocycle on every order, and euler_tour on the last, match the oracle."""
+    orders = (words, *orders)
+    expected = outcome(oracle_cycle, words, s)
+    for order in orders:
+        assert outcome(library_cycle, order, s) == expected, (words, s)
+    if len(words) > 1:
+        assert outcome(library_tour, orders[-1], s) == outcome(oracle_tour, words, s), (words, s)
+
+
+def test_engine_matches_tuple_oracle_on_grid():
+    rng = random.Random(3)
+    for words in grid_sets():
+        shuffled = list(words)
+        rng.shuffle(shuffled)
+        for s in range(1, len(words[0])):
+            assert_matches_oracle(words, s, (words[::-1], shuffled))
+
+
+def test_engine_matches_oracle_on_edge_shapes():
+    # self-loops (000, 010, 101, 111) with parallel pairs, joined by 001/100
+    loops = [W("000"), W("001"), W("010"), W("100"), W("101"), W("111")]
+    assert_matches_oracle(loops, 1, (loops[::-1],))
+    assert_matches_oracle(loops[:3] + loops[4:], 1)  # unbalanced
+    assert_matches_oracle([W("000"), W("010"), W("101"), W("111")], 1)  # two components
+    # an alphabet of 11 letters: digits up to 10
+    for words in (enumerate_fixed_weight(11, 3, 15), enumerate_weight_range(11, 2, 3, 12)):
+        for s in range(1, len(words[0])):
+            assert_matches_oracle(words, s, (words[::-1],))
+
+
+def test_engine_keeps_order_under_shifted_digits():
+    # Negative digits and digits beyond 35 take the general encoding; adding
+    # one constant to every digit must shift the cycle and change nothing else.
+    for m, n, k, s in [(2, 4, 2, 1), (3, 4, 4, 1), (3, 5, 5, 2), (2, 6, 3, 2)]:
+        words = enumerate_fixed_weight(m, n, k)
+        cycle = construct_ocycle(words, s).cycle
+        for shift in (-1, -40, 36, 300):
+            moved = [tuple(d + shift for d in w) for w in words]
+            expected = tuple(tuple(d + shift for d in w) for w in cycle)
+            assert construct_ocycle(moved, s).cycle == expected, (m, n, k, s, shift)
+            assert construct_ocycle(moved[::-1], s).cycle == expected
+            assert_matches_oracle(moved, s)
+
+
+def test_engine_on_words_too_long_for_int_parsing():
+    # 5000 base-3 digits exceed int()'s default string-conversion limit,
+    # so those codes come from the general encoding; 1200 digits do not.
+    n = 5000
+    high, low = (2, 0) * (n // 2), (0, 2) * (n // 2)
+    assert construct_ocycle([high, low], n - 1).cycle == (low, high)
+    assert_matches_oracle([high, low], n - 1)
+    words = enumerate_weight_range(3, 1200, 0, 1) + [(2,) + (0,) * 1199]
+    for s in (1, 1199):
+        assert_matches_oracle(words, s)
+
+
+def test_construct_agrees_with_networkx():
+    for words in grid_sets():
+        n = len(words[0])
+        for s in range(1, n):
+            graph = nx.MultiDiGraph()
+            graph.add_edges_from((w[:s], w[n - s:]) for w in words)
+            try:
+                construct_ocycle(words, s)
+                reason = None
+            except NotEulerianError as exc:
+                reason = exc.reason
+            assert (reason is None) == nx.is_eulerian(graph), (words, s)
+            if reason is None:
+                continue
+            balanced = all(graph.in_degree(v) == graph.out_degree(v) for v in graph)
+            if len(words) == 1:
+                assert reason == REASON_SINGLETON and not balanced
+            elif balanced:
+                assert reason == REASON_DISCONNECTED and not nx.is_weakly_connected(graph)
+            else:
+                assert reason == REASON_UNBALANCED, (words, s)
+
+
 # ------------------------------------------------------------- compression
 
 
@@ -377,6 +494,78 @@ def test_compress_rejects_invalid_solution():
         compress_cycle(OcycleSolution(s=1, cycle=()), 4)
     with pytest.raises(ValueError):
         compress_cycle(sol, 5)  # wrong declared length
+    # a repeated word whose overlaps all hold: 0000 loops onto itself
+    with pytest.raises(ValueError):
+        compress_cycle(OcycleSolution(s=1, cycle=(W("0000"), W("0000"))), 4)
+    # mixed lengths whose overlaps all hold
+    with pytest.raises(ValueError):
+        compress_cycle(OcycleSolution(s=1, cycle=(W("0110"), W("01100"))), 4)
+    with pytest.raises(ValueError):
+        compress_cycle(OcycleSolution(s=1, cycle=(W("01100"), W("0110"))), 4)
+    # only the wrap-around pair, last word to first, fails to overlap
+    order = list(sol.cycle)
+    order[-1] = W("0111")
+    assert all(a[3:] == b[:1] for a, b in zip(order, order[1:]))
+    with pytest.raises(ValueError):
+        compress_cycle(OcycleSolution(s=1, cycle=tuple(order)), 4)
+
+
+def old_guard_rejects(cycle, s, n):
+    # The guard compress_cycle had before it became O(N): a full verification
+    # of the cycle against itself, plus the declared word length.
+    return not cycle or not verify_ocycle(cycle, cycle, s).ok or any(len(w) != n for w in cycle)
+
+
+def guard_rejects(cycle, s, n):
+    try:
+        compress_cycle(OcycleSolution(s=s, cycle=tuple(cycle)), n)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=4).map(tuple), max_size=6),
+    st.integers(0, 4),
+    st.integers(2, 4),
+)
+def test_compress_guard_matches_full_verification(cycle, s, n):
+    assert guard_rejects(cycle, s, n) == old_guard_rejects(cycle, s, n)
+    if not old_guard_rejects(cycle, s, n):
+        digits = [d for w in cycle for d in w[:n - s]]
+        text = compress_cycle(OcycleSolution(s=s, cycle=tuple(cycle)), n)
+        assert text == "".join(map(str, digits))
+
+
+def test_compress_guard_on_constructed_cycles():
+    # Valid overlap cycles are rare at random, so also feed the guard real
+    # cycles and copies with two neighbouring words swapped.
+    for words in grid_sets():
+        n = len(words[0])
+        for s in range(1, n):
+            try:
+                cycle = construct_ocycle(words, s).cycle
+            except NotEulerianError:
+                continue
+            text = compress_cycle(OcycleSolution(s=s, cycle=cycle), n)
+            assert decompress_cycle(text, n, s) == cycle
+            if len(cycle) < 2:
+                continue
+            for i in {0, (len(cycle) - 1) // 2, len(cycle) - 2}:
+                swapped = list(cycle)
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+                assert guard_rejects(swapped, s, n) == old_guard_rejects(swapped, s, n)
+
+
+def test_compress_wide_and_shifted_digits():
+    words = enumerate_fixed_weight(11, 3, 15)
+    sol = construct_ocycle(words, 1)
+    text = compress_cycle(sol, 3)
+    assert text == ",".join(str(d) for w in sol.cycle for d in w[:2])
+    assert decompress_cycle(text, 3, 1) == sol.cycle
+    moved = OcycleSolution(s=1, cycle=tuple(tuple(d + 300 for d in w) for w in sol.cycle))
+    assert compress_cycle(moved, 3) == ",".join(str(d) for w in moved.cycle for d in w[:2])
 
 
 def test_decompress_rejects_bad_lengths():

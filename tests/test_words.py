@@ -4,6 +4,8 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graycycles import (
     BlockProfile,
@@ -27,7 +29,7 @@ from graycycles import (
     weight_decomposition,
     witness_non_rotation,
 )
-from word_oracles import brute_fixed_weight, brute_weight_range
+from word_oracles import brute_fixed_weight, brute_weight_range, count_oracle
 
 
 def sweep_params():
@@ -92,6 +94,29 @@ def test_count_binary_is_binomial():
 def test_count_exceeds_64_bits():
     # 100 digits over {0,1}: central binomial far beyond 2**64
     assert count_fixed_weight(2, 100, 50) == math.comb(100, 50)
+
+
+def test_counts_match_inclusion_exclusion():
+    for m in range(1, 6):
+        for n in range(0, 9):
+            top = (m - 1) * n
+            for k in range(-1, top + 2):
+                assert count_fixed_weight(m, n, k) == count_oracle(m, n, k), (m, n, k)
+            for p in range(0, top):
+                for q in range(p + 1, top + 1):
+                    expected = sum(count_oracle(m, n, k) for k in range(p, q + 1))
+                    assert count_weight_range(m, n, p, q) == expected, (m, n, p, q)
+
+
+def test_counts_of_deep_words():
+    # Rows stop at the requested weight, so long words with small weights
+    # cost O(n * k), not O(n^2 * m).
+    for n in (1200, 5000):
+        assert count_fixed_weight(2, n, 1) == n
+        assert count_fixed_weight(3, n, 4) == count_oracle(3, n, 4)
+        assert count_fixed_weight(5, n, 9) == count_oracle(5, n, 9)
+        assert count_weight_range(2, n, 0, 1) == n + 1
+        assert count_weight_range(4, n, 2, 5) == sum(count_oracle(4, n, k) for k in range(2, 6))
 
 
 def test_materialization_cap():
@@ -296,6 +321,33 @@ def test_format_word():
     assert format_word((0, 1, 2), m=3) == "012"
     assert format_word((0, 1, 11, 2)) == "0,1,11,2"
     assert format_word((0, 1, 2), m=12) == "0,1,2"
+
+
+def _format_word_reference(word, m=None):
+    # The plain per-digit form: commas for m > 10 or, without m, for any
+    # digit above 9; otherwise the decimal values run together.
+    wide = (m > 10) if m is not None else any(d > 9 for d in word)
+    return (",".join if wide else "".join)(str(d) for d in word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-12, 300), max_size=8) | st.lists(st.integers(0, 9), max_size=8),
+    st.none() | st.integers(1, 14),
+    st.sampled_from([tuple, list]),
+)
+def test_format_word_matches_reference_property(digits, m, kind):
+    word = kind(digits)
+    assert format_word(word, m) == _format_word_reference(word, m)
+
+
+def test_format_word_edge_forms():
+    # digits above 9 under a narrow alphabet run together, as do negatives
+    assert format_word((1, 10, 2), m=3) == "1102"
+    assert format_word((0, -1, 2)) == "0-12"
+    assert format_word((0, 255, 256)) == "0,255,256"
+    assert format_word((3, 0), m=11) == "3,0"
+    assert format_word([0, 9], m=10) == "09"
 
 
 def test_parse_word():

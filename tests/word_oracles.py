@@ -1,16 +1,19 @@
-"""Independent, slow realizations of the library's word orders, for tests only.
+"""Independent realizations of the library's word orders and counts, for tests only.
 
-The library generates every order with one iterative walker.  These oracles
-share none of its code: the Gray order is built by the plain recursion that
-states the reflection rule directly, and the lexicographic sets come from a
-scan of the whole m^n product space.  The recursion is one level per digit,
-so keep n well below the interpreter's recursion limit.
+The library generates every order with one iterative walker and counts
+with a dynamic program.  These oracles share none of its code: the Gray
+order is built by the plain recursion that states the reflection rule
+directly, the lexicographic sets come from a scan of the whole m^n product
+space, and counts come from the inclusion-exclusion closed form.  The
+recursion is one level per digit, so keep n well below the interpreter's
+recursion limit.
 
 (The module is not called ``oracles`` because ``perfbench/oracles.py``
 already owns that import name on the shared test path.)
 """
 
 from itertools import product
+from math import comb
 
 
 def gray_oracle(m, n, k):
@@ -49,3 +52,19 @@ def brute_fixed_weight(m, n, k):
 def brute_weight_range(m, n, p, q):
     """Words with weight in [p, q], ascending, by full product scan."""
     return [w for w in product(range(m), repeat=n) if p <= sum(w) <= q]
+
+
+def count_oracle(m, n, k):
+    """Number of length-n words over {0..m-1} with digit sum k.
+
+    Inclusion-exclusion over the j digits forced to be at least m:
+    sum over j of (-1)^j C(n, j) C(k - j*m + n - 1, n - 1).
+    """
+    if k < 0:
+        return 0
+    if n == 0:
+        return int(k == 0)
+    return sum(
+        (-1) ** j * comb(n, j) * comb(k - j * m + n - 1, n - 1)
+        for j in range(min(n, k // m) + 1)
+    )
