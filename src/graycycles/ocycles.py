@@ -7,18 +7,16 @@ s-suffix turns these cycles into exactly the Euler tours of the resulting
 multigraph, so existence reduces to the classic criterion: balanced and
 weakly connected.
 
-``euler_tour`` and ``construct_ocycle`` share one engine, ``_euler``, that
-works on integer codes rather than tuples.  Each word becomes the number its
-digits spell in base b = 1 + largest digit, so numeric order is word order,
-the s-prefix vertex is ``code // b**(n-s)`` and the s-suffix vertex is
-``code % b**s``.  The engine counts degrees once, rejects an unbalanced
-digraph first, and reads a tour that misses edges as a disconnected one.
-``TransitionDigraph`` is the tuple view for DOT export, components and
-degree queries.  ``build_transition_digraph`` groups its edges by code,
-with no per-word tuple slicing, and keeps the codes, so ``euler_tour`` does
-not encode the words again.  The tests check the engine against the earlier
-tuple-based Hierholzer, kept in ``tests/ocycle_oracles.py``, and against
-networkx.
+``TransitionDigraph`` stores only integer codes: each word is the number
+its digits spell in base b = 1 + largest digit, so numeric order is word
+order, the s-prefix vertex is ``code // b**(n-s)`` and the s-suffix vertex
+is ``code % b**s``.  ``euler_tour`` walks these codes; it counts degrees
+once, rejects an unbalanced digraph first, and reads a tour that misses
+edges as a disconnected one.  The tuple view for DOT export, components and
+degree queries is derived on first use, so ``construct_ocycle`` never
+builds it.  ``_first_gap`` is the one check of the overlap rule.  The tests
+check the engine against the earlier tuple-based Hierholzer, kept in
+``tests/ocycle_oracles.py``, and against networkx.
 """
 
 from __future__ import annotations
@@ -27,12 +25,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, repeat
-from operator import eq, getitem
-from typing import Mapping, Sequence
+from itertools import chain, compress, count, groupby, repeat
+from operator import getitem, ne
+from typing import Sequence
 
 from .words import (
     Word,
+    _check_overlap,
     _check_params,
     enumerate_fixed_weight,
     format_word,
@@ -89,19 +88,42 @@ class NotEulerianError(ValueError):
 class TransitionDigraph:
     """Directed multigraph of overlaps: vertices are s-strings, edges are words.
 
-    ``edges`` maps (prefix, suffix) vertex pairs to the lexicographically
-    sorted tuple of word labels travelling that way; parallel edges are just
-    longer tuples.  Instances are treated as immutable once built; the
-    degree table is computed on first use and kept.
+    Stored as ``by_code``, the words keyed by their base-``base`` codes (see
+    ``_index_words``).  The tuple view is derived on first use and kept:
+    ``edges`` maps (prefix, suffix) vertex pairs to the sorted tuple of word
+    labels travelling that way, so parallel edges are longer tuples, and
+    ``vertices`` holds their endpoints.  Instances are treated as immutable.
     """
 
     s: int
     n: int
-    vertices: frozenset[Word]
-    edges: Mapping[tuple[Word, Word], tuple[Word, ...]]
+    base: int
+    by_code: dict[int, Word]
 
     def edge_count(self) -> int:
-        return sum(len(labels) for labels in self.edges.values())
+        return len(self.by_code)
+
+    @cached_property
+    def edges(self) -> dict[tuple[Word, Word], tuple[Word, ...]]:
+        """Word labels by (prefix, suffix) vertex pair, grouped by code."""
+        n, s, base, by_code = self.n, self.s, self.base, self.by_code
+        prefix_of, suffix_of = (base ** (n - s)).__rfloordiv__, (base ** s).__rmod__
+        vertex: dict[int, Word] = {}
+        edges: dict[tuple[Word, Word], tuple[Word, ...]] = {}
+        for u, group in groupby(sorted(by_code), prefix_of):
+            # A stable sort by suffix keeps each label tuple in ascending order.
+            for v, codes in groupby(sorted(group, key=suffix_of), suffix_of):
+                labels = tuple(map(by_code.__getitem__, codes))
+                if u not in vertex:
+                    vertex[u] = labels[0][:s]
+                if v not in vertex:
+                    vertex[v] = labels[0][n - s:]
+                edges[vertex[u], vertex[v]] = labels
+        return edges
+
+    @cached_property
+    def vertices(self) -> frozenset[Word]:
+        return frozenset(chain.from_iterable(self.edges))
 
     @cached_property
     def _degrees(self) -> tuple[dict[Word, int], dict[Word, int]]:
@@ -112,14 +134,6 @@ class TransitionDigraph:
             outs[u] = outs.get(u, 0) + len(labels)
             ins[v] = ins.get(v, 0) + len(labels)
         return outs, ins
-
-    @cached_property
-    def _codes(self) -> tuple[int, dict[int, Word]]:
-        """(base, edge labels by integer code) for the Euler engine."""
-        _, base, by_code = _index_words(
-            [w for labels in self.edges.values() for w in labels], self.s
-        )
-        return base, by_code
 
     def out_degree(self, vertex: Word) -> int:
         return self._degrees[0].get(vertex, 0)
@@ -156,8 +170,7 @@ def _index_words(words: Sequence[Word], s: int) -> tuple[int, int, dict[int, Wor
         raise ValueError(
             f"mixed word lengths: {format_word(w)} has length {len(w)}, expected {n}"
         )
-    if not 1 <= s <= n - 1:
-        raise ValueError(f"overlap length s={s} out of range for n={n}")
+    _check_overlap(n, s)
     high = max(map(max, labels))
     try:
         base = max(high + 1, 2)
@@ -177,71 +190,13 @@ def _index_words(words: Sequence[Word], s: int) -> tuple[int, int, dict[int, Wor
     return n, base, by_code
 
 
-def _euler(by_code: dict[int, Word], base: int, n: int, s: int) -> list[Word]:
-    """Hierholzer's algorithm over integer codes (see ``_index_words``).
-
-    Deterministic: the walk starts at the smallest vertex and always leaves
-    on the smallest unused out-edge, so the tour begins with the smallest
-    word.  Degrees are counted once and balance is checked first; in a
-    balanced digraph the walk from one vertex covers exactly that vertex's
-    weak component, so a tour shorter than the edge count means the
-    digraph is not weakly connected.
-    """
-    cut, mask = base ** (n - s), base ** s
-    prefix_of, suffix_of = cut.__rfloordiv__, mask.__rmod__
-    codes = sorted(by_code, reverse=True)
-    if Counter(map(prefix_of, codes)) != Counter(map(suffix_of, codes)):
-        raise NotEulerianError(
-            REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex"
-        )
-    # Out-lists run largest code first, so pop() yields the smallest.
-    out = {u: list(group) for u, group in groupby(codes, prefix_of)}
-    stack: list[int] = []
-    tour: list[int] = []
-    vertex = codes[-1] // cut
-    while True:
-        ready = out[vertex]  # balanced: every vertex entered has an out-list
-        if ready:
-            code = ready.pop()
-            stack.append(code)
-            vertex = code % mask
-        elif stack:
-            code = stack.pop()
-            tour.append(code)
-            vertex = code // cut
-        else:
-            break
-    if len(tour) != len(codes):
-        raise NotEulerianError(
-            REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected"
-        )
-    tour.reverse()
-    return list(map(by_code.__getitem__, tour))
-
-
 def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph:
     """One edge per word, from its s-prefix vertex to its s-suffix vertex.
 
     All words must share one length n with 1 <= s <= n-1 and be pairwise
-    distinct.  An empty word list builds an empty digraph.  The digraph
-    keeps the integer codes it was built from, for ``euler_tour``.
+    distinct.  An empty word list builds an empty digraph.
     """
-    n, base, by_code = _index_words(words, s)
-    prefix_of, suffix_of = (base ** (n - s)).__rfloordiv__, (base ** s).__rmod__
-    vertex: dict[int, Word] = {}
-    edges: dict[tuple[Word, Word], tuple[Word, ...]] = {}
-    for u, group in groupby(sorted(by_code), prefix_of):
-        # A stable sort by suffix keeps each label tuple in ascending order.
-        for v, codes in groupby(sorted(group, key=suffix_of), suffix_of):
-            labels = tuple(map(by_code.__getitem__, codes))
-            if u not in vertex:
-                vertex[u] = labels[0][:s]
-            if v not in vertex:
-                vertex[v] = labels[0][n - s:]
-            edges[vertex[u], vertex[v]] = labels
-    digraph = TransitionDigraph(s=s, n=n, vertices=frozenset(vertex.values()), edges=edges)
-    digraph.__dict__["_codes"] = base, by_code  # fills the cached_property
-    return digraph
+    return TransitionDigraph(s, *_index_words(words, s))
 
 
 def is_balanced(digraph: TransitionDigraph) -> bool:
@@ -285,15 +240,48 @@ def is_weakly_connected(digraph: TransitionDigraph) -> bool:
 def euler_tour(digraph: TransitionDigraph) -> list[Word]:
     """Closed walk using every edge exactly once, as a list of edge labels.
 
-    Hierholzer's algorithm, made deterministic: the walk starts at the
-    smallest vertex and always leaves on the lexicographically smallest
-    unused out-edge label.  Raises NotEulerianError when the digraph is
+    Hierholzer's algorithm over the digraph's integer codes, made
+    deterministic: the walk starts at the smallest vertex and always leaves
+    on the smallest unused out-edge, so the tour begins with the smallest
+    word.  Degrees are counted once and balance is checked first; in a
+    balanced digraph the walk from one vertex covers exactly that vertex's
+    weak component, so a tour shorter than the edge count means the digraph
+    is not weakly connected.  Raises NotEulerianError when the digraph is
     unbalanced or not weakly connected, and ValueError when it has no edges.
     """
-    base, by_code = digraph._codes
+    base, by_code, n, s = digraph.base, digraph.by_code, digraph.n, digraph.s
     if not by_code:
         raise ValueError("digraph has no edges")
-    return _euler(by_code, base, digraph.n, digraph.s)
+    cut, mask = base ** (n - s), base ** s
+    prefix_of, suffix_of = cut.__rfloordiv__, mask.__rmod__
+    codes = sorted(by_code, reverse=True)
+    if Counter(map(prefix_of, codes)) != Counter(map(suffix_of, codes)):
+        raise NotEulerianError(
+            REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex"
+        )
+    # Out-lists run largest code first, so pop() yields the smallest.
+    out = {u: list(group) for u, group in groupby(codes, prefix_of)}
+    stack: list[int] = []
+    tour: list[int] = []
+    vertex = codes[-1] // cut
+    while True:
+        ready = out[vertex]  # balanced: every vertex entered has an out-list
+        if ready:
+            code = ready.pop()
+            stack.append(code)
+            vertex = code % mask
+        elif stack:
+            code = stack.pop()
+            tour.append(code)
+            vertex = code // cut
+        else:
+            break
+    if len(tour) != len(codes):
+        raise NotEulerianError(
+            REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected"
+        )
+    tour.reverse()
+    return list(map(by_code.__getitem__, tour))
 
 
 @dataclass(frozen=True)
@@ -316,6 +304,14 @@ class OcycleReport:
     first_violation: tuple[int, str] | None = None
 
 
+def _first_gap(cycle: Sequence[Word], s: int) -> int | None:
+    """First index i where word i's last s digits differ from word i+1's
+    first s digits, wrapping around, or None.  Takes tuple words, s >= 1."""
+    suffixes = map(getitem, cycle, repeat(slice(-s, None)))
+    next_prefixes = map(getitem, chain(cycle[1:], cycle[:1]), repeat(slice(None, s)))
+    return next(compress(count(), map(ne, suffixes, next_prefixes)), None)
+
+
 def construct_ocycle(words: Sequence[Word], s: int) -> OcycleSolution:
     """Build an s-overlap cycle for the given word set, or fail loudly.
 
@@ -329,8 +325,8 @@ def construct_ocycle(words: Sequence[Word], s: int) -> OcycleSolution:
     if total == 0:
         raise ValueError("cannot build an overlap cycle for an empty word set")
     if total == 1:
-        word = next(iter(digraph.edges.values()))[0]
-        if word[:s] != word[digraph.n - s:]:
+        (word,) = digraph.by_code.values()
+        if _first_gap((word,), s) is not None:
             raise NotEulerianError(
                 REASON_SINGLETON,
                 f"single word {format_word(word)} does not overlap itself in {s} digits",
@@ -379,14 +375,13 @@ def verify_ocycle(
         return OcycleReport(
             False, (-1, f"cycle misses {len(remaining)} word(s), e.g. {missing}")
         )
-    total = len(claimed)
-    for i, w in enumerate(claimed):
-        nxt = claimed[(i + 1) % total]
-        if w[n - s:] != nxt[:s]:
-            return OcycleReport(
-                False,
-                (i, f"words {format_word(w)} and {format_word(nxt)} do not overlap in {s} digits"),
-            )
+    i = _first_gap(claimed, s)
+    if i is not None:
+        w, nxt = claimed[i], claimed[(i + 1) % len(claimed)]
+        return OcycleReport(
+            False,
+            (i, f"words {format_word(w)} and {format_word(nxt)} do not overlap in {s} digits"),
+        )
     return OcycleReport(True)
 
 
@@ -452,16 +447,14 @@ def compress_cycle(solution: OcycleSolution, n: int) -> str:
     cycle, s = tuple(map(tuple, solution.cycle)), solution.s
     if not cycle:
         raise ValueError("cannot compress an empty cycle")
-    step = n - s
-    suffixes = map(getitem, cycle, repeat(slice(step, None)))
-    next_prefixes = map(getitem, cycle[1:] + cycle[:1], repeat(slice(None, s)))
     if (
         not 1 <= s < n
         or set(map(len, cycle)) != {n}
         or len(set(cycle)) != len(cycle)
-        or not all(map(eq, suffixes, next_prefixes))
+        or _first_gap(cycle, s) is not None
     ):
         raise ValueError("refusing to compress an unverified cycle")
+    step = n - s
     try:  # one byte per digit when every digit fits in a byte
         digits = bytes(chain.from_iterable(map(getitem, cycle, repeat(slice(None, step)))))
     except ValueError:
@@ -476,8 +469,7 @@ def decompress_cycle(text: str, n: int, s: int) -> tuple[Word, ...]:
     stride n-s, wrapping cyclically.
     """
     symbols = parse_word(text)
-    if not 1 <= s <= n - 1:
-        raise ValueError(f"overlap length s={s} out of range for n={n}")
+    _check_overlap(n, s)
     step = n - s
     total = len(symbols)
     if total == 0 or total % step != 0:

@@ -57,14 +57,20 @@ def _check_params(
     """Raise ValueError on the first bad parameter: m, then s, then n, then [p, q]."""
     if m < 1:
         raise ValueError(f"alphabet size m must be >= 1, got {m}")
-    if s is not None and not 1 <= s < n:
-        raise ValueError(f"overlap length s={s} out of range for n={n}")
+    if s is not None:
+        _check_overlap(n, s)
     if n < 0:
         raise ValueError(f"word length n must be >= 0, got {n}")
     if p is not None and not 0 <= p < q <= (m - 1) * n:
         raise ValueError(
             f"weight range requires 0 <= p < q <= (m-1)*n, got p={p}, q={q}"
         )
+
+
+def _check_overlap(n: int, s: int) -> None:
+    """Raise ValueError unless the overlap length s lies in 1..n-1."""
+    if not 1 <= s < n:
+        raise ValueError(f"overlap length s={s} out of range for n={n}")
 
 
 def _walk(m: int, n: int, p: int, q: int, reflected: bool) -> Iterator[Word]:
@@ -266,8 +272,7 @@ def block_profile(word: Sequence[int], s: int) -> BlockProfile:
     non-existence witness below exploits.
     """
     n = len(word)
-    if not 1 <= s <= n - 1:
-        raise ValueError(f"overlap length s={s} out of range for n={n}")
+    _check_overlap(n, s)
     d = math.gcd(n, s)
     weights = tuple(sum(word[i:i + d]) for i in range(0, n, d))
     return BlockProfile(d, weights)
@@ -298,8 +303,7 @@ def witness_non_rotation(m: int, n: int, k: int, s: int) -> tuple[Word, Word]:
     rotation.  Since s-rotations preserve the profile up to rotation, the two
     words can never reach each other in the transition digraph.
     """
-    if not 1 <= s <= n - 1:
-        raise ValueError(f"overlap length s={s} out of range for n={n}")
+    _check_overlap(n, s)
     if n - s != math.gcd(n, s):
         raise ValueError(f"witness requires n-s = gcd(n,s); got n={n}, s={s}")
     if not 1 < k < (m - 1) * n - 1:

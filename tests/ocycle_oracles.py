@@ -8,12 +8,40 @@ follows the same deterministic rule (start at the smallest vertex, leave on
 the smallest unused label) and raises the same errors, so the library must
 match it exactly.
 
+``oracle_edges`` builds the tuple view of the transition digraph by slicing
+every word, and ``oracle_first_gap`` checks the overlap rule one index at a
+time; the library derives the first from integer codes and checks the
+second with one ``map`` pipeline.
+
 (The module is not called ``oracles`` because ``perfbench/oracles.py``
 already owns that import name on the shared test path.)
 """
 
 from graycycles import NotEulerianError, format_word
 from graycycles.ocycles import REASON_DISCONNECTED, REASON_SINGLETON, REASON_UNBALANCED
+
+
+def oracle_edges(words, s):
+    """Word labels by (s-prefix, s-suffix) vertex pair, each tuple sorted.
+
+    The words must be distinct, of one length n, with 1 <= s <= n-1.
+    """
+    groups = {}
+    for w in map(tuple, words):
+        groups.setdefault((w[:s], w[len(w) - s:]), []).append(w)
+    return {pair: tuple(sorted(labels)) for pair, labels in groups.items()}
+
+
+def oracle_first_gap(cycle, s):
+    """Index of the first word whose last s digits differ from the next
+    word's first s digits, wrapping around; None if every pair overlaps."""
+    claimed = [tuple(w) for w in cycle]
+    total = len(claimed)
+    for i, w in enumerate(claimed):
+        nxt = claimed[(i + 1) % total]
+        if w[len(w) - s:] != nxt[:s]:
+            return i
+    return None
 
 
 def oracle_tour(words, s):

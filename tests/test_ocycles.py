@@ -2,11 +2,12 @@
 
 import math
 import random
-from itertools import product
+from collections import Counter
+from itertools import chain, product
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graycycles import (
@@ -34,7 +35,7 @@ from graycycles import (
     witness_non_rotation,
 )
 from graycycles.ocycles import REASON_DISCONNECTED, REASON_SINGLETON, REASON_UNBALANCED
-from ocycle_oracles import oracle_cycle, oracle_tour
+from ocycle_oracles import oracle_cycle, oracle_edges, oracle_first_gap, oracle_tour
 
 B24_2 = enumerate_fixed_weight(2, 4, 2)  # 0011 0101 0110 1001 1010 1100
 
@@ -455,6 +456,51 @@ def test_construct_agrees_with_networkx():
                 assert reason == REASON_UNBALANCED, (words, s)
 
 
+def assert_view_matches_oracle(words, s):
+    """Every query on the code-backed digraph agrees with the sliced tuple view."""
+    d = build_transition_digraph(words, s)
+    edges = oracle_edges(words, s)
+    vertices = frozenset(chain.from_iterable(edges))
+    assert d.edges == edges, (words, s)
+    assert d.vertices == vertices
+    assert d.edge_count() == len(words)
+    outs, ins = Counter(), Counter()
+    for (u, v), labels in edges.items():
+        outs[u] += len(labels)
+        ins[v] += len(labels)
+    for v in vertices:
+        assert (d.out_degree(v), d.in_degree(v)) == (outs[v], ins[v]), (words, s, v)
+    assert is_balanced(d) == (outs == ins)
+    graph = nx.MultiDiGraph()
+    graph.add_nodes_from(vertices)
+    graph.add_edges_from(edges)
+    components = sorted(map(frozenset, nx.weakly_connected_components(graph)), key=min)
+    assert weak_components(d) == components
+    text = {w: format_word(w) for w in chain(vertices, map(tuple, words))}
+    dot = ["digraph transitions {"] + [f'    "{text[v]}";' for v in sorted(vertices)]
+    for u, v in sorted(edges):
+        dot += [f'    "{text[u]}" -> "{text[v]}" [label="{text[w]}"];' for w in edges[u, v]]
+    assert export_dot(d) == "\n".join(dot + ["}"]) + "\n"
+
+
+def test_digraph_view_matches_tuple_oracle():
+    # Shifted digits leave 0..35, so those digraphs come from the general
+    # encoding; the 5000-digit words are too long for int() parsing.
+    assert_view_matches_oracle([], 1)
+    # Here some vertices only start edges and others only end them.
+    for words in ([W("0011")], [W("001"), W("012")]):
+        for s in range(1, len(words[0])):
+            assert_view_matches_oracle(words, s)
+    for words in grid_sets():
+        for s in range(1, len(words[0])):
+            for shift in (0, -40, 300):
+                assert_view_matches_oracle([tuple(d + shift for d in w) for w in words], s)
+    n = 5000
+    high, low = (2, 0) * (n // 2), (0, 2) * (n // 2)
+    for s in (1, 2, n - 1):
+        assert_view_matches_oracle([high, low], s)
+
+
 # ------------------------------------------------------------- compression
 
 
@@ -511,9 +557,17 @@ def test_compress_rejects_invalid_solution():
 
 
 def old_guard_rejects(cycle, s, n):
-    # The guard compress_cycle had before it became O(N): a full verification
-    # of the cycle against itself, plus the declared word length.
-    return not cycle or not verify_ocycle(cycle, cycle, s).ok or any(len(w) != n for w in cycle)
+    # What compress_cycle must refuse, spelled out independently of the
+    # library: an empty cycle, s outside 1..n-1, a word not of length n, a
+    # repeated word, or a broken overlap found by the per-index oracle.
+    cycle = [tuple(w) for w in cycle]
+    return (
+        not cycle
+        or not 1 <= s < n
+        or any(len(w) != n for w in cycle)
+        or len(set(cycle)) != len(cycle)
+        or oracle_first_gap(cycle, s) is not None
+    )
 
 
 def guard_rejects(cycle, s, n):
@@ -556,6 +610,62 @@ def test_compress_guard_on_constructed_cycles():
                 swapped = list(cycle)
                 swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
                 assert guard_rejects(swapped, s, n) == old_guard_rejects(swapped, s, n)
+
+
+GAP_CASES = [(2, 4, 2, 1), (3, 4, 4, 1), (2, 6, 3, 2), (3, 5, 5, 2)]
+
+
+def broken_cycle(case, drop, swaps):
+    """A constructed cycle with one word dropped and some positions swapped.
+
+    Dropping word j leaves its neighbours adjacent, so the only gap (unless
+    the word loops onto itself) sits just before j: index 0 for j = 1, the
+    wrap-around for j = 0.
+    """
+    m, n, k, s = GAP_CASES[case]
+    cycle = list(construct_ocycle(enumerate_fixed_weight(m, n, k), s).cycle)
+    del cycle[drop % len(cycle)]
+    for a, b in swaps:
+        a, b = a % len(cycle), b % len(cycle)
+        cycle[a], cycle[b] = cycle[b], cycle[a]
+    return cycle, s
+
+
+def assert_verify_reports_oracle_gap(cycle, s):
+    gap = oracle_first_gap(cycle, s)
+    report = verify_ocycle(cycle, cycle, s)
+    assert report.ok == (gap is None), (cycle, s)
+    if gap is not None:
+        w, nxt = cycle[gap], cycle[(gap + 1) % len(cycle)]
+        assert report.first_violation == (
+            gap, f"words {format_word(w)} and {format_word(nxt)} do not overlap in {s} digits"
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, len(GAP_CASES) - 1),
+    st.integers(0, 10**3),
+    st.lists(st.tuples(st.integers(0, 10**3), st.integers(0, 10**3)), max_size=3),
+)
+@example(case=2, drop=0, swaps=[])  # the gap is at the wrap-around
+@example(case=2, drop=1, swaps=[])  # the gap is at index 0
+def test_verify_reports_the_oracles_first_gap(case, drop, swaps):
+    assert_verify_reports_oracle_gap(*broken_cycle(case, drop, swaps))
+
+
+def test_verify_gap_at_every_position():
+    # Deterministically place the single gap at every index, the first and
+    # the wrap-around included.
+    seen = set()
+    for case in range(len(GAP_CASES)):
+        total = len(broken_cycle(case, 0, [])[0])
+        for drop in range(total + 1):
+            cycle, s = broken_cycle(case, drop, [])
+            gap = oracle_first_gap(cycle, s)
+            seen.add("wrap" if gap == total - 1 else gap)
+            assert_verify_reports_oracle_gap(cycle, s)
+    assert {0, "wrap", None} <= seen
 
 
 def test_compress_wide_and_shifted_digits():
