@@ -3,14 +3,22 @@
 Subcommands: gray, count, exists, ocycle, verify, digraph.  Words travel on
 stdout one per line in their text form; diagnostics go to stderr.  Exit
 codes: 0 success / exists / valid, 1 not-exists / invalid input list,
-2 usage or parameter error.
+2 usage or parameter error.  A reader that closes the pipe early (``| head``)
+ends the command with exit 1 and nothing on stderr.
+
+Word lists are written in chunks of ``_CHUNK`` words, one ``write`` call per
+chunk, so the cost does not depend on whether stdout is buffered.  A chunk
+holds its words at once: ``gray --stream`` needs O(n) memory per chunk,
+independent of the size of the set.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from .graycode import gray_list, gray_stream, verify_gray
 from .ocycles import (
@@ -26,12 +34,20 @@ from .ocycles import (
 from .words import (
     MaterializationLimitError,
     Word,
+    _check_overlap,
     count_fixed_weight,
     enumerate_fixed_weight,
     enumerate_weight_range,
     format_word,
     parse_word,
 )
+
+# Words per stdout write.
+_CHUNK = 1024
+
+# Byte d in 0..9 becomes ASCII digit d and byte 10 stays the newline that
+# joins words; no other byte occurs in a chunk of words over m <= 10.
+_LINE_TABLE = b"0123456789\n".ljust(256, b"\xff")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +115,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         "digraph": _cmd_digraph,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so the interpreter's
+        # final flush of what is left in the buffer stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except MaterializationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -108,12 +131,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def _write_words(words: Iterable[Word], m: int) -> None:
+    """Write the words to stdout, one per line, one write call per chunk.
+
+    Over m <= 10 a chunk is formatted in one bytes pass through
+    ``_LINE_TABLE``; the callers pass words from the walker or an Euler
+    tour, so every digit is below m.  Larger alphabets use ``format_word``
+    per word.
+    """
+    words = iter(words)
+    write = sys.stdout.write
+    while chunk := list(islice(words, _CHUNK)):
+        if m <= 10:
+            lines = b"\n".join(map(bytes, chunk)) + b"\n"
+            write(lines.translate(_LINE_TABLE).decode("ascii"))
+        else:
+            write("".join([format_word(w, m) + "\n" for w in chunk]))
+
+
 def _cmd_gray(args: argparse.Namespace) -> int:
     words = gray_stream(args.m, args.n, args.k) if args.stream else gray_list(
         args.m, args.n, args.k
     )
-    for w in words:
-        print(format_word(w, args.m))
+    _write_words(words, args.m)
     return 0
 
 
@@ -151,8 +191,7 @@ def _cmd_ocycle(args: argparse.Namespace) -> int:
     if args.compressed:
         print(compress_cycle(solution, args.n))
     else:
-        for w in solution.cycle:
-            print(format_word(w, args.m))
+        _write_words(solution.cycle, args.m)
     return 0
 
 
@@ -183,12 +222,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.target == "gray":
         report = verify_gray(words, args.m, args.n, args.k)
     else:
-        if not 1 <= args.s <= args.n - 1:
-            print(
-                f"error: overlap length s={args.s} out of range for n={args.n}",
-                file=sys.stderr,
-            )
-            return 2
+        _check_overlap(args.n, args.s)
         bad = next((i for i, w in enumerate(words) if len(w) != args.n), None)
         if bad is not None:
             print(f"violation at index {bad}: word has length "

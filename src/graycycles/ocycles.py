@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, groupby, repeat
 from operator import getitem, ne
@@ -93,12 +93,14 @@ class TransitionDigraph:
     ``edges`` maps (prefix, suffix) vertex pairs to the sorted tuple of word
     labels travelling that way, so parallel edges are longer tuples, and
     ``vertices`` holds their endpoints.  Instances are treated as immutable.
+    ``by_code`` is left out of the hash and the repr: the hash uses
+    (s, n, base), which equal digraphs share, and the repr stays short.
     """
 
     s: int
     n: int
     base: int
-    by_code: dict[int, Word]
+    by_code: dict[int, Word] = field(repr=False, hash=False)
 
     def edge_count(self) -> int:
         return len(self.by_code)
@@ -489,14 +491,12 @@ def export_dot(digraph: TransitionDigraph, m: int | None = None) -> str:
     both are emitted in sorted order so identical digraphs always render to
     identical text.
     """
+    label = {vertex: format_word(vertex, m) for vertex in sorted(digraph.vertices)}
     lines = ["digraph transitions {"]
-    for vertex in sorted(digraph.vertices):
-        lines.append(f'    "{format_word(vertex, m)}";')
+    lines.extend(f'    "{text}";' for text in label.values())
     for u, v in sorted(digraph.edges):
-        for label in digraph.edges[u, v]:
-            lines.append(
-                f'    "{format_word(u, m)}" -> "{format_word(v, m)}"'
-                f' [label="{format_word(label, m)}"];'
-            )
+        arrow = f'    "{label[u]}" -> "{label[v]}" [label="'
+        for word in digraph.edges[u, v]:
+            lines.append(f'{arrow}{format_word(word, m)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -82,22 +82,29 @@ def _walk(m: int, n: int, p: int, q: int, reflected: bool) -> Iterator[Word]:
     its step (+1 or -1), the digit it ends on, and the weight placed before
     it.  A successor step advances the last position that has not reached
     its end and restarts every position after it, so memory is O(n) and
-    there is no recursion.  Assumes m >= 1 and n >= 0; an empty window
-    yields nothing.
+    there is no recursion.
+
+    For a fixed weight (p == q) and n >= 2 the last digit is forced by the
+    others, so the last two positions are emitted as one run: position n-2
+    goes through its digits, position n-1 takes the rest of the weight, and
+    each word costs two cell writes.  The successor scan then starts at
+    n-3.  Assumes m >= 1 and n >= 0; an empty window yields nothing.
     """
     top = m - 1
     if max(p, 0) > min(q, top * n):
         return
+    pair = p == q and n >= 2
+    stop = n - 2 if pair else n  # positions before stop are placed one by one
     digits = [0] * n
     step = [1] * n
     end = [0] * n
     before = [0] * n
     i, acc, back = 0, 0, False
     while True:
-        while i < n:
+        while i < stop:
             hi = q - acc
             if hi == 0:  # no weight left: every later digit is 0
-                digits[i:] = end[i:] = [0] * (n - i)
+                digits[i:stop] = end[i:stop] = [0] * (stop - i)
                 break
             if hi > top:
                 hi = top
@@ -115,8 +122,16 @@ def _walk(m: int, n: int, p: int, q: int, reflected: bool) -> Iterator[Word]:
             if reflected and d & 1:
                 back = not back
             i += 1
-        yield tuple(digits)
-        i = n - 1
+        if pair:
+            rest = q - acc
+            lo, hi = max(rest - top, 0), min(rest, top)
+            for d in range(hi, lo - 1, -1) if back else range(lo, hi + 1):
+                digits[-2] = d
+                digits[-1] = rest - d
+                yield tuple(digits)
+        else:
+            yield tuple(digits)
+        i = stop - 1
         while i >= 0 and digits[i] == end[i]:
             i -= 1
         if i < 0:

@@ -1,14 +1,27 @@
 """CLI contract: output formats, exit codes, stdin verification, DOT export."""
 
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from graycycles import parse_word, verify_ocycle
-from graycycles.cli import main
+from graycycles import (
+    construct_ocycle,
+    count_fixed_weight,
+    enumerate_fixed_weight,
+    enumerate_weight_range,
+    format_word,
+    gray_list,
+    parse_word,
+    verify_ocycle,
+)
+from graycycles.cli import _CHUNK, main
 
 GOLDEN_345 = Path(__file__).parent / "data" / "gray_3_4_5.txt"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -152,8 +165,9 @@ def test_verify_ocycle_rejects_wrong_length(capsys, monkeypatch):
 
 def test_verify_ocycle_bad_s(capsys, monkeypatch):
     feed(monkeypatch, "0011\n")
-    code, _, err = run(capsys, "verify", "ocycle", "4", "4")
-    assert code == 2 and "error" in err
+    code, out, err = run(capsys, "verify", "ocycle", "4", "4")
+    assert code == 2 and out == ""
+    assert err == "error: overlap length s=4 out of range for n=4\n"
 
 
 def test_digraph_stdout_and_file(capsys, tmp_path):
@@ -223,3 +237,91 @@ def test_deep_words_exit_cleanly(capsys, argv, lines):
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and err == ""
     assert out.count("\n") == lines
+
+
+def lines_of(words, m):
+    return "".join(format_word(w, m) + "\n" for w in words)
+
+
+def test_gray_writer_matches_format_word(capsys):
+    # Alphabets up to 10 take the one-pass bytes form, larger ones format
+    # word by word; the last cases cross several chunk boundaries.
+    cases = [(m, n) for m in (1, 2, 3) for n in range(7)]
+    cases += [(m, n) for m in (10, 11, 12) for n in range(5)]
+    for m, n in cases:
+        for k in range(-1, (m - 1) * n + 2):
+            expected = lines_of(gray_list(m, n, k), m)
+            for flags in ((), ("--stream",)):
+                code, out, err = run(capsys, "gray", str(m), str(n), str(k), *flags)
+                assert (code, out, err) == (0, expected, ""), (m, n, k, flags)
+    for m, n, k in ((3, 9, 9), (10, 5, 22), (12, 5, 27)):
+        assert count_fixed_weight(m, n, k) > 2 * _CHUNK
+        code, out, _ = run(capsys, "gray", str(m), str(n), str(k), "--stream")
+        assert code == 0 and out == lines_of(gray_list(m, n, k), m)
+
+
+def test_ocycle_writer_matches_format_word(capsys):
+    sets = []
+    for m, n in [(m, n) for m in (1, 2, 3) for n in range(2, 7)] + [(10, 2), (11, 3), (12, 3)]:
+        sets += [(m, n, "fixed", (k,)) for k in range((m - 1) * n + 1)]
+    for m, n in ((2, 5), (3, 4)):
+        top = (m - 1) * n
+        sets += [(m, n, "range", (p, q)) for p in range(top) for q in range(p + 1, top + 1)]
+    sets += [(m, 3, "range", (p, q)) for m in (11, 12) for p, q in ((0, 3 * m - 3), (5, 20))]
+    for m, n, mode, weights in sets:
+        if mode == "fixed":
+            words = enumerate_fixed_weight(m, n, *weights)
+        else:
+            words = enumerate_weight_range(m, n, *weights)
+        for s in range(1, n):
+            argv = ["ocycle", mode, str(m), str(n), *map(str, weights), str(s)]
+            code, out, _ = run(capsys, *argv)
+            if code == 0:
+                assert out == lines_of(construct_ocycle(words, s).cycle, m), argv
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_gray_writes_once_per_chunk(monkeypatch):
+    stub = CountingStdout()
+    monkeypatch.setattr("sys.stdout", stub)
+    assert main(["gray", "3", "9", "9", "--stream"]) == 0
+    total = count_fixed_weight(3, 9, 9)
+    assert stub.getvalue().count("\n") == total
+    assert stub.writes <= -(-total // _CHUNK) + 1
+
+
+def cli(*argv, unbuffered="1"):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return subprocess.Popen([sys.executable, "-m", "graycycles.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def test_unbuffered_stdout_matches_golden_file():
+    out, err = cli("gray", "3", "4", "5").communicate(timeout=60)
+    assert out == GOLDEN_345.read_bytes() and err == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+@pytest.mark.parametrize("argv", ["gray 3 12 12 --stream", "ocycle fixed 3 11 11 4"])
+def test_closed_pipe_exits_quietly(argv, unbuffered):
+    # Both outputs are several times larger than a pipe holds, so the
+    # command is still writing when the reader goes.
+    proc = cli(*argv.split(), unbuffered=unbuffered)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

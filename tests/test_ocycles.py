@@ -501,6 +501,16 @@ def test_digraph_view_matches_tuple_oracle():
         assert_view_matches_oracle([high, low], s)
 
 
+def test_digraph_hash_and_repr_leave_the_codes_out():
+    d = build_transition_digraph([W("0011"), W("0101")], 2)
+    same = build_transition_digraph([W("0101"), W("0011")], 2)
+    other = build_transition_digraph([W("0011"), W("0110")], 2)
+    assert d == same and hash(d) == hash(same)
+    assert d != other
+    assert len({d, same, other}) == 2
+    assert repr(d) == "TransitionDigraph(s=2, n=4, base=2)"
+
+
 # ------------------------------------------------------------- compression
 
 

@@ -29,7 +29,8 @@ from graycycles import (
     weight_decomposition,
     witness_non_rotation,
 )
-from word_oracles import brute_fixed_weight, brute_weight_range, count_oracle
+from graycycles.words import _walk
+from word_oracles import brute_fixed_weight, brute_weight_range, count_oracle, gray_oracle
 
 
 def sweep_params():
@@ -159,6 +160,18 @@ def test_iterators_follow_product_scan_order():
                 for q in range(p + 1, top + 1):
                     expected = [w for w in space if p <= sum(w) <= q]
                     assert list(iter_weight_range(m, n, p, q)) == expected, (m, n, p, q)
+
+
+def test_walk_runs_of_the_last_two_digits_match_oracles():
+    # A fixed weight emits its last two positions as one run.  Check it on
+    # the shortest words, over m = 1, at both end weights, and on sets whose
+    # words end in a zero tail (k = 0, and k = 1, 2 on longer words).
+    cases = [(m, n, k) for m in (1, 2, 3, 4, 5) for n in (0, 1, 2, 3)
+             for k in range(-1, (m - 1) * n + 2)]
+    cases += [(1, 7, 0), (3, 6, 0), (3, 6, 12), (4, 6, 1), (5, 6, 2), (2, 9, 1), (2, 9, 8)]
+    for m, n, k in cases:
+        assert list(_walk(m, n, k, k, False)) == brute_fixed_weight(m, n, k), (m, n, k)
+        assert list(_walk(m, n, k, k, True)) == gray_oracle(m, n, k), (m, n, k)
 
 
 def test_iterators_validate_lazily():
