@@ -1,6 +1,6 @@
 """Gray codes and overlap cycles for weight-restricted m-ary words.
 
-Two generators with matching verifiers and exact counting oracles:
+Two generators with matching verifiers and exact counts:
 
 * a two-change Gray code that orders all length-n words over {0..m-1} with
   a fixed digit sum so that consecutive words differ in exactly two
@@ -9,108 +9,16 @@ Two generators with matching verifiers and exact counting oracles:
   the next word's first s digits) for fixed-weight and weight-range word
   sets, built as Euler tours of transition digraphs, with existence
   predicates, a compressed text form, and DOT export.
+
+Every public name is defined once, in the ``__all__`` of its module
+(``words``, ``graycode`` or ``ocycles``), and re-exported here from there.
 """
 
-from .graycode import (
-    GrayList,
-    GrayReport,
-    first_word,
-    gray_list,
-    gray_stream,
-    hamming_distance,
-    last_word,
-    verify_gray,
-)
-from .ocycles import (
-    ExistenceVerdict,
-    NotEulerianError,
-    OcycleReport,
-    OcycleSolution,
-    TransitionDigraph,
-    build_transition_digraph,
-    compress_cycle,
-    construct_ocycle,
-    decompress_cycle,
-    euler_tour,
-    exists_fixed_weight_ocycle,
-    exists_weight_range_ocycle,
-    export_dot,
-    is_balanced,
-    is_weakly_connected,
-    verify_ocycle,
-    weak_components,
-)
-from .words import (
-    DEFAULT_MATERIALIZATION_CAP,
-    BlockProfile,
-    MaterializationLimitError,
-    WeightDecomposition,
-    Word,
-    block_profile,
-    count_fixed_weight,
-    count_weight_range,
-    enumerate_fixed_weight,
-    enumerate_weight_range,
-    format_word,
-    is_cyclic_rotation,
-    is_word,
-    iter_fixed_weight,
-    iter_weight_range,
-    parse_word,
-    s_prefix,
-    s_suffix,
-    weight,
-    weight_decomposition,
-    witness_non_rotation,
-)
+from . import graycode, ocycles, words
+from .graycode import *  # noqa: F403
+from .ocycles import *  # noqa: F403
+from .words import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockProfile",
-    "DEFAULT_MATERIALIZATION_CAP",
-    "ExistenceVerdict",
-    "GrayList",
-    "GrayReport",
-    "MaterializationLimitError",
-    "NotEulerianError",
-    "OcycleReport",
-    "OcycleSolution",
-    "TransitionDigraph",
-    "WeightDecomposition",
-    "Word",
-    "block_profile",
-    "build_transition_digraph",
-    "compress_cycle",
-    "construct_ocycle",
-    "count_fixed_weight",
-    "count_weight_range",
-    "decompress_cycle",
-    "enumerate_fixed_weight",
-    "enumerate_weight_range",
-    "euler_tour",
-    "exists_fixed_weight_ocycle",
-    "exists_weight_range_ocycle",
-    "export_dot",
-    "first_word",
-    "format_word",
-    "gray_list",
-    "gray_stream",
-    "hamming_distance",
-    "is_balanced",
-    "is_cyclic_rotation",
-    "is_weakly_connected",
-    "is_word",
-    "iter_fixed_weight",
-    "iter_weight_range",
-    "last_word",
-    "parse_word",
-    "s_prefix",
-    "s_suffix",
-    "verify_gray",
-    "verify_ocycle",
-    "weak_components",
-    "weight",
-    "weight_decomposition",
-    "witness_non_rotation",
-]
+__all__ = [*words.__all__, *graycode.__all__, *ocycles.__all__]

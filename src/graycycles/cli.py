@@ -241,8 +241,12 @@ def _cmd_digraph(args: argparse.Namespace) -> int:
     digraph = build_transition_digraph(_word_set(args), args.s)
     text = export_dot(digraph, args.m)
     if args.dot:
-        with open(args.dot, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(args.dot, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -157,10 +157,10 @@ def verify_gray(words: Sequence[Word], m: int, n: int, k: int) -> GrayReport:
     pair differs in exactly two positions.  Cyclic closure is not required.
     The first failing word or pair is reported; distance 0 or 1 between
     neighbours is impossible for distinct fixed-weight words, so "exactly
-    two" is the right test.
+    two" is the right test.  Words may be tuples, lists or a mix of both.
     """
     seen: set[Word] = set()
-    for i, w in enumerate(words):
+    for i, w in enumerate(map(tuple, words)):
         if not (len(w) == n and all(0 <= d <= m - 1 for d in w)):
             return GrayReport(
                 False, (i, f"word {format_word(w)} is not a length-{n} word over 0..{m - 1}")

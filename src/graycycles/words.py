@@ -3,17 +3,16 @@
 A word is a plain tuple of ints, leftmost digit first, so lexicographic
 order is just tuple order.  Every word order in the package comes from one
 iterative walker, ``_walk``: the lexicographic enumerators here and the
-reflected Gray order in ``graycode``.  Counts come from one dynamic
-program, ``_weight_counts``, whose rows stop at the largest weight asked
-for.  Tests check both against brute-force, recursive and
-inclusion-exclusion oracles kept in ``tests/``.
+reflected Gray order in ``graycode``.  Counts come from one closed form,
+``_count_at_most``, the number of words of weight at most K, so a count is
+a difference of two of its values.  Tests check both against brute-force,
+recursive and dynamic-programming oracles kept in ``tests/``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -180,29 +179,29 @@ def enumerate_fixed_weight(
     return list(iter_fixed_weight(m, n, k))
 
 
-def _weight_counts(m: int, n: int, top: int) -> list[int]:
-    """Numbers of length-n words over {0..m-1} by weight, for weights 0..top.
+def _count_at_most(m: int, n: int, top: int) -> int:
+    """Number of length-n words over {0..m-1} with weight at most ``top``.
 
-    The length recurrence (append one digit at a time) with a sliding-window
-    prefix sum.  Each row stops at weight min(top, (m-1)*length), so the
-    cost is O(n * top) additions of plain Python ints, which never overflow.
+    Inclusion-exclusion over the j digits forced to be at least m, each
+    term summed over weights 0..top by the hockey-stick identity:
+    sum over j of (-1)^j C(n, j) C(top - j*m + n, n).  It is 0 below
+    weight 0 and m**n from weight (m-1)*n on, so a difference of two values
+    is 0 for weights outside the set without a branch of its own.
     """
-    row = [1]  # counts by weight for length 0
-    for length in range(1, n + 1):
-        prefix = list(accumulate(row, initial=0))
-        row = [
-            prefix[min(kk, len(row) - 1) + 1] - prefix[max(0, kk - (m - 1))]
-            for kk in range(min(top, (m - 1) * length) + 1)
-        ]
-    return row
+    if top < 0:
+        return 0
+    if top >= (m - 1) * n:
+        return m**n
+    return sum(
+        (-1) ** j * math.comb(n, j) * math.comb(top - j * m + n, n)
+        for j in range(min(n, top // m) + 1)
+    )
 
 
 def count_fixed_weight(m: int, n: int, k: int) -> int:
     """Number of length-n words over {0..m-1} with digit sum k, exactly."""
     _check_params(m, n)
-    if k < 0 or k > (m - 1) * n:
-        return 0
-    return _weight_counts(m, n, k)[k]
+    return _count_at_most(m, n, k) - _count_at_most(m, n, k - 1)
 
 
 def iter_weight_range(m: int, n: int, p: int, q: int) -> Iterator[Word]:
@@ -229,7 +228,7 @@ def enumerate_weight_range(
 def count_weight_range(m: int, n: int, p: int, q: int) -> int:
     """Number of length-n words with weight in [p, q], exactly."""
     _check_params(m, n, p=p, q=q)
-    return sum(_weight_counts(m, n, q)[p:q + 1])
+    return _count_at_most(m, n, q) - _count_at_most(m, n, p - 1)
 
 
 def s_prefix(word: Sequence[int], s: int) -> Word:
@@ -332,7 +331,7 @@ def witness_non_rotation(m: int, n: int, k: int, s: int) -> tuple[Word, Word]:
 
 
 # Byte d in 0..9 becomes ASCII digit d; every other byte becomes 0xFF, which
-# is not ASCII, so decoding a word with such a digit fails.
+# is not ASCII, so a translated word that is not all ASCII has a digit above 9.
 _DIGIT_TABLE = b"0123456789".ljust(256, b"\xff")
 
 
@@ -344,18 +343,21 @@ def format_word(word: Sequence[int], m: int | None = None) -> str:
     not supplied the form is inferred from the digits present.
     """
     if (m is None or m <= 10) and isinstance(word, (tuple, list, bytes)):
-        # One table lookup per digit; a digit outside 0..9 makes bytes() or
-        # decode() raise, and the general form below handles that word.
-        # Other sequence types skip this: bytes() would copy a buffer such
-        # as an array('i') as raw memory, not digit by digit.
+        # One table lookup per digit; bytes() refuses a digit outside
+        # 0..255.  Other sequence types skip this: bytes() would copy a
+        # buffer such as an array('i') as raw memory, not digit by digit.
         try:
-            return bytes(word).translate(_DIGIT_TABLE).decode("ascii")
+            text = bytes(word).translate(_DIGIT_TABLE)
         except (TypeError, ValueError):
             pass
-    wide = (m > 10) if m is not None else any(d > 9 for d in word)
-    if wide:
-        return ",".join(str(d) for d in word)
-    return "".join(str(d) for d in word)
+        else:
+            if text.isascii():
+                return text.decode("ascii")
+            if m is None:  # a digit in 10..255
+                m = 11
+    if m is None:
+        m = 11 if max(word, default=0) > 9 else 10
+    return ("," if m > 10 else "").join(map(str, word))
 
 
 def parse_word(text: str) -> Word:

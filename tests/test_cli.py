@@ -325,3 +325,14 @@ def test_closed_pipe_exits_quietly(argv, unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_unwritable_dot_path_is_a_usage_error(tmp_path):
+    target = tmp_path / "missing" / "x.dot"
+    proc = cli("digraph", "fixed", "2", "4", "2", "1", "--dot", str(target))
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2 and out == b""
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert b"Traceback" not in err
+    assert not target.parent.exists()

@@ -232,6 +232,32 @@ def test_verify_trivial_lists():
     assert not verify_gray([], 2, 2, 1).ok
 
 
+def test_verify_reads_list_words_like_tuples():
+    golden = [tuple(int(c) for c in row) for row in GOLDEN_345]
+    swapped = list(golden)
+    swapped[0], swapped[2] = swapped[2], swapped[0]
+    cases = [
+        golden,  # ok
+        [(0, 1, 3, 1)],  # not a word over 0..2
+        [(0, 1, 2)],  # wrong length
+        [(0, 1, 2, 2), (0, 2, 2, 2)],  # wrong weight
+        [(0, 1, 2, 2), (0, 1, 2, 2)],  # duplicate
+        golden[:-1],  # incomplete
+        swapped,  # bad adjacent pair
+    ]
+    assert [verify_gray(words, 3, 4, 5).ok for words in cases] == [True] + [False] * 6
+    for words in cases:
+        expected = verify_gray(words, 3, 4, 5)
+        as_lists = [list(w) for w in words]
+        mixed = [list(w) if i % 2 else w for i, w in enumerate(words)]
+        assert verify_gray(as_lists, 3, 4, 5) == expected, words
+        assert verify_gray(mixed, 3, 4, 5) == expected, words
+    assert verify_gray([[0, 1], [1, 0]], 2, 2, 1) == verify_gray([(0, 1), (1, 0)], 2, 2, 1)
+    # a list and a tuple with the same digits are the same word
+    report = verify_gray([[0, 1, 2, 2], (0, 1, 2, 2)], 3, 4, 5)
+    assert report.first_violation == (1, "duplicate word 0122")
+
+
 def test_hamming_distance():
     assert hamming_distance((0, 1, 2, 2), (2, 2, 1, 0)) == 4
     assert hamming_distance((), ()) == 0

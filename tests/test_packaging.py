@@ -1,4 +1,4 @@
-"""The library imports nothing outside the standard library."""
+"""The library imports nothing outside the standard library and exports each name once."""
 
 import ast
 import sys
@@ -21,3 +21,17 @@ def test_library_imports_only_the_standard_library():
     for path in SOURCES:
         foreign = sorted(set(absolute_imports(path)) - sys.stdlib_module_names)
         assert not foreign, (path.name, foreign)
+
+
+def test_package_reexports_each_module_name_once():
+    import graycycles
+    from graycycles import graycode, ocycles, words
+
+    modules = (words, graycode, ocycles)
+    names = graycycles.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == set().union(*(module.__all__ for module in modules))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(graycycles, name) is getattr(module, name), name
+    assert graycycles.REASON_GCD == "gcd-condition"

@@ -97,27 +97,63 @@ def test_count_exceeds_64_bits():
     assert count_fixed_weight(2, 100, 50) == math.comb(100, 50)
 
 
-def test_counts_match_inclusion_exclusion():
-    for m in range(1, 6):
+def test_counts_match_the_weight_dp():
+    for m in range(1, 7):
         for n in range(0, 9):
             top = (m - 1) * n
-            for k in range(-1, top + 2):
+            for k in range(-2, top + 3):
                 assert count_fixed_weight(m, n, k) == count_oracle(m, n, k), (m, n, k)
+            by_weight = [count_oracle(m, n, k) for k in range(top + 1)]
             for p in range(0, top):
                 for q in range(p + 1, top + 1):
-                    expected = sum(count_oracle(m, n, k) for k in range(p, q + 1))
+                    expected = sum(by_weight[p:q + 1])
                     assert count_weight_range(m, n, p, q) == expected, (m, n, p, q)
 
 
 def test_counts_of_deep_words():
-    # Rows stop at the requested weight, so long words with small weights
-    # cost O(n * k), not O(n^2 * m).
+    # The DP oracle's rows stop at the requested weight, so long words with
+    # small weights cost it O(n * k).
     for n in (1200, 5000):
         assert count_fixed_weight(2, n, 1) == n
         assert count_fixed_weight(3, n, 4) == count_oracle(3, n, 4)
         assert count_fixed_weight(5, n, 9) == count_oracle(5, n, 9)
         assert count_weight_range(2, n, 0, 1) == n + 1
         assert count_weight_range(4, n, 2, 5) == sum(count_oracle(4, n, k) for k in range(2, 6))
+
+
+def test_fixed_weight_counts_sum_to_every_word():
+    for m in range(1, 11):
+        for n in range(0, 41):
+            total = sum(count_fixed_weight(m, n, k) for k in range((m - 1) * n + 1))
+            assert total == m**n, (m, n)
+
+
+def test_full_weight_range_counts_every_word():
+    for m in range(2, 11):
+        for n in range(1, 41):
+            assert count_weight_range(m, n, 0, (m - 1) * n) == m**n, (m, n)
+
+
+def test_counts_are_symmetric_in_the_weight():
+    # Replacing each digit d by m-1-d maps weight k onto weight (m-1)*n - k.
+    top = 9 * 800
+    for k in (0, 1, 37, 1001, 3599):
+        assert count_fixed_weight(10, 800, k) == count_fixed_weight(10, 800, top - k), k
+
+
+def test_count_edges():
+    for n in range(0, 6):
+        assert count_fixed_weight(1, n, 0) == 1
+        assert count_fixed_weight(1, n, 1) == 0
+    for m in range(1, 5):
+        assert count_fixed_weight(m, 0, 0) == 1
+        assert count_fixed_weight(m, 0, 1) == 0
+        assert count_fixed_weight(m, 3, -1) == 0
+        assert count_fixed_weight(m, 3, -10**12) == 0
+    assert count_fixed_weight(2, 5, 10**12) == 0
+    assert count_fixed_weight(2, 5, 6) == 0
+    assert count_fixed_weight(2, 5, 5) == 1
+    assert count_weight_range(2, 5, 4, 5) == 6
 
 
 def test_materialization_cap():
@@ -361,6 +397,14 @@ def test_format_word_edge_forms():
     assert format_word((0, 255, 256)) == "0,255,256"
     assert format_word((3, 0), m=11) == "3,0"
     assert format_word([0, 9], m=10) == "09"
+    # without m, any digit above 9 selects the comma form, whatever the
+    # word's type and whether the digit fits in a byte
+    assert format_word([11, 0]) == "11,0"
+    assert format_word(bytes([10, 0, 9])) == "10,0,9"
+    assert format_word((7, 1000)) == "7,1000"
+    assert format_word((-1, 12)) == "-1,12"
+    assert format_word([0, -1, 2]) == "0-12"
+    assert format_word((0, -1, 2), m=12) == "0,-1,2"
 
 
 def test_parse_word():
