@@ -7,9 +7,9 @@ codes: 0 success / exists / valid, 1 not-exists / invalid input list,
 ends the command with exit 1 and nothing on stderr.
 
 Word lists are written in chunks of ``_CHUNK`` words, one ``write`` call per
-chunk, so the cost does not depend on whether stdout is buffered.  A chunk
-holds its words at once: ``gray --stream`` needs O(n) memory per chunk,
-independent of the size of the set.
+chunk, so the cost does not depend on whether stdout is buffered.  ``gray``
+always streams and holds one chunk at a time, O(n) memory per chunk; without
+``--stream`` it first refuses, from the count, sets over the 10^6-word cap.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .graycode import gray_list, gray_stream, verify_gray
+from .graycode import _check_cap, gray_stream, verify_gray
 from .ocycles import (
     REASON_GCD,
     NotEulerianError,
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stream",
         action="store_true",
-        help="emit words incrementally with O(n) memory (no size cap)",
+        help="lift the 10^6-word cap",
     )
 
     p = sub.add_parser("count", help="print |B_k(m,n)| exactly")
@@ -105,16 +105,22 @@ def _add_ints(parser: argparse.ArgumentParser, *names: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {
-        "gray": _cmd_gray,
-        "count": _cmd_count,
-        "exists": _cmd_exists,
-        "ocycle": _cmd_ocycle,
-        "verify": _cmd_verify,
-        "digraph": _cmd_digraph,
-    }[args.command]
+    # Exact counts, and the argv ints they come from, may run past the
+    # interpreter's limit on int/str conversion (4300 digits by default);
+    # lift it while the command runs.  Interpreters without one read as 0.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
+        handler = {
+            "gray": _cmd_gray,
+            "count": _cmd_count,
+            "exists": _cmd_exists,
+            "ocycle": _cmd_ocycle,
+            "verify": _cmd_verify,
+            "digraph": _cmd_digraph,
+        }[args.command]
         code = handler(args)
         sys.stdout.flush()
         return code
@@ -123,12 +129,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # final flush of what is left in the buffer stays silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except MaterializationLimitError as exc:
+    except (MaterializationLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _write_words(words: Iterable[Word], m: int) -> None:
@@ -150,10 +156,9 @@ def _write_words(words: Iterable[Word], m: int) -> None:
 
 
 def _cmd_gray(args: argparse.Namespace) -> int:
-    words = gray_stream(args.m, args.n, args.k) if args.stream else gray_list(
-        args.m, args.n, args.k
-    )
-    _write_words(words, args.m)
+    if not args.stream:
+        _check_cap(args.m, args.n, args.k)
+    _write_words(gray_stream(args.m, args.n, args.k), args.m)
     return 0
 
 

@@ -80,12 +80,14 @@ def gray_list(
     empty); m < 1 or n < 0 raise.  Lists longer than ``cap`` raise
     MaterializationLimitError; use gray_stream for those.
     """
-    total = count_fixed_weight(m, n, k)  # also validates m, n
-    if total > cap:
-        raise MaterializationLimitError(
-            f"ordering holds {total} words, cap is {cap}"
-        )
+    _check_cap(m, n, k, cap)
     return GrayList(m, n, k, tuple(_walk(m, n, k, k, True)))
+
+
+def _check_cap(m: int, n: int, k: int, cap: int = DEFAULT_MATERIALIZATION_CAP) -> None:
+    """Refuse an ordering of more than ``cap`` words, from its closed-form count."""
+    if (total := count_fixed_weight(m, n, k)) > cap:  # also validates m, n
+        raise MaterializationLimitError(f"ordering holds {total} words, cap is {cap}")
 
 
 def gray_stream(m: int, n: int, k: int) -> Iterator[Word]:

@@ -10,13 +10,12 @@ weakly connected.
 ``TransitionDigraph`` stores only integer codes: each word is the number
 its digits spell in base b = 1 + largest digit, so numeric order is word
 order, the s-prefix vertex is ``code // b**(n-s)`` and the s-suffix vertex
-is ``code % b**s``.  ``euler_tour`` walks these codes; it counts degrees
-once, rejects an unbalanced digraph first, and reads a tour that misses
-edges as a disconnected one.  The tuple view for DOT export, components and
-degree queries is derived on first use, so ``construct_ocycle`` never
-builds it.  ``_first_gap`` is the one check of the overlap rule.  The tests
-check the engine against the earlier tuple-based Hierholzer, kept in
-``tests/ocycle_oracles.py``, and against networkx.
+is ``code % b**s``.  ``is_balanced`` and ``euler_tour`` work on these codes.
+The tuple view for DOT export, components and degree queries is derived on
+first use, so ``construct_ocycle`` never builds it.  ``_first_gap`` is the
+one check of the overlap rule.  The tests check the engine against the
+earlier tuple-based Hierholzer, kept in ``tests/ocycle_oracles.py``, and
+against networkx.
 """
 
 from __future__ import annotations
@@ -202,9 +201,10 @@ def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph
 
 
 def is_balanced(digraph: TransitionDigraph) -> bool:
-    """True iff in-degree equals out-degree at every vertex."""
-    outs, ins = digraph._degrees
-    return all(outs.get(v, 0) == ins.get(v, 0) for v in digraph.vertices)
+    """True iff in-degree equals out-degree at every vertex, counted on the codes."""
+    base, n, s = digraph.base, digraph.n, digraph.s
+    prefixes = Counter(map((base ** (n - s)).__rfloordiv__, digraph.by_code))
+    return prefixes == Counter(map((base ** s).__rmod__, digraph.by_code))
 
 
 def weak_components(digraph: TransitionDigraph) -> list[frozenset[Word]]:
@@ -245,24 +245,23 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word]:
     Hierholzer's algorithm over the digraph's integer codes, made
     deterministic: the walk starts at the smallest vertex and always leaves
     on the smallest unused out-edge, so the tour begins with the smallest
-    word.  Degrees are counted once and balance is checked first; in a
-    balanced digraph the walk from one vertex covers exactly that vertex's
-    weak component, so a tour shorter than the edge count means the digraph
-    is not weakly connected.  Raises NotEulerianError when the digraph is
+    word.  Balance is checked first, by ``is_balanced``; in a balanced
+    digraph the walk from one vertex covers exactly that vertex's weak
+    component, so a tour shorter than the edge count means the digraph is
+    not weakly connected.  Raises NotEulerianError when the digraph is
     unbalanced or not weakly connected, and ValueError when it has no edges.
     """
     base, by_code, n, s = digraph.base, digraph.by_code, digraph.n, digraph.s
     if not by_code:
         raise ValueError("digraph has no edges")
-    cut, mask = base ** (n - s), base ** s
-    prefix_of, suffix_of = cut.__rfloordiv__, mask.__rmod__
-    codes = sorted(by_code, reverse=True)
-    if Counter(map(prefix_of, codes)) != Counter(map(suffix_of, codes)):
+    if not is_balanced(digraph):
         raise NotEulerianError(
             REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex"
         )
+    cut, mask = base ** (n - s), base ** s
+    codes = sorted(by_code, reverse=True)
     # Out-lists run largest code first, so pop() yields the smallest.
-    out = {u: list(group) for u, group in groupby(codes, prefix_of)}
+    out = {u: list(group) for u, group in groupby(codes, cut.__rfloordiv__)}
     stack: list[int] = []
     tour: list[int] = []
     vertex = codes[-1] // cut

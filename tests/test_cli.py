@@ -1,9 +1,11 @@
 """CLI contract: output formats, exit codes, stdin verification, DOT export."""
 
 import io
+import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -41,10 +43,66 @@ def test_gray_golden_file(capsys):
 
 
 def test_gray_stream_identical(capsys):
-    code, plain, _ = run(capsys, "gray", "2", "5", "2")
-    code2, streamed, _ = run(capsys, "gray", "2", "5", "2", "--stream")
-    assert code == code2 == 0
-    assert plain == streamed
+    # Bad m and n included: both forms must fail alike, too.
+    for m in range(5):
+        for n in range(-1, 7):
+            for k in range(-1, max((m - 1) * n, 0) + 2):
+                argv = ("gray", str(m), str(n), str(k))
+                assert run(capsys, *argv) == run(capsys, *argv, "--stream"), argv
+
+
+def test_gray_never_builds_the_list(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the CLI built a GrayList")
+
+    monkeypatch.setattr("graycycles.graycode.GrayList", refuse)
+    assert run(capsys, "gray", "3", "4", "5") == (0, GOLDEN_345.read_text(), "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("gray 3 15 15", "ordering holds 1787607 words, cap is 1000000"),
+    ("ocycle fixed 3 15 15 5", "set of weight-15 words has 1787607 elements, cap is 1000000"),
+    ("digraph range 3 13 0 26 1",
+     "set of weight-[0,26] words has 1594323 elements, cap is 1000000"),
+])
+def test_sets_over_the_cap_are_refused(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+@contextmanager
+def unlimited_digits():
+    """Lift the interpreter's int/str digit limit, where it has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_numbers_past_the_int_string_limit(capsys):
+    # C(1001498, 1499) has 4883 digits, past the default limit of 4300.
+    count = run(capsys, "count", "1000000", "1500", "999999")
+    refused = run(capsys, "gray", "1000000", "1500", "999999")
+    assert run(capsys, "count", "3", "4", "1" + "0" * 5000) == (0, "0\n", "")
+    with unlimited_digits():
+        total = str(math.comb(1001498, 1499))
+    assert len(total) == 4883
+    assert count == (0, total + "\n", "")
+    assert refused == (2, "", f"error: ordering holds {total} words, cap is 1000000\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int/str digit limit")
+def test_main_restores_the_int_string_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    assert run(capsys, "count", "3", "4", "5") == (0, "16\n", "")
+    assert sys.get_int_max_str_digits() == before
+    with pytest.raises(SystemExit):
+        main(["count", "3"])
+    assert sys.get_int_max_str_digits() == before
 
 
 def test_gray_empty_set(capsys):
@@ -314,10 +372,13 @@ def test_unbuffered_stdout_matches_golden_file():
 
 
 @pytest.mark.parametrize("unbuffered", ["1", None])
-@pytest.mark.parametrize("argv", ["gray 3 12 12 --stream", "ocycle fixed 3 11 11 4"])
+@pytest.mark.parametrize("argv", [
+    "gray 3 12 12 --stream", "ocycle fixed 3 11 11 4", "gray 3 15 15 --stream",
+])
 def test_closed_pipe_exits_quietly(argv, unbuffered):
-    # Both outputs are several times larger than a pipe holds, so the
-    # command is still writing when the reader goes.
+    # Each output is several times larger than a pipe holds, so the command
+    # is still writing when the reader goes.  The last set is over the cap,
+    # which --stream lifts.
     proc = cli(*argv.split(), unbuffered=unbuffered)
     assert proc.stdout.readline()
     proc.stdout.close()

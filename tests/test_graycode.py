@@ -184,6 +184,9 @@ def test_stream_is_lazy_and_unbounded():
 def test_list_cap():
     with pytest.raises(MaterializationLimitError):
         gray_list(2, 40, 20, cap=1000)
+    assert len(gray_list(2, 4, 2, cap=6)) == 6
+    with pytest.raises(MaterializationLimitError, match="^ordering holds 6 words, cap is 5$"):
+        gray_list(2, 4, 2, cap=5)
 
 
 def test_verify_accepts_golden():

@@ -100,6 +100,11 @@ def test_balanced():
     assert is_balanced(build_transition_digraph(B24_2, 2))
     assert is_balanced(build_transition_digraph(B24_2, 1))
     assert not is_balanced(build_transition_digraph([W("0011")], 2))
+    assert is_balanced(build_transition_digraph([], 1))
+    # the check and the tour run on the codes; neither derives the tuple view
+    d = build_transition_digraph(B24_2, 1)
+    assert is_balanced(d) and euler_tour(d)
+    assert "edges" not in d.__dict__ and "vertices" not in d.__dict__
 
 
 def test_fixed_weight_digraphs_always_balanced():

@@ -159,6 +159,11 @@ def test_count_edges():
 def test_materialization_cap():
     with pytest.raises(MaterializationLimitError):
         enumerate_fixed_weight(2, 40, 20, cap=100)
+    # the cap is inclusive: the weight-[1,2] words of length 4 number 4 + 6
+    assert len(enumerate_weight_range(2, 4, 1, 2, cap=10)) == 10
+    with pytest.raises(MaterializationLimitError) as info:
+        enumerate_weight_range(2, 4, 1, 2, cap=9)
+    assert str(info.value) == "set of weight-[1,2] words has 10 elements, cap is 9"
     # streaming is exempt: pulling a few words from a huge set works fine
     stream = iter_fixed_weight(2, 64, 32)
     first = [next(stream) for _ in range(3)]
