@@ -20,20 +20,23 @@ import sys
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .graycode import _check_cap, gray_stream, verify_gray
+from .graycode import _ORDERING_HEAD, gray_stream, verify_gray
 from .ocycles import (
     REASON_GCD,
     NotEulerianError,
+    _cycle_fault,
     build_transition_digraph,
     compress_cycle,
     construct_ocycle,
     exists_fixed_weight_ocycle,
     export_dot,
-    verify_ocycle,
 )
 from .words import (
+    DEFAULT_MATERIALIZATION_CAP,
+    _DIGIT_TABLE,
     MaterializationLimitError,
     Word,
+    _check_cap,
     _check_overlap,
     count_fixed_weight,
     enumerate_fixed_weight,
@@ -44,10 +47,6 @@ from .words import (
 
 # Words per stdout write.
 _CHUNK = 1024
-
-# Byte d in 0..9 becomes ASCII digit d and byte 10 stays the newline that
-# joins words; no other byte occurs in a chunk of words over m <= 10.
-_LINE_TABLE = b"0123456789\n".ljust(256, b"\xff")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +140,7 @@ def _write_words(words: Iterable[Word], m: int) -> None:
     """Write the words to stdout, one per line, one write call per chunk.
 
     Over m <= 10 a chunk is formatted in one bytes pass through
-    ``_LINE_TABLE``; the callers pass words from the walker or an Euler
+    ``_DIGIT_TABLE``; the callers pass words from the walker or an Euler
     tour, so every digit is below m.  Larger alphabets use ``format_word``
     per word.
     """
@@ -150,14 +149,15 @@ def _write_words(words: Iterable[Word], m: int) -> None:
     while chunk := list(islice(words, _CHUNK)):
         if m <= 10:
             lines = b"\n".join(map(bytes, chunk)) + b"\n"
-            write(lines.translate(_LINE_TABLE).decode("ascii"))
+            write(lines.translate(_DIGIT_TABLE).decode("ascii"))
         else:
             write("".join([format_word(w, m) + "\n" for w in chunk]))
 
 
 def _cmd_gray(args: argparse.Namespace) -> int:
     if not args.stream:
-        _check_cap(args.m, args.n, args.k)
+        total = count_fixed_weight(args.m, args.n, args.k)
+        _check_cap(total, DEFAULT_MATERIALIZATION_CAP, _ORDERING_HEAD)
     _write_words(gray_stream(args.m, args.n, args.k), args.m)
     return 0
 
@@ -200,44 +200,27 @@ def _cmd_ocycle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_words(stream) -> list[Word]:
+def _cmd_verify(args: argparse.Namespace) -> int:
     # One word per line; blank lines and '#' comments are ignored.
     words = []
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(sys.stdin, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
         try:
             words.append(parse_word(text))
         except ValueError as exc:
-            raise _InputListError(f"line {lineno}: {exc}") from None
-    return words
-
-
-class _InputListError(Exception):
-    pass
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        words = _read_words(sys.stdin)
-    except _InputListError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            print(f"error: line {lineno}: {exc}", file=sys.stderr)
+            return 1
     if args.target == "gray":
-        report = verify_gray(words, args.m, args.n, args.k)
+        fault = verify_gray(words, args.m, args.n, args.k).first_violation
     else:
         _check_overlap(args.n, args.s)
-        bad = next((i for i, w in enumerate(words) if len(w) != args.n), None)
-        if bad is not None:
-            print(f"violation at index {bad}: word has length "
-                  f"{len(words[bad])}, expected {args.n}")
-            return 1
-        report = verify_ocycle(words, words, args.s)
-    if report.ok:
+        fault = _cycle_fault(words, args.n, args.s)
+    if fault is None:
         print("ok")
         return 0
-    index, description = report.first_violation
+    index, description = fault
     print(f"violation at index {index}: {description}")
     return 1
 

@@ -21,12 +21,13 @@ from typing import Iterator, Sequence
 
 from .words import (
     DEFAULT_MATERIALIZATION_CAP,
-    MaterializationLimitError,
     Word,
+    _check_cap,
     _check_params,
     _walk,
     count_fixed_weight,
     format_word,
+    is_word,
     weight,
     weight_decomposition,
 )
@@ -41,6 +42,9 @@ __all__ = [
     "hamming_distance",
     "verify_gray",
 ]
+
+# Head of the over-cap message of an ordering, shared with CLI ``gray``.
+_ORDERING_HEAD = "ordering holds {} words"
 
 
 @dataclass(frozen=True)
@@ -80,14 +84,8 @@ def gray_list(
     empty); m < 1 or n < 0 raise.  Lists longer than ``cap`` raise
     MaterializationLimitError; use gray_stream for those.
     """
-    _check_cap(m, n, k, cap)
+    _check_cap(count_fixed_weight(m, n, k), cap, _ORDERING_HEAD)  # the count validates m, n
     return GrayList(m, n, k, tuple(_walk(m, n, k, k, True)))
-
-
-def _check_cap(m: int, n: int, k: int, cap: int = DEFAULT_MATERIALIZATION_CAP) -> None:
-    """Refuse an ordering of more than ``cap`` words, from its closed-form count."""
-    if (total := count_fixed_weight(m, n, k)) > cap:  # also validates m, n
-        raise MaterializationLimitError(f"ordering holds {total} words, cap is {cap}")
 
 
 def gray_stream(m: int, n: int, k: int) -> Iterator[Word]:
@@ -163,7 +161,7 @@ def verify_gray(words: Sequence[Word], m: int, n: int, k: int) -> GrayReport:
     """
     seen: set[Word] = set()
     for i, w in enumerate(map(tuple, words)):
-        if not (len(w) == n and all(0 <= d <= m - 1 for d in w)):
+        if not is_word(w, m, n):
             return GrayReport(
                 False, (i, f"word {format_word(w)} is not a length-{n} word over 0..{m - 1}")
             )

@@ -12,10 +12,11 @@ its digits spell in base b = 1 + largest digit, so numeric order is word
 order, the s-prefix vertex is ``code // b**(n-s)`` and the s-suffix vertex
 is ``code % b**s``.  ``is_balanced`` and ``euler_tour`` work on these codes.
 The tuple view for DOT export, components and degree queries is derived on
-first use, so ``construct_ocycle`` never builds it.  ``_first_gap`` is the
-one check of the overlap rule.  The tests check the engine against the
-earlier tuple-based Hierholzer, kept in ``tests/ocycle_oracles.py``, and
-against networkx.
+first use, so ``construct_ocycle`` never builds it.  ``_cycle_fault``, the
+one check of a cycle against itself and of the overlap rule, serves
+``compress_cycle``, ``verify_ocycle`` and CLI ``verify ocycle``.  The tests
+check the engine against the earlier tuple-based Hierholzer, kept in
+``tests/ocycle_oracles.py``, and against networkx.
 """
 
 from __future__ import annotations
@@ -88,10 +89,11 @@ class TransitionDigraph:
     """Directed multigraph of overlaps: vertices are s-strings, edges are words.
 
     Stored as ``by_code``, the words keyed by their base-``base`` codes (see
-    ``_index_words``).  The tuple view is derived on first use and kept:
-    ``edges`` maps (prefix, suffix) vertex pairs to the sorted tuple of word
-    labels travelling that way, so parallel edges are longer tuples, and
-    ``vertices`` holds their endpoints.  Instances are treated as immutable.
+    ``build_transition_digraph``).  The tuple view is derived on first use
+    and kept: ``edges`` maps (prefix, suffix) vertex pairs to the sorted
+    tuple of word labels travelling that way, so parallel edges are longer
+    tuples, and ``vertices`` holds their endpoints.  Instances are treated
+    as immutable.
     ``by_code`` is left out of the hash and the repr: the hash uses
     (s, n, base), which equal digraphs share, and the repr stays short.
     """
@@ -148,23 +150,21 @@ class TransitionDigraph:
 _BASE36_DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"\xff")
 
 
-def _index_words(words: Sequence[Word], s: int) -> tuple[int, int, dict[int, Word]]:
-    """Check a word set and key each word by an order-preserving integer code.
+def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph:
+    """One edge per word, from its s-prefix vertex to its s-suffix vertex.
 
     All words must share one length n with 1 <= s <= n-1 and be pairwise
-    distinct; an empty list only needs s >= 1.  Returns (n, b, words by
-    code, in input order).  A code is the number the word's digits spell in
-    base b = 1 + largest digit (at least 2).  If some digit lies outside
-    0..35, every digit is first lowered by the smallest one and b shrinks to
-    match.  Among words of length n numeric order is then lexicographic
-    order, the s-prefix vertex is ``code // b**(n-s)`` and the s-suffix
-    vertex is ``code % b**s``.
+    distinct; an empty list only needs s >= 1 and builds an empty digraph.
+    Each word is keyed, in input order, by its code: the number its digits
+    spell in base b = 1 + largest digit (at least 2), so numeric order is
+    word order.  If some digit lies outside 0..35, every digit is first
+    lowered by the smallest one and b shrinks to match.
     """
     labels = list(map(tuple, words))
     if not labels:
         if s < 1:
             raise ValueError(f"overlap length s={s} out of range")
-        return 0, 2, {}
+        return TransitionDigraph(s, 0, 2, {})
     n = len(labels[0])
     if len(set(map(len, labels))) > 1:
         w = next(w for w in labels if len(w) != n)
@@ -188,16 +188,7 @@ def _index_words(words: Sequence[Word], s: int) -> tuple[int, int, dict[int, Wor
             by_code[code] = w
     if len(by_code) != len(labels):
         raise ValueError("duplicate words in input set")
-    return n, base, by_code
-
-
-def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph:
-    """One edge per word, from its s-prefix vertex to its s-suffix vertex.
-
-    All words must share one length n with 1 <= s <= n-1 and be pairwise
-    distinct.  An empty word list builds an empty digraph.
-    """
-    return TransitionDigraph(s, *_index_words(words, s))
+    return TransitionDigraph(s, n, base, by_code)
 
 
 def is_balanced(digraph: TransitionDigraph) -> bool:
@@ -305,12 +296,26 @@ class OcycleReport:
     first_violation: tuple[int, str] | None = None
 
 
-def _first_gap(cycle: Sequence[Word], s: int) -> int | None:
-    """First index i where word i's last s digits differ from word i+1's
-    first s digits, wrapping around, or None.  Takes tuple words, s >= 1."""
+def _cycle_fault(cycle: Sequence[Word], n: int, s: int) -> tuple[int, str] | None:
+    """First fault of a claimed s-overlap cycle, checked against itself only.
+
+    In order: a word whose length is not n, any repeated word (index -1),
+    then the first word whose last s digits differ from the next word's
+    first s digits, wrapping around.  Returns (index, description) or None.
+    Takes tuple words and 1 <= s < n.
+    """
+    if set(map(len, cycle)) - {n}:
+        i = next(i for i, w in enumerate(cycle) if len(w) != n)
+        return i, f"word has length {len(cycle[i])}, expected {n}"
+    if len(set(cycle)) != len(cycle):
+        return -1, "input word set contains duplicates"
     suffixes = map(getitem, cycle, repeat(slice(-s, None)))
     next_prefixes = map(getitem, chain(cycle[1:], cycle[:1]), repeat(slice(None, s)))
-    return next(compress(count(), map(ne, suffixes, next_prefixes)), None)
+    i = next(compress(count(), map(ne, suffixes, next_prefixes)), None)
+    if i is None:
+        return None
+    w, nxt = cycle[i], cycle[(i + 1) % len(cycle)]
+    return i, f"words {format_word(w)} and {format_word(nxt)} do not overlap in {s} digits"
 
 
 def construct_ocycle(words: Sequence[Word], s: int) -> OcycleSolution:
@@ -327,7 +332,7 @@ def construct_ocycle(words: Sequence[Word], s: int) -> OcycleSolution:
         raise ValueError("cannot build an overlap cycle for an empty word set")
     if total == 1:
         (word,) = digraph.by_code.values()
-        if _first_gap((word,), s) is not None:
+        if _cycle_fault((word,), digraph.n, s) is not None:
             raise NotEulerianError(
                 REASON_SINGLETON,
                 f"single word {format_word(word)} does not overlap itself in {s} digits",
@@ -360,9 +365,9 @@ def verify_ocycle(
             )
     if not 1 <= s <= n - 1:
         return OcycleReport(False, (-1, f"overlap length s={s} out of range for n={n}"))
-    if len(set(expected)) != len(expected):
-        return OcycleReport(False, (-1, "input word set contains duplicates"))
     remaining = set(expected)
+    if len(remaining) != len(expected):
+        return OcycleReport(False, (-1, "input word set contains duplicates"))
     for i, w in enumerate(claimed):
         if w not in remaining:
             if w in set(expected):
@@ -376,14 +381,8 @@ def verify_ocycle(
         return OcycleReport(
             False, (-1, f"cycle misses {len(remaining)} word(s), e.g. {missing}")
         )
-    i = _first_gap(claimed, s)
-    if i is not None:
-        w, nxt = claimed[i], claimed[(i + 1) % len(claimed)]
-        return OcycleReport(
-            False,
-            (i, f"words {format_word(w)} and {format_word(nxt)} do not overlap in {s} digits"),
-        )
-    return OcycleReport(True)
+    fault = _cycle_fault(claimed, n, s)  # by now only an overlap can fail
+    return OcycleReport(fault is None, fault)
 
 
 @dataclass(frozen=True)
@@ -441,19 +440,15 @@ def compress_cycle(solution: OcycleSolution, n: int) -> str:
     The result is a cyclic string of len(cycle) * (n-s) symbols whose
     stride-(n-s) windows of length n spell out the cycle's words in order;
     the s overlapping digits of each word are supplied by its successors.
-    The input is checked first, in O(len(cycle)): it is rejected unless its
-    words are distinct, all of length n with 1 <= s <= n-1, and each word's
-    last s digits equal the next word's first s digits, wrapping around.
+    The input is checked first, in O(len(cycle)), by the check that CLI
+    ``verify ocycle`` runs: it is rejected unless 1 <= s <= n-1, its words
+    all have length n and are distinct, and each word's last s digits equal
+    the next word's first s digits, wrapping around.
     """
     cycle, s = tuple(map(tuple, solution.cycle)), solution.s
     if not cycle:
         raise ValueError("cannot compress an empty cycle")
-    if (
-        not 1 <= s < n
-        or set(map(len, cycle)) != {n}
-        or len(set(cycle)) != len(cycle)
-        or _first_gap(cycle, s) is not None
-    ):
+    if not 1 <= s < n or _cycle_fault(cycle, n, s) is not None:
         raise ValueError("refusing to compress an unverified cycle")
     step = n - s
     try:  # one byte per digit when every digit fits in a byte
@@ -473,10 +468,10 @@ def decompress_cycle(text: str, n: int, s: int) -> tuple[Word, ...]:
     _check_overlap(n, s)
     step = n - s
     total = len(symbols)
-    if total == 0 or total % step != 0:
-        raise ValueError(
-            f"compressed text length {total} is not a multiple of n-s={step}"
-        )
+    if total == 0:
+        raise ValueError("cannot decompress an empty cycle")
+    if total % step != 0:
+        raise ValueError(f"compressed text length {total} is not a multiple of n-s={step}")
     return tuple(
         tuple(symbols[(i * step + j) % total] for j in range(n))
         for i in range(total // step)

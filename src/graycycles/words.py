@@ -72,6 +72,17 @@ def _check_overlap(n: int, s: int) -> None:
         raise ValueError(f"overlap length s={s} out of range for n={n}")
 
 
+def _check_cap(total: int, cap: int, head: str) -> None:
+    """Refuse a set of more than ``cap`` words; ``head`` has ``{}`` for the count.
+
+    ``Decimal`` writes the count exactly: its text has no int/str digit limit.
+    """
+    if total > cap:
+        from decimal import Decimal  # imported on this error path only
+
+        raise MaterializationLimitError(f"{head.format(Decimal(total))}, cap is {cap}")
+
+
 def _walk(m: int, n: int, p: int, q: int, reflected: bool) -> Iterator[Word]:
     """Yield the length-n words over {0..m-1} with weight in [p, q].
 
@@ -171,11 +182,7 @@ def enumerate_fixed_weight(
 
     Raises MaterializationLimitError if the set holds more than ``cap`` words.
     """
-    total = count_fixed_weight(m, n, k)
-    if total > cap:
-        raise MaterializationLimitError(
-            f"set of weight-{k} words has {total} elements, cap is {cap}"
-        )
+    _check_cap(count_fixed_weight(m, n, k), cap, f"set of weight-{k} words has {{}} elements")
     return list(iter_fixed_weight(m, n, k))
 
 
@@ -217,11 +224,8 @@ def enumerate_weight_range(
     m: int, n: int, p: int, q: int, *, cap: int = DEFAULT_MATERIALIZATION_CAP
 ) -> list[Word]:
     """All words with weight in [p, q], ascending; capped like the fixed case."""
-    total = count_weight_range(m, n, p, q)
-    if total > cap:
-        raise MaterializationLimitError(
-            f"set of weight-[{p},{q}] words has {total} elements, cap is {cap}"
-        )
+    head = f"set of weight-[{p},{q}] words has {{}} elements"
+    _check_cap(count_weight_range(m, n, p, q), cap, head)
     return list(iter_weight_range(m, n, p, q))
 
 
@@ -330,9 +334,10 @@ def witness_non_rotation(m: int, n: int, k: int, s: int) -> tuple[Word, Word]:
     return tuple(first), tuple(second)
 
 
-# Byte d in 0..9 becomes ASCII digit d; every other byte becomes 0xFF, which
-# is not ASCII, so a translated word that is not all ASCII has a digit above 9.
-_DIGIT_TABLE = b"0123456789".ljust(256, b"\xff")
+# Byte d in 0..9 becomes ASCII digit d and byte 10 stays the newline that
+# joins words in a chunk; every other byte becomes 0xFF.  A translated word is
+# all digits iff every digit lies in 0..9.
+_DIGIT_TABLE = b"0123456789\n".ljust(256, b"\xff")
 
 
 def format_word(word: Sequence[int], m: int | None = None) -> str:
@@ -351,9 +356,9 @@ def format_word(word: Sequence[int], m: int | None = None) -> str:
         except (TypeError, ValueError):
             pass
         else:
-            if text.isascii():
+            if text.isdigit():
                 return text.decode("ascii")
-            if m is None:  # a digit in 10..255
+            if m is None:  # a digit in 10..255, or no digit at all
                 m = 11
     if m is None:
         m = 11 if max(word, default=0) > 9 else 10

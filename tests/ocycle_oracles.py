@@ -11,7 +11,8 @@ match it exactly.
 ``oracle_edges`` builds the tuple view of the transition digraph by slicing
 every word, and ``oracle_first_gap`` checks the overlap rule one index at a
 time; the library derives the first from integer codes and checks the
-second with one ``map`` pipeline.
+second with one ``map`` pipeline.  ``oracle_self_check`` is CLI ``verify
+ocycle`` as it was before it shared ``compress_cycle``'s check.
 
 (The module is not called ``oracles`` because ``perfbench/oracles.py``
 already owns that import name on the shared test path.)
@@ -42,6 +43,30 @@ def oracle_first_gap(cycle, s):
         if w[len(w) - s:] != nxt[:s]:
             return i
     return None
+
+
+def oracle_self_check(words, n, s):
+    """(stdout, exit code) of CLI ``verify ocycle n s`` on parsed ``words``.
+
+    Spells out what the command ran before it shared ``compress_cycle``'s
+    check: a length loop, then ``verify_ocycle(words, words, s)``, which
+    for a list checked against itself reduces to the empty list, the
+    duplicate test and the per-index overlap oracle.  Takes 1 <= s < n.
+    """
+    words = [tuple(w) for w in words]
+    for i, w in enumerate(words):
+        if len(w) != n:
+            return f"violation at index {i}: word has length {len(w)}, expected {n}\n", 1
+    if not words:
+        return "ok\n", 0
+    if len(set(words)) != len(words):
+        return "violation at index -1: input word set contains duplicates\n", 1
+    gap = oracle_first_gap(words, s)
+    if gap is None:
+        return "ok\n", 0
+    w, nxt = words[gap], words[(gap + 1) % len(words)]
+    return (f"violation at index {gap}: words {format_word(w)} and {format_word(nxt)} "
+            f"do not overlap in {s} digits\n", 1)
 
 
 def oracle_tour(words, s):

@@ -5,14 +5,18 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graycycles import (
+    MaterializationLimitError,
     construct_ocycle,
     count_fixed_weight,
+    count_weight_range,
     enumerate_fixed_weight,
     enumerate_weight_range,
     format_word,
@@ -21,6 +25,7 @@ from graycycles import (
     verify_ocycle,
 )
 from graycycles.cli import _CHUNK, main
+from ocycle_oracles import oracle_self_check
 
 GOLDEN_345 = Path(__file__).parent / "data" / "gray_3_4_5.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -92,6 +97,25 @@ def test_numbers_past_the_int_string_limit(capsys):
     assert len(total) == 4883
     assert count == (0, total + "\n", "")
     assert refused == (2, "", f"error: ordering holds {total} words, cap is 1000000\n")
+
+
+@pytest.mark.parametrize("build, args, count", [
+    (gray_list, (10**6, 1500, 999999), count_fixed_weight),
+    (enumerate_fixed_weight, (10**6, 1500, 999999), count_fixed_weight),
+    (enumerate_weight_range, (10**6, 1500, 0, 999999), count_weight_range),
+])
+def test_over_cap_messages_past_the_int_string_limit(build, args, count):
+    # In process, where no CLI lifts the limit, the exact count of 4883 or
+    # more digits must still reach the message, and the limit stay as it was.
+    before = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    with pytest.raises(MaterializationLimitError) as info:
+        build(*args)
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == before
+    with unlimited_digits():
+        total = str(count(*args))
+    assert len(total) >= 4883
+    assert f" {total} " in str(info.value)
+    assert str(info.value).endswith(", cap is 1000000")
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -226,6 +250,60 @@ def test_verify_ocycle_bad_s(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "ocycle", "4", "4")
     assert code == 2 and out == ""
     assert err == "error: overlap length s=4 out of range for n=4\n"
+
+
+@pytest.mark.parametrize("stdin, argv, expected", [
+    ("", "4 1", (0, "ok\n", "")),
+    ("# nothing here\n\n", "4 1", (0, "ok\n", "")),
+    ("# a 3-overlap cycle\n\n0011\n  \n# more\n0110\n1100\n1001\n", "4 3", (0, "ok\n", "")),
+    ("0011\n0110\n0011\n", "4 1",
+     (1, "violation at index -1: input word set contains duplicates\n", "")),
+    ("0011\n0110\n011\n1100\n", "4 1",
+     (1, "violation at index 2: word has length 3, expected 4\n", "")),
+    # Comments and blank lines are skipped: the index counts words only.
+    ("# a cycle\n\n0011\n  \n# with a break\n0110\n11\n", "4 1",
+     (1, "violation at index 2: word has length 2, expected 4\n", "")),
+    ("0011\n0101\n", "4 2",
+     (1, "violation at index 0: words 0011 and 0101 do not overlap in 2 digits\n", "")),
+    # A parse error beats every violation, an out-of-range s included.
+    ("0011\n0011\n011\n01x1\n0011\n", "4 1",
+     (1, "", "error: line 4: cannot parse word from '01x1'\n")),
+    ("# c\n\n0011\n01x1\n", "4 9",
+     (1, "", "error: line 4: cannot parse word from '01x1'\n")),
+])
+def test_verify_ocycle_contract(capsys, monkeypatch, stdin, argv, expected):
+    feed(monkeypatch, stdin)
+    assert run(capsys, "verify", "ocycle", *argv.split()) == expected
+
+
+def verify_ocycle_cli(words, n, s):
+    stdin, out = sys.stdin, io.StringIO()
+    sys.stdin = io.StringIO("".join(format_word(w) + "\n" for w in words))
+    try:
+        with redirect_stdout(out):
+            code = main(["verify", "ocycle", str(n), str(s)])
+    finally:
+        sys.stdin = stdin
+    return out.getvalue(), code
+
+
+@st.composite
+def self_check_cases(draw):
+    n = draw(st.integers(2, 5))
+    s = draw(st.integers(1, n - 1))
+    word = st.integers(n - 1, n + 1).flatmap(
+        lambda length: st.lists(st.integers(0, 2), min_size=length, max_size=length)
+    )
+    return draw(st.lists(word, max_size=6)), n, s
+
+
+@settings(max_examples=400, deadline=None)
+@given(self_check_cases())
+@example(([[0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0], [1, 0, 0, 1]], 4, 1))  # a cycle
+@example(([[0, 1, 1], [1, 1, 0], [0, 0, 1]], 3, 1))  # only the wrap-around fails
+def test_verify_ocycle_matches_the_self_check_oracle(case):
+    words, n, s = case
+    assert verify_ocycle_cli(words, n, s) == oracle_self_check(words, n, s)
 
 
 def test_digraph_stdout_and_file(capsys, tmp_path):

@@ -694,9 +694,9 @@ def test_compress_wide_and_shifted_digits():
 
 
 def test_decompress_rejects_bad_lengths():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^compressed text length 5 is not a multiple of n-s=3"):
         decompress_cycle("00110", 4, 1)  # 5 symbols, stride 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot decompress an empty cycle$"):
         decompress_cycle("", 4, 1)
     with pytest.raises(ValueError):
         decompress_cycle("0011", 4, 0)
