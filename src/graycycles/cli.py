@@ -10,6 +10,12 @@ Word lists are written in chunks of ``_CHUNK`` words, one ``write`` call per
 chunk, so the cost does not depend on whether stdout is buffered.  ``gray``
 always streams and holds one chunk at a time, O(n) memory per chunk; without
 ``--stream`` it first refuses, from the count, sets over the 10^6-word cap.
+
+``ocycle`` and ``digraph`` refuse a set over the cap the same way, then
+enumerate it.  Over m <= 256 each word travels as one int, its byte code
+(``words._codes``), through the transition digraph, the Euler tour and the
+tour's self-check to the text written, and is spelled out only there; larger
+alphabets take the tuple path.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Sequence
 
 from .graycode import _ORDERING_HEAD, gray_stream, verify_gray
@@ -38,9 +44,12 @@ from .words import (
     Word,
     _check_cap,
     _check_overlap,
+    _Codes,
+    _codes,
+    _set_head,
+    _walk,
     count_fixed_weight,
-    enumerate_fixed_weight,
-    enumerate_weight_range,
+    count_weight_range,
     format_word,
     parse_word,
 )
@@ -141,8 +150,8 @@ def _write_words(words: Iterable[Word], m: int) -> None:
 
     Over m <= 10 a chunk is formatted in one bytes pass through
     ``_DIGIT_TABLE``; the callers pass words from the walker or an Euler
-    tour, so every digit is below m.  Larger alphabets use ``format_word``
-    per word.
+    tour, as tuples or as the bytes of byte codes, so every digit is below
+    m.  Larger alphabets use ``format_word`` per word.
     """
     words = iter(words)
     write = sys.stdout.write
@@ -177,10 +186,21 @@ def _cmd_exists(args: argparse.Namespace) -> int:
     return 0 if verdict.exists else 1
 
 
-def _word_set(args: argparse.Namespace) -> list[Word]:
+def _word_set(args: argparse.Namespace) -> list[Word] | _Codes:
+    """The command's word set, ascending: byte codes over m <= 256, else tuples.
+
+    Parameters are checked and the cap is applied, from the exact count,
+    as ``enumerate_fixed_weight`` and ``enumerate_weight_range`` do.
+    """
+    m, n = args.m, args.n
     if args.mode == "fixed":
-        return enumerate_fixed_weight(args.m, args.n, args.k)
-    return enumerate_weight_range(args.m, args.n, args.p, args.q)
+        p = q = args.k
+        total = count_fixed_weight(m, n, p)
+    else:
+        p, q = args.p, args.q
+        total = count_weight_range(m, n, p, q)
+    _check_cap(total, DEFAULT_MATERIALIZATION_CAP, _set_head(p, q))
+    return _codes(m, n, p, q) if m <= 256 else list(_walk(m, n, p, q, False))
 
 
 def _cmd_ocycle(args: argparse.Namespace) -> int:
@@ -193,10 +213,13 @@ def _cmd_ocycle(args: argparse.Namespace) -> int:
     except NotEulerianError as exc:
         print(f"no {args.s}-overlap cycle: {exc.reason}", file=sys.stderr)
         return 1
+    cycle = solution.cycle
     if args.compressed:
         print(compress_cycle(solution, args.n))
+    elif isinstance(cycle, _Codes):
+        _write_words(map(int.to_bytes, cycle, repeat(cycle.n), repeat("big")), args.m)
     else:
-        _write_words(solution.cycle, args.m)
+        _write_words(cycle, args.m)
     return 0
 
 

@@ -7,32 +7,39 @@ s-suffix turns these cycles into exactly the Euler tours of the resulting
 multigraph, so existence reduces to the classic criterion: balanced and
 weakly connected.
 
-``TransitionDigraph`` stores only integer codes: each word is the number
-its digits spell in base b = 1 + largest digit, so numeric order is word
-order, the s-prefix vertex is ``code // b**(n-s)`` and the s-suffix vertex
-is ``code % b**s``.  ``is_balanced`` and ``euler_tour`` work on these codes.
-The tuple view for DOT export, components and degree queries is derived on
-first use, so ``construct_ocycle`` never builds it.  ``_cycle_fault``, the
-one check of a cycle against itself and of the overlap rule, serves
-``compress_cycle``, ``verify_ocycle`` and CLI ``verify ocycle``.  The tests
-check the engine against the earlier tuple-based Hierholzer, kept in
-``tests/ocycle_oracles.py``, and against networkx.
+``TransitionDigraph`` stores only integer codes.  Tuple words are coded as
+the number their digits spell in base b = 1 + largest digit; byte-coded
+words (``words._Codes``, one byte per digit) keep their codes, with
+b = 256.  Either way numeric order is word order, the s-prefix vertex is
+``code // b**(n-s)``, so each vertex's out-edges are one run of the sorted
+codes, and the s-suffix vertex is ``code % b**s``, a mask when b is a power
+of two.  ``is_balanced`` and ``euler_tour`` work on these codes, and
+byte-coded input gets its tour back as byte codes, so CLI ``ocycle`` makes
+no word tuple from enumeration to output.  The tuple view for DOT export, components and degree queries is
+derived on first use, so ``construct_ocycle`` never builds it.
+``_cycle_fault``, the one check of a cycle against itself and of the
+overlap rule, serves ``compress_cycle``, ``verify_ocycle`` and CLI ``verify
+ocycle``, on tuples or byte codes.  The tests check the engine against the
+earlier tuple-based Hierholzer, kept in ``tests/ocycle_oracles.py``, and
+against networkx.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count, groupby, repeat
-from operator import getitem, ne
-from typing import Sequence
+from itertools import chain, compress, count, groupby, islice, repeat
+from operator import ge, getitem, ne
+from typing import Callable, Iterator, Sequence
 
 from .words import (
     Word,
     _check_overlap,
     _check_params,
+    _Codes,
     enumerate_fixed_weight,
     format_word,
     parse_word,
@@ -88,12 +95,13 @@ class NotEulerianError(ValueError):
 class TransitionDigraph:
     """Directed multigraph of overlaps: vertices are s-strings, edges are words.
 
-    Stored as ``by_code``, the words keyed by their base-``base`` codes (see
-    ``build_transition_digraph``).  The tuple view is derived on first use
-    and kept: ``edges`` maps (prefix, suffix) vertex pairs to the sorted
-    tuple of word labels travelling that way, so parallel edges are longer
-    tuples, and ``vertices`` holds their endpoints.  Instances are treated
-    as immutable.
+    Stored as ``by_code``: the words keyed by their base-``base`` codes (see
+    ``build_transition_digraph``), or for byte-coded input the ``_Codes``
+    list itself, whose words are decoded only when asked.  The tuple view
+    is derived on first use and kept: ``edges`` maps (prefix, suffix)
+    vertex pairs to the sorted tuple of word labels travelling that way, so
+    parallel edges are longer tuples, and ``vertices`` holds their
+    endpoints.  Instances are treated as immutable.
     ``by_code`` is left out of the hash and the repr: the hash uses
     (s, n, base), which equal digraphs share, and the repr stays short.
     """
@@ -101,22 +109,31 @@ class TransitionDigraph:
     s: int
     n: int
     base: int
-    by_code: dict[int, Word] = field(repr=False, hash=False)
+    by_code: dict[int, Word] | _Codes = field(repr=False, hash=False)
 
     def edge_count(self) -> int:
         return len(self.by_code)
 
     @cached_property
+    def _labels(self) -> dict[int, Word]:
+        """Word tuple by edge code; byte codes are decoded on first use."""
+        if isinstance(self.by_code, dict):
+            return self.by_code
+        n = self.n
+        return {code: tuple(code.to_bytes(n, "big")) for code in self.by_code}
+
+    @cached_property
     def edges(self) -> dict[tuple[Word, Word], tuple[Word, ...]]:
         """Word labels by (prefix, suffix) vertex pair, grouped by code."""
-        n, s, base, by_code = self.n, self.s, self.base, self.by_code
-        prefix_of, suffix_of = (base ** (n - s)).__rfloordiv__, (base ** s).__rmod__
+        n, s = self.n, self.s
+        suffix_of = _suffix_of(self.base, s)
+        codes = sorted(self.by_code)
         vertex: dict[int, Word] = {}
         edges: dict[tuple[Word, Word], tuple[Word, ...]] = {}
-        for u, group in groupby(sorted(by_code), prefix_of):
+        for u, lo, hi in _prefix_runs(codes, self.base ** (n - s)):
             # A stable sort by suffix keeps each label tuple in ascending order.
-            for v, codes in groupby(sorted(group, key=suffix_of), suffix_of):
-                labels = tuple(map(by_code.__getitem__, codes))
+            for v, group in groupby(sorted(codes[lo:hi], key=suffix_of), suffix_of):
+                labels = tuple(map(self._labels.__getitem__, group))
                 if u not in vertex:
                     vertex[u] = labels[0][:s]
                 if v not in vertex:
@@ -145,6 +162,31 @@ class TransitionDigraph:
         return self._degrees[1].get(vertex, 0)
 
 
+def _suffix_of(base: int, s: int) -> Callable[[int], int]:
+    """The s-suffix vertex of a base-``base`` word code, as a function.
+
+    A power-of-two base takes a mask, which costs about half of a
+    remainder on multi-digit ints.
+    """
+    if base & (base - 1):
+        return (base ** s).__rmod__
+    return ((1 << (base.bit_length() - 1) * s) - 1).__and__
+
+
+def _prefix_runs(codes: list[int], cut: int) -> Iterator[tuple[int, int, int]]:
+    """(u, lo, hi) for each s-prefix vertex u of the ascending ``codes``.
+
+    ``cut`` is base**(n-s).  The codes with prefix u fill [u*cut, (u+1)*cut),
+    so they are the run ``codes[lo:hi]``, found with one bisection per vertex.
+    """
+    lo, total = 0, len(codes)
+    while lo < total:
+        u = codes[lo] // cut
+        hi = bisect_left(codes, (u + 1) * cut, lo)
+        yield u, lo, hi
+        lo = hi
+
+
 # Byte d in 0..35 becomes the base-36 digit character for d; other bytes
 # become 0xFF, which int() rejects in every base.
 _BASE36_DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"\xff")
@@ -158,8 +200,15 @@ def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph
     Each word is keyed, in input order, by its code: the number its digits
     spell in base b = 1 + largest digit (at least 2), so numeric order is
     word order.  If some digit lies outside 0..35, every digit is first
-    lowered by the smallest one and b shrinks to match.
+    lowered by the smallest one and b shrinks to match.  Byte codes
+    (``words._Codes``) are kept as they are, with b = 256; they must be
+    strictly ascending, which also makes them distinct.
     """
+    if isinstance(words, _Codes) and words:
+        _check_overlap(words.n, s)
+        if any(map(ge, words, islice(words, 1, None))):
+            raise ValueError("byte codes are not strictly ascending")
+        return TransitionDigraph(s, words.n, 256, words)
     labels = list(map(tuple, words))
     if not labels:
         if s < 1:
@@ -192,10 +241,14 @@ def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph
 
 
 def is_balanced(digraph: TransitionDigraph) -> bool:
-    """True iff in-degree equals out-degree at every vertex, counted on the codes."""
+    """True iff in-degree equals out-degree at every vertex, counted on the codes.
+
+    Out-degrees are the lengths of the sorted codes' prefix runs.
+    """
     base, n, s = digraph.base, digraph.n, digraph.s
-    prefixes = Counter(map((base ** (n - s)).__rfloordiv__, digraph.by_code))
-    return prefixes == Counter(map((base ** s).__rmod__, digraph.by_code))
+    codes = sorted(digraph.by_code)
+    outs = Counter({u: hi - lo for u, lo, hi in _prefix_runs(codes, base ** (n - s))})
+    return outs == Counter(map(_suffix_of(base, s), codes))
 
 
 def weak_components(digraph: TransitionDigraph) -> list[frozenset[Word]]:
@@ -241,31 +294,34 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word]:
     component, so a tour shorter than the edge count means the digraph is
     not weakly connected.  Raises NotEulerianError when the digraph is
     unbalanced or not weakly connected, and ValueError when it has no edges.
+    A byte-coded digraph returns its tour as byte codes (``words._Codes``).
     """
-    base, by_code, n, s = digraph.base, digraph.by_code, digraph.n, digraph.s
-    if not by_code:
+    if not digraph.by_code:
         raise ValueError("digraph has no edges")
     if not is_balanced(digraph):
         raise NotEulerianError(
             REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex"
         )
-    cut, mask = base ** (n - s), base ** s
-    codes = sorted(by_code, reverse=True)
+    suffix_of = _suffix_of(digraph.base, digraph.s)
+    codes = sorted(digraph.by_code)
+    cut = digraph.base ** (digraph.n - digraph.s)
     # Out-lists run largest code first, so pop() yields the smallest.
-    out = {u: list(group) for u, group in groupby(codes, cut.__rfloordiv__)}
+    out = {u: codes[lo:hi][::-1] for u, lo, hi in _prefix_runs(codes, cut)}
+    # An edge on the stack left from the vertex whose out-list sits at the
+    # same depth of ``left``, so stepping back needs no prefix arithmetic.
     stack: list[int] = []
+    left: list[list[int]] = []
     tour: list[int] = []
-    vertex = codes[-1] // cut
+    ready = out[codes[0] // cut]
     while True:
-        ready = out[vertex]  # balanced: every vertex entered has an out-list
         if ready:
             code = ready.pop()
             stack.append(code)
-            vertex = code % mask
+            left.append(ready)
+            ready = out[suffix_of(code)]  # balanced: every vertex entered has one
         elif stack:
-            code = stack.pop()
-            tour.append(code)
-            vertex = code // cut
+            tour.append(stack.pop())
+            ready = left.pop()
         else:
             break
     if len(tour) != len(codes):
@@ -273,7 +329,9 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word]:
             REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected"
         )
     tour.reverse()
-    return list(map(by_code.__getitem__, tour))
+    if isinstance(digraph.by_code, _Codes):
+        return _Codes(tour, digraph.n)
+    return list(map(digraph._labels.__getitem__, tour))
 
 
 @dataclass(frozen=True)
@@ -281,11 +339,12 @@ class OcycleSolution:
     """A cyclic word ordering with the s-overlap property.
 
     Stored linearly with implicit wraparound, rotated to start at the
-    lexicographically smallest word.
+    lexicographically smallest word.  For byte-coded input (``words._Codes``)
+    ``construct_ocycle`` stores the cycle as byte codes too.
     """
 
     s: int
-    cycle: tuple[Word, ...]
+    cycle: tuple[Word, ...] | _Codes
 
 
 @dataclass(frozen=True)
@@ -302,19 +361,32 @@ def _cycle_fault(cycle: Sequence[Word], n: int, s: int) -> tuple[int, str] | Non
     In order: a word whose length is not n, any repeated word (index -1),
     then the first word whose last s digits differ from the next word's
     first s digits, wrapping around.  Returns (index, description) or None.
-    Takes tuple words and 1 <= s < n.
+    Takes tuple words or byte codes (``words._Codes``), and 1 <= s < n.
+    Byte codes are checked for repeats on a sorted copy, which costs less
+    time and memory than a set of them.
     """
-    if set(map(len, cycle)) - {n}:
-        i = next(i for i, w in enumerate(cycle) if len(w) != n)
-        return i, f"word has length {len(cycle[i])}, expected {n}"
-    if len(set(cycle)) != len(cycle):
-        return -1, "input word set contains duplicates"
-    suffixes = map(getitem, cycle, repeat(slice(-s, None)))
-    next_prefixes = map(getitem, chain(cycle[1:], cycle[:1]), repeat(slice(None, s)))
+    if isinstance(cycle, _Codes):
+        if cycle and cycle.n != n:
+            return 0, f"word has length {cycle.n}, expected {n}"
+        ordered = sorted(cycle)
+        if any(map(ge, ordered, islice(ordered, 1, None))):
+            return -1, "input word set contains duplicates"
+        suffixes = map(_suffix_of(256, s), cycle)
+        next_prefixes = map((8 * (n - s)).__rrshift__, chain(islice(cycle, 1, None), cycle[:1]))
+    else:
+        if set(map(len, cycle)) - {n}:
+            i = next(i for i, w in enumerate(cycle) if len(w) != n)
+            return i, f"word has length {len(cycle[i])}, expected {n}"
+        if len(set(cycle)) != len(cycle):
+            return -1, "input word set contains duplicates"
+        suffixes = map(getitem, cycle, repeat(slice(-s, None)))
+        next_prefixes = map(getitem, chain(cycle[1:], cycle[:1]), repeat(slice(None, s)))
     i = next(compress(count(), map(ne, suffixes, next_prefixes)), None)
     if i is None:
         return None
     w, nxt = cycle[i], cycle[(i + 1) % len(cycle)]
+    if isinstance(cycle, _Codes):
+        w, nxt = w.to_bytes(n, "big"), nxt.to_bytes(n, "big")
     return i, f"words {format_word(w)} and {format_word(nxt)} do not overlap in {s} digits"
 
 
@@ -331,15 +403,18 @@ def construct_ocycle(words: Sequence[Word], s: int) -> OcycleSolution:
     if total == 0:
         raise ValueError("cannot build an overlap cycle for an empty word set")
     if total == 1:
-        (word,) = digraph.by_code.values()
-        if _cycle_fault((word,), digraph.n, s) is not None:
+        by_code = digraph.by_code
+        cycle = by_code if isinstance(by_code, _Codes) else tuple(by_code.values())
+        if _cycle_fault(cycle, digraph.n, s) is not None:
+            (word,) = digraph._labels.values()
             raise NotEulerianError(
                 REASON_SINGLETON,
                 f"single word {format_word(word)} does not overlap itself in {s} digits",
             )
-        return OcycleSolution(s=s, cycle=(word,))
+        return OcycleSolution(s=s, cycle=cycle)
     # The tour already begins with the smallest word: no rotation needed.
-    return OcycleSolution(s=s, cycle=tuple(euler_tour(digraph)))
+    tour = euler_tour(digraph)
+    return OcycleSolution(s=s, cycle=tour if isinstance(tour, _Codes) else tuple(tour))
 
 
 def verify_ocycle(
@@ -363,8 +438,10 @@ def verify_ocycle(
             return OcycleReport(
                 False, (i, f"word {format_word(w)} has length {len(w)}, expected {n}")
             )
-    if not 1 <= s <= n - 1:
-        return OcycleReport(False, (-1, f"overlap length s={s} out of range for n={n}"))
+    try:
+        _check_overlap(n, s)
+    except ValueError as exc:
+        return OcycleReport(False, (-1, str(exc)))
     remaining = set(expected)
     if len(remaining) != len(expected):
         return OcycleReport(False, (-1, "input word set contains duplicates"))
@@ -443,18 +520,25 @@ def compress_cycle(solution: OcycleSolution, n: int) -> str:
     The input is checked first, in O(len(cycle)), by the check that CLI
     ``verify ocycle`` runs: it is rejected unless 1 <= s <= n-1, its words
     all have length n and are distinct, and each word's last s digits equal
-    the next word's first s digits, wrapping around.
+    the next word's first s digits, wrapping around.  A byte-coded cycle
+    (``words._Codes``) is checked and written from its codes.
     """
-    cycle, s = tuple(map(tuple, solution.cycle)), solution.s
+    cycle, s = solution.cycle, solution.s
+    if not isinstance(cycle, _Codes):
+        cycle = tuple(map(tuple, cycle))
     if not cycle:
         raise ValueError("cannot compress an empty cycle")
     if not 1 <= s < n or _cycle_fault(cycle, n, s) is not None:
         raise ValueError("refusing to compress an unverified cycle")
     step = n - s
-    try:  # one byte per digit when every digit fits in a byte
-        digits = bytes(chain.from_iterable(map(getitem, cycle, repeat(slice(None, step)))))
-    except ValueError:
-        digits = [d for w in cycle for d in w[:step]]
+    if isinstance(cycle, _Codes):  # the first n-s digits of code c are c >> 8*s
+        heads = map((8 * s).__rrshift__, cycle)
+        digits = b"".join(map(int.to_bytes, heads, repeat(step), repeat("big")))
+    else:
+        try:  # one byte per digit when every digit fits in a byte
+            digits = bytes(chain.from_iterable(map(getitem, cycle, repeat(slice(None, step)))))
+        except ValueError:
+            digits = [d for w in cycle for d in w[:step]]
     return format_word(digits)
 
 

@@ -7,13 +7,20 @@ reflected Gray order in ``graycode``.  Counts come from one closed form,
 ``_count_at_most``, the number of words of weight at most K, so a count is
 a difference of two of its values.  Tests check both against brute-force,
 recursive and dynamic-programming oracles kept in ``tests/``.
+
+Over alphabets of at most 256 letters a word can also travel as one int,
+its byte code ``int.from_bytes(bytes(word), "big")``; ``_Codes`` is a list
+of them that carries the word length.  ``_codes`` lists a weight window in
+that form, from heads and tails of half the length, without making a tuple
+per word.  CLI ``ocycle`` carries these codes from enumeration to output;
+CLI ``digraph`` decodes them once, for its DOT text.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 
@@ -81,6 +88,12 @@ def _check_cap(total: int, cap: int, head: str) -> None:
         from decimal import Decimal  # imported on this error path only
 
         raise MaterializationLimitError(f"{head.format(Decimal(total))}, cap is {cap}")
+
+
+def _set_head(p: int, q: int) -> str:
+    """``_check_cap``'s head for the words of weight p (p == q) or weight in [p, q]."""
+    weights = p if p == q else f"[{p},{q}]"
+    return f"set of weight-{weights} words has {{}} elements"
 
 
 def _walk(m: int, n: int, p: int, q: int, reflected: bool) -> Iterator[Word]:
@@ -182,7 +195,7 @@ def enumerate_fixed_weight(
 
     Raises MaterializationLimitError if the set holds more than ``cap`` words.
     """
-    _check_cap(count_fixed_weight(m, n, k), cap, f"set of weight-{k} words has {{}} elements")
+    _check_cap(count_fixed_weight(m, n, k), cap, _set_head(k, k))
     return list(iter_fixed_weight(m, n, k))
 
 
@@ -224,8 +237,7 @@ def enumerate_weight_range(
     m: int, n: int, p: int, q: int, *, cap: int = DEFAULT_MATERIALIZATION_CAP
 ) -> list[Word]:
     """All words with weight in [p, q], ascending; capped like the fixed case."""
-    head = f"set of weight-[{p},{q}] words has {{}} elements"
-    _check_cap(count_weight_range(m, n, p, q), cap, head)
+    _check_cap(count_weight_range(m, n, p, q), cap, _set_head(p, q))
     return list(iter_weight_range(m, n, p, q))
 
 
@@ -233,6 +245,46 @@ def count_weight_range(m: int, n: int, p: int, q: int) -> int:
     """Number of length-n words with weight in [p, q], exactly."""
     _check_params(m, n, p=p, q=q)
     return _count_at_most(m, n, q) - _count_at_most(m, n, p - 1)
+
+
+class _Codes(list):
+    """Byte codes of words of one length ``n``: a list of ints that carries n.
+
+    A word's byte code is ``int.from_bytes(bytes(word), "big")``, one byte
+    per digit, so every digit lies in 0..255.  Numeric order is word order,
+    the first j digits of code c are ``c >> 8*(n-j)``, the last j are
+    ``c & ((1 << 8*j) - 1)``, and ``c.to_bytes(n, "big")`` holds the digits.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, codes: Iterable[int], n: int) -> None:
+        super().__init__(codes)
+        self.n = n
+
+
+def _codes(m: int, n: int, p: int, q: int) -> _Codes:
+    """Byte codes of the length-n words with weight in [p, q], ascending.
+
+    Needs 1 <= m <= 256 and n >= 0; an empty window gives an empty list.
+    Each word is cut after h = n//2 digits.  The heads are the length-h
+    words whose weight a some tail can complete, in ``_walk`` order; the
+    tails of each head weight a are the length-(n-h) words with weight in
+    [p-a, q-a], walked once per a.  Only heads and tails that some word
+    uses are listed, so the work is O(number of words), and each word costs
+    one addition: head code shifted past the tail, plus tail code.
+    """
+    h = n // 2
+    shift = 8 * (n - h)
+    tails: dict[int, list[int]] = {}
+    pairs = []
+    for head in _walk(m, h, p - (m - 1) * (n - h), q, False):
+        a = sum(head)
+        if a not in tails:
+            walk = _walk(m, n - h, p - a, q - a, False)
+            tails[a] = [int.from_bytes(bytes(t), "big") for t in walk]
+        pairs.append((int.from_bytes(bytes(head), "big") << shift, tails[a]))
+    return _Codes([first + last for first, lasts in pairs for last in lasts], n)
 
 
 def s_prefix(word: Sequence[int], s: int) -> Word:
@@ -262,8 +314,7 @@ def weight_decomposition(k: int, m: int) -> WeightDecomposition:
 
     For m == 1 there is no remainder range; only k == 0 decomposes, as (0, 0).
     """
-    if m < 1:
-        raise ValueError(f"alphabet size m must be >= 1, got {m}")
+    _check_params(m, 0)
     if k < 0:
         raise ValueError(f"weight must be nonnegative, got {k}")
     if m == 1:
@@ -347,15 +398,14 @@ def format_word(word: Sequence[int], m: int | None = None) -> str:
     alphabets separate decimal values with commas ("0,1,11,2").  When m is
     not supplied the form is inferred from the digits present.
     """
-    if (m is None or m <= 10) and isinstance(word, (tuple, list, bytes)):
-        # One table lookup per digit; bytes() refuses a digit outside
-        # 0..255.  Other sequence types skip this: bytes() would copy a
-        # buffer such as an array('i') as raw memory, not digit by digit.
-        try:
-            text = bytes(word).translate(_DIGIT_TABLE)
-        except (TypeError, ValueError):
-            pass
-        else:
+    if m is None or m <= 10:
+        # Digits 0..9 take one table lookup each.  Sequences other than
+        # tuples, lists and bytes skip this: bytes() would copy a buffer
+        # such as an array('i') as raw memory, not digit by digit.
+        if isinstance(word, (tuple, list)) and word and min(word) >= 0 and max(word) <= 9:
+            word = bytes(word)
+        if isinstance(word, bytes):
+            text = word.translate(_DIGIT_TABLE)
             if text.isdigit():
                 return text.decode("ascii")
             if m is None:  # a digit in 10..255, or no digit at all

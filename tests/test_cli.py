@@ -1,5 +1,6 @@
 """CLI contract: output formats, exit codes, stdin verification, DOT export."""
 
+import hashlib
 import io
 import math
 import os
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from graycycles import (
     MaterializationLimitError,
+    NotEulerianError,
+    compress_cycle,
     construct_ocycle,
     count_fixed_weight,
     count_weight_range,
@@ -24,7 +27,8 @@ from graycycles import (
     parse_word,
     verify_ocycle,
 )
-from graycycles.cli import _CHUNK, main
+from graycycles import ocycles
+from graycycles.cli import _CHUNK, build_parser, main
 from ocycle_oracles import oracle_self_check
 
 GOLDEN_345 = Path(__file__).parent / "data" / "gray_3_4_5.txt"
@@ -396,24 +400,93 @@ def test_gray_writer_matches_format_word(capsys):
         assert code == 0 and out == lines_of(gray_list(m, n, k), m)
 
 
-def test_ocycle_writer_matches_format_word(capsys):
-    sets = []
-    for m, n in [(m, n) for m in (1, 2, 3) for n in range(2, 7)] + [(10, 2), (11, 3), (12, 3)]:
-        sets += [(m, n, "fixed", (k,)) for k in range((m - 1) * n + 1)]
-    for m, n in ((2, 5), (3, 4)):
-        top = (m - 1) * n
-        sets += [(m, n, "range", (p, q)) for p in range(top) for q in range(p + 1, top + 1)]
-    sets += [(m, 3, "range", (p, q)) for m in (11, 12) for p, q in ((0, 3 * m - 3), (5, 20))]
-    for m, n, mode, weights in sets:
+def tuple_path(mode, m, n, weights):
+    """(exit code, stdout, stderr) of CLI ``ocycle`` built from the tuple library.
+
+    Keyed by (s, compressed) for every s from 0 to n.  The word set comes
+    from ``enumerate_*``, the cycle from ``construct_ocycle`` and the text
+    from ``compress_cycle`` or ``format_word``: the CLI's path before it
+    carried byte codes, with its checks in the same order.
+    """
+    results = {}
+    try:
         if mode == "fixed":
             words = enumerate_fixed_weight(m, n, *weights)
         else:
             words = enumerate_weight_range(m, n, *weights)
-        for s in range(1, n):
+    except (MaterializationLimitError, ValueError) as exc:
+        failed = 2, "", f"error: {exc}\n"
+        return {(s, c): failed for s in range(n + 1) for c in (False, True)}
+    for s in range(n + 1):
+        if not words:
+            plain = compressed = 1, "", "error: the word set is empty\n"
+        else:
+            try:
+                solution = construct_ocycle(words, s)
+            except NotEulerianError as exc:
+                plain = compressed = 1, "", f"no {s}-overlap cycle: {exc.reason}\n"
+            except ValueError as exc:
+                plain = compressed = 2, "", f"error: {exc}\n"
+            else:
+                plain = 0, lines_of(solution.cycle, m), ""
+                compressed = 0, compress_cycle(solution, n) + "\n", ""
+        results[s, False], results[s, True] = plain, compressed
+    return results
+
+
+def ocycle_sets():
+    """(m, n, mode, weights): every k and [p, q], out-of-range ones included."""
+    for m in (1, 2, 3, 4):
+        for n in range(7):
+            top = (m - 1) * n
+            yield from ((m, n, "fixed", (k,)) for k in range(-1, top + 2))
+            yield from ((m, n, "range", (p, q)) for p in range(-1, top + 1)
+                        for q in range(p, top + 2))
+    # Wide alphabets: comma-separated text; m = 257 takes the tuple path.
+    for m in (11, 12, 257):
+        for n in (2, 3):
+            top = (m - 1) * n
+            yield from ((m, n, "fixed", (k,)) for k in (0, 1, m, top - 1, top))
+            yield from ((m, n, "range", (p, q)) for p, q in ((0, 2), (m - 2, m + 3), (top - 2, top)))
+
+
+def test_ocycle_writer_matches_format_word(capsys, monkeypatch):
+    # The byte-coded CLI path against the tuple library, plain and
+    # compressed, on every s from 0 to n: stdout, stderr and exit code.
+    # The parser is built once: building it costs more than most commands.
+    parser = build_parser()
+    monkeypatch.setattr("graycycles.cli.build_parser", lambda: parser)
+    for m, n, mode, weights in ocycle_sets():
+        expected = tuple_path(mode, m, n, weights)
+        for s in range(n + 1):
             argv = ["ocycle", mode, str(m), str(n), *map(str, weights), str(s)]
-            code, out, _ = run(capsys, *argv)
-            if code == 0:
-                assert out == lines_of(construct_ocycle(words, s).cycle, m), argv
+            assert run(capsys, *argv) == expected[s, False], argv
+            assert run(capsys, *argv, "--compressed") == expected[s, True], argv
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ((), "361c8ae891799159500d85b9621e62c1c0f7a2be80b469b3e1ffd9f8d3046839"),
+    (("--compressed",), "e7de658a8e2f887f08f7c6c48d8ec8274fc2ab84dcd8d19ceb436f290a3d9cac"),
+])
+def test_ocycle_output_is_pinned(capsys, flags, digest):
+    # Digests of the 73,789-word cycle, taken before words became byte codes.
+    code, out, err = run(capsys, "ocycle", "fixed", "3", "12", "12", "5", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_compressed_ocycle_keeps_its_self_check(capsys, monkeypatch):
+    # A tour with two codes swapped must stop at compress_cycle's check.
+    tour = ocycles.euler_tour
+
+    def swapped(digraph):
+        cycle = tour(digraph)
+        cycle[1], cycle[2] = cycle[2], cycle[1]
+        return cycle
+
+    monkeypatch.setattr(ocycles, "euler_tour", swapped)
+    code, out, err = run(capsys, "ocycle", "fixed", "3", "6", "6", "2", "--compressed")
+    assert (code, out, err) == (2, "", "error: refusing to compress an unverified cycle\n")
 
 
 class CountingStdout(io.StringIO):

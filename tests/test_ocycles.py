@@ -34,7 +34,13 @@ from graycycles import (
     weak_components,
     witness_non_rotation,
 )
-from graycycles.ocycles import REASON_DISCONNECTED, REASON_SINGLETON, REASON_UNBALANCED
+from graycycles.ocycles import (
+    REASON_DISCONNECTED,
+    REASON_SINGLETON,
+    REASON_UNBALANCED,
+    _cycle_fault,
+)
+from graycycles.words import _codes, _Codes
 from ocycle_oracles import oracle_cycle, oracle_edges, oracle_first_gap, oracle_tour
 
 B24_2 = enumerate_fixed_weight(2, 4, 2)  # 0011 0101 0110 1001 1010 1100
@@ -235,7 +241,8 @@ def test_verify_ocycle_reports():
     # trivial singleton
     assert verify_ocycle([W("0000")], [W("0000")], 2).ok
     # bad s never raises, only reports
-    assert not verify_ocycle([W("0011")], [W("0011")], 9).ok
+    report = verify_ocycle([W("0011")], [W("0011")], 9)
+    assert report.first_violation == (-1, "overlap length s=9 out of range for n=4")
     assert verify_ocycle([], [], 1).ok
 
 
@@ -436,6 +443,63 @@ def test_engine_on_words_too_long_for_int_parsing():
     words = enumerate_weight_range(3, 1200, 0, 1) + [(2,) + (0,) * 1199]
     for s in (1, 1199):
         assert_matches_oracle(words, s)
+
+
+def coded(words):
+    """The words as ascending byte codes (``words._Codes``)."""
+    codes = sorted(int.from_bytes(bytes(w), "big") for w in words)
+    return _Codes(codes, len(words[0]) if words else 0)
+
+
+def decoded(codes):
+    return tuple(tuple(c.to_bytes(codes.n, "big")) for c in codes)
+
+
+def assert_codes_match_tuples(words, s):
+    """Byte-coded input gives the tuple path's digraph, cycle or error, and text."""
+    codes = coded(words)
+    d, expected = build_transition_digraph(codes, s), build_transition_digraph(words, s)
+    assert repr(d) == f"TransitionDigraph(s={s}, n={codes.n}, base=256)"
+    assert d.edge_count() == expected.edge_count()
+    assert d.edges == expected.edges and d.vertices == expected.vertices
+    assert is_balanced(d) == is_balanced(expected)
+    assert weak_components(d) == weak_components(expected)
+    assert export_dot(d) == export_dot(expected)
+    try:
+        solution = construct_ocycle(codes, s)
+    except NotEulerianError as exc:
+        with pytest.raises(NotEulerianError) as info:
+            construct_ocycle(words, s)
+        assert (exc.reason, str(exc)) == (info.value.reason, str(info.value)), (words, s)
+        return
+    expected = construct_ocycle(words, s)
+    assert type(solution.cycle) is _Codes and solution.cycle.n == codes.n
+    assert decoded(solution.cycle) == expected.cycle, (words, s)
+    assert compress_cycle(solution, codes.n) == compress_cycle(expected, codes.n)
+    if len(words) > 1:
+        assert decoded(euler_tour(d)) == expected.cycle
+
+
+def test_byte_codes_match_the_tuple_path():
+    for words in grid_sets():
+        for s in range(1, len(words[0])):
+            assert_codes_match_tuples(words, s)
+    for words in (enumerate_fixed_weight(11, 3, 15), enumerate_weight_range(256, 2, 500, 510)):
+        for s in range(1, len(words[0])):
+            assert_codes_match_tuples(words, s)
+    # n = 1200: codes of 9600 bits
+    words = enumerate_weight_range(3, 1200, 0, 1) + [(2,) + (0,) * 1199]
+    for s in (1, 1199):
+        assert_codes_match_tuples(words, s)
+
+
+def test_byte_codes_must_ascend():
+    for bad in ([1, 0], [3, 3]):
+        with pytest.raises(ValueError, match="^byte codes are not strictly ascending$"):
+            build_transition_digraph(_Codes(bad, 2), 1)
+    with pytest.raises(ValueError, match="^overlap length s=2 out of range for n=2$"):
+        build_transition_digraph(_Codes([1, 2], 2), 2)
+    assert build_transition_digraph(_Codes([], 0), 1).edge_count() == 0
 
 
 def test_construct_agrees_with_networkx():
@@ -681,6 +745,40 @@ def test_verify_gap_at_every_position():
             seen.add("wrap" if gap == total - 1 else gap)
             assert_verify_reports_oracle_gap(cycle, s)
     assert {0, "wrap", None} <= seen
+
+
+def test_compress_refuses_broken_code_tours():
+    # The compress step's own check runs on byte codes: a tour with two
+    # entries swapped, one with a code repeated and one with a code dropped.
+    n, s = 6, 2
+    tour = construct_ocycle(_codes(3, n, 6, 6), s).cycle
+    assert _cycle_fault(tour, n, s) is None
+    swapped, repeated, dropped = list(tour), list(tour), list(tour)
+    swapped[3], swapped[4] = swapped[4], swapped[3]
+    repeated[5] = repeated[9]
+    del dropped[7]
+    for broken in (swapped, repeated, dropped, [0, 0]):
+        solution = OcycleSolution(s=s, cycle=_Codes(broken, n))
+        with pytest.raises(ValueError, match="^refusing to compress an unverified cycle$"):
+            compress_cycle(solution, n)
+    with pytest.raises(ValueError, match="^refusing to compress an unverified cycle$"):
+        compress_cycle(OcycleSolution(s=s, cycle=tour), n + 1)
+    # [0, 0] is the word 000000 twice: every overlap holds, only the repeat fails.
+    assert _cycle_fault(_Codes([0, 0], n), n, s) == (-1, "input word set contains duplicates")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 255), min_size=3, max_size=3).map(tuple), max_size=6),
+    st.integers(1, 2),
+    st.integers(2, 4),
+)
+@example([(0, 0, 1), (0, 1, 0), (1, 0, 0)], 2, 3)  # only the wrap-around fails
+@example([(1, 1, 1)] * 2, 1, 3)  # a repeat whose overlaps hold
+def test_cycle_fault_on_codes_matches_tuples(cycle, s, n):
+    # One length per code list; a declared n that differs is a length fault.
+    codes = _Codes([int.from_bytes(bytes(w), "big") for w in cycle], 3)
+    assert _cycle_fault(codes, n, s) == _cycle_fault(cycle, n, s)
 
 
 def test_compress_wide_and_shifted_digits():

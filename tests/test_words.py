@@ -4,7 +4,7 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graycycles import (
@@ -29,7 +29,7 @@ from graycycles import (
     weight_decomposition,
     witness_non_rotation,
 )
-from graycycles.words import _walk
+from graycycles.words import _codes, _Codes, _walk
 from word_oracles import brute_fixed_weight, brute_weight_range, count_oracle, gray_oracle
 
 
@@ -215,6 +215,42 @@ def test_walk_runs_of_the_last_two_digits_match_oracles():
         assert list(_walk(m, n, k, k, True)) == gray_oracle(m, n, k), (m, n, k)
 
 
+@st.composite
+def code_windows(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 8))
+    top = (m - 1) * n
+    # Both bounds may fall outside 0..top and p may exceed q: empty windows.
+    p = draw(st.integers(-2, top + 2))
+    q = draw(st.integers(-2, top + 2))
+    return m, n, p, q
+
+
+@settings(max_examples=400, deadline=None)
+@given(code_windows())
+@example((1, 0, 0, 0))  # the empty word
+@example((3, 7, 5, 4))  # p > q
+@example((5, 8, 32, 32))  # the all-maximal word alone
+@example((256, 1, 0, 255))  # every byte
+@example((256, 2, 505, 510))  # digits up to 255
+@example((256, 3, 0, 2))
+@example((256, 3, 760, 765))
+def test_codes_match_the_walker(window):
+    # Each word's byte code, one by one, in the walker's order; digit 255 is
+    # the largest a byte code holds.
+    m, n, p, q = window
+    expected = [int.from_bytes(bytes(w), "big") for w in _walk(m, n, p, q, False)]
+    codes = _codes(m, n, p, q)
+    assert type(codes) is _Codes and codes.n == n
+    assert codes == expected
+
+
+def test_codes_need_digits_that_fit_a_byte():
+    # Digit 256 has no byte, so m = 257 takes the CLI's tuple path instead.
+    with pytest.raises(ValueError):
+        _codes(257, 2, 256, 256)
+
+
 def test_iterators_validate_lazily():
     # Bad parameters raise on the first next(), not when the generator is made.
     for bad in (iter_fixed_weight(0, 3, 1), iter_fixed_weight(2, -1, 0),
@@ -264,6 +300,8 @@ def test_weight_decomposition():
             assert dec.q * (m - 1) + dec.r == k
             assert 0 <= dec.r < m - 1
     assert weight_decomposition(0, 1) == weight_decomposition(0, 2)
+    with pytest.raises(ValueError, match=r"^alphabet size m must be >= 1, got 0$"):
+        weight_decomposition(0, 0)
     with pytest.raises(ValueError):
         weight_decomposition(1, 1)
     with pytest.raises(ValueError):
