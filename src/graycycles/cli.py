@@ -12,10 +12,10 @@ always streams and holds one chunk at a time, O(n) memory per chunk; without
 ``--stream`` it first refuses, from the count, sets over the 10^6-word cap.
 
 ``ocycle`` and ``digraph`` refuse a set over the cap the same way, then
-enumerate it.  Over m <= 256 each word travels as one int, its byte code
-(``words._codes``), through the transition digraph, the Euler tour and the
-tour's self-check to the text written, and is spelled out only there; larger
-alphabets take the tuple path.
+enumerate it, both through ``words._word_codes``.  Over m <= 256 each word
+travels as one int, its byte code, through the transition digraph, the
+Euler tour and the tour's self-check to the text written, and is spelled
+out only there; larger alphabets take the tuple path.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .graycode import _ORDERING_HEAD, gray_stream, verify_gray
@@ -45,11 +45,8 @@ from .words import (
     _check_cap,
     _check_overlap,
     _Codes,
-    _codes,
-    _set_head,
-    _walk,
+    _word_codes,
     count_fixed_weight,
-    count_weight_range,
     format_word,
     parse_word,
 )
@@ -187,20 +184,9 @@ def _cmd_exists(args: argparse.Namespace) -> int:
 
 
 def _word_set(args: argparse.Namespace) -> list[Word] | _Codes:
-    """The command's word set, ascending: byte codes over m <= 256, else tuples.
-
-    Parameters are checked and the cap is applied, from the exact count,
-    as ``enumerate_fixed_weight`` and ``enumerate_weight_range`` do.
-    """
-    m, n = args.m, args.n
     if args.mode == "fixed":
-        p = q = args.k
-        total = count_fixed_weight(m, n, p)
-    else:
-        p, q = args.p, args.q
-        total = count_weight_range(m, n, p, q)
-    _check_cap(total, DEFAULT_MATERIALIZATION_CAP, _set_head(p, q))
-    return _codes(m, n, p, q) if m <= 256 else list(_walk(m, n, p, q, False))
+        return _word_codes(args.m, args.n, args.k, None)
+    return _word_codes(args.m, args.n, args.p, args.q)
 
 
 def _cmd_ocycle(args: argparse.Namespace) -> int:
@@ -217,7 +203,7 @@ def _cmd_ocycle(args: argparse.Namespace) -> int:
     if args.compressed:
         print(compress_cycle(solution, args.n))
     elif isinstance(cycle, _Codes):
-        _write_words(map(int.to_bytes, cycle, repeat(cycle.n), repeat("big")), args.m)
+        _write_words(cycle.digits(), args.m)
     else:
         _write_words(cycle, args.m)
     return 0

@@ -97,7 +97,7 @@ class TransitionDigraph:
 
     Stored as ``by_code``: the words keyed by their base-``base`` codes (see
     ``build_transition_digraph``), or for byte-coded input the ``_Codes``
-    list itself, whose words are decoded only when asked.  The tuple view
+    tuple itself, whose words are decoded only when asked.  The tuple view
     is derived on first use and kept: ``edges`` maps (prefix, suffix)
     vertex pairs to the sorted tuple of word labels travelling that way, so
     parallel edges are longer tuples, and ``vertices`` holds their
@@ -115,19 +115,25 @@ class TransitionDigraph:
         return len(self.by_code)
 
     @cached_property
+    def _ascending(self) -> Sequence[int]:
+        """The edge codes in ascending order; byte codes already are."""
+        if isinstance(self.by_code, _Codes):
+            return self.by_code
+        return sorted(self.by_code)
+
+    @cached_property
     def _labels(self) -> dict[int, Word]:
         """Word tuple by edge code; byte codes are decoded on first use."""
         if isinstance(self.by_code, dict):
             return self.by_code
-        n = self.n
-        return {code: tuple(code.to_bytes(n, "big")) for code in self.by_code}
+        return dict(zip(self.by_code, map(tuple, self.by_code.digits())))
 
     @cached_property
     def edges(self) -> dict[tuple[Word, Word], tuple[Word, ...]]:
         """Word labels by (prefix, suffix) vertex pair, grouped by code."""
         n, s = self.n, self.s
         suffix_of = _suffix_of(self.base, s)
-        codes = sorted(self.by_code)
+        codes = self._ascending
         vertex: dict[int, Word] = {}
         edges: dict[tuple[Word, Word], tuple[Word, ...]] = {}
         for u, lo, hi in _prefix_runs(codes, self.base ** (n - s)):
@@ -173,7 +179,7 @@ def _suffix_of(base: int, s: int) -> Callable[[int], int]:
     return ((1 << (base.bit_length() - 1) * s) - 1).__and__
 
 
-def _prefix_runs(codes: list[int], cut: int) -> Iterator[tuple[int, int, int]]:
+def _prefix_runs(codes: Sequence[int], cut: int) -> Iterator[tuple[int, int, int]]:
     """(u, lo, hi) for each s-prefix vertex u of the ascending ``codes``.
 
     ``cut`` is base**(n-s).  The codes with prefix u fill [u*cut, (u+1)*cut),
@@ -246,7 +252,7 @@ def is_balanced(digraph: TransitionDigraph) -> bool:
     Out-degrees are the lengths of the sorted codes' prefix runs.
     """
     base, n, s = digraph.base, digraph.n, digraph.s
-    codes = sorted(digraph.by_code)
+    codes = digraph._ascending
     outs = Counter({u: hi - lo for u, lo, hi in _prefix_runs(codes, base ** (n - s))})
     return outs == Counter(map(_suffix_of(base, s), codes))
 
@@ -303,10 +309,10 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word]:
             REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex"
         )
     suffix_of = _suffix_of(digraph.base, digraph.s)
-    codes = sorted(digraph.by_code)
+    codes = digraph._ascending
     cut = digraph.base ** (digraph.n - digraph.s)
     # Out-lists run largest code first, so pop() yields the smallest.
-    out = {u: codes[lo:hi][::-1] for u, lo, hi in _prefix_runs(codes, cut)}
+    out = {u: [*reversed(codes[lo:hi])] for u, lo, hi in _prefix_runs(codes, cut)}
     # An edge on the stack left from the vertex whose out-list sits at the
     # same depth of ``left``, so stepping back needs no prefix arithmetic.
     stack: list[int] = []
@@ -340,7 +346,8 @@ class OcycleSolution:
 
     Stored linearly with implicit wraparound, rotated to start at the
     lexicographically smallest word.  For byte-coded input (``words._Codes``)
-    ``construct_ocycle`` stores the cycle as byte codes too.
+    ``construct_ocycle`` stores the cycle as byte codes too, in a
+    ``_Codes``, which is a tuple: the solution stays immutable and hashable.
     """
 
     s: int

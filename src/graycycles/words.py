@@ -9,17 +9,20 @@ a difference of two of its values.  Tests check both against brute-force,
 recursive and dynamic-programming oracles kept in ``tests/``.
 
 Over alphabets of at most 256 letters a word can also travel as one int,
-its byte code ``int.from_bytes(bytes(word), "big")``; ``_Codes`` is a list
+its byte code ``int.from_bytes(bytes(word), "big")``; ``_Codes`` is a tuple
 of them that carries the word length.  ``_codes`` lists a weight window in
 that form, from heads and tails of half the length, without making a tuple
-per word.  CLI ``ocycle`` carries these codes from enumeration to output;
-CLI ``digraph`` decodes them once, for its DOT text.
+per word.  ``_word_codes``, the CLI's one source of word sets, checks and
+caps a set as ``enumerate_*`` do and lists it as byte codes over m <= 256.
+CLI ``ocycle`` carries these codes from enumeration to output; CLI
+``digraph`` decodes them once, for its DOT text.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -88,12 +91,6 @@ def _check_cap(total: int, cap: int, head: str) -> None:
         from decimal import Decimal  # imported on this error path only
 
         raise MaterializationLimitError(f"{head.format(Decimal(total))}, cap is {cap}")
-
-
-def _set_head(p: int, q: int) -> str:
-    """``_check_cap``'s head for the words of weight p (p == q) or weight in [p, q]."""
-    weights = p if p == q else f"[{p},{q}]"
-    return f"set of weight-{weights} words has {{}} elements"
 
 
 def _walk(m: int, n: int, p: int, q: int, reflected: bool) -> Iterator[Word]:
@@ -195,8 +192,8 @@ def enumerate_fixed_weight(
 
     Raises MaterializationLimitError if the set holds more than ``cap`` words.
     """
-    _check_cap(count_fixed_weight(m, n, k), cap, _set_head(k, k))
-    return list(iter_fixed_weight(m, n, k))
+    _check_set(m, n, k, None, cap)
+    return list(_walk(m, n, k, k, False))
 
 
 def _count_at_most(m: int, n: int, top: int) -> int:
@@ -237,8 +234,8 @@ def enumerate_weight_range(
     m: int, n: int, p: int, q: int, *, cap: int = DEFAULT_MATERIALIZATION_CAP
 ) -> list[Word]:
     """All words with weight in [p, q], ascending; capped like the fixed case."""
-    _check_cap(count_weight_range(m, n, p, q), cap, _set_head(p, q))
-    return list(iter_weight_range(m, n, p, q))
+    _check_set(m, n, p, q, cap)
+    return list(_walk(m, n, p, q, False))
 
 
 def count_weight_range(m: int, n: int, p: int, q: int) -> int:
@@ -247,20 +244,39 @@ def count_weight_range(m: int, n: int, p: int, q: int) -> int:
     return _count_at_most(m, n, q) - _count_at_most(m, n, p - 1)
 
 
-class _Codes(list):
-    """Byte codes of words of one length ``n``: a list of ints that carries n.
+def _check_set(m: int, n: int, p: int, q: int | None, cap: int) -> None:
+    """Check a word set's parameters, then refuse it if it has over ``cap`` words.
+
+    The set is the words of weight p (q is None) or of weight in [p, q]; its
+    size is the exact count.
+    """
+    if q is None:
+        _check_cap(count_fixed_weight(m, n, p), cap, f"set of weight-{p} words has {{}} elements")
+    else:
+        head = f"set of weight-[{p},{q}] words has {{}} elements"
+        _check_cap(count_weight_range(m, n, p, q), cap, head)
+
+
+class _Codes(tuple):
+    """Byte codes of words of one length ``n``: a tuple of ints that carries n.
 
     A word's byte code is ``int.from_bytes(bytes(word), "big")``, one byte
     per digit, so every digit lies in 0..255.  Numeric order is word order,
     the first j digits of code c are ``c >> 8*(n-j)``, the last j are
     ``c & ((1 << 8*j) - 1)``, and ``c.to_bytes(n, "big")`` holds the digits.
+    Being a tuple, it is immutable and hashable like a tuple of words.
     """
 
-    __slots__ = ("n",)
+    n: int
 
-    def __init__(self, codes: Iterable[int], n: int) -> None:
-        super().__init__(codes)
+    def __new__(cls, codes: Iterable[int], n: int) -> _Codes:
+        self = super().__new__(cls, codes)
         self.n = n
+        return self
+
+    def digits(self) -> Iterator[bytes]:
+        """Each word's digits, one byte per digit, in order."""
+        return map(int.to_bytes, self, repeat(self.n), repeat("big"))
 
 
 def _codes(m: int, n: int, p: int, q: int) -> _Codes:
@@ -285,6 +301,21 @@ def _codes(m: int, n: int, p: int, q: int) -> _Codes:
             tails[a] = [int.from_bytes(bytes(t), "big") for t in walk]
         pairs.append((int.from_bytes(bytes(head), "big") << shift, tails[a]))
     return _Codes([first + last for first, lasts in pairs for last in lasts], n)
+
+
+def _word_codes(
+    m: int, n: int, p: int, q: int | None, *, cap: int = DEFAULT_MATERIALIZATION_CAP
+) -> list[Word] | _Codes:
+    """The words of weight p (q is None) or weight in [p, q], ascending.
+
+    Checked and capped as ``enumerate_fixed_weight`` and
+    ``enumerate_weight_range`` do; the words come as byte codes
+    (``_codes``) over m <= 256 and as tuples over larger alphabets.
+    """
+    _check_set(m, n, p, q, cap)
+    if q is None:
+        q = p
+    return _codes(m, n, p, q) if m <= 256 else list(_walk(m, n, p, q, False))
 
 
 def s_prefix(word: Sequence[int], s: int) -> Word:
@@ -401,9 +432,13 @@ def format_word(word: Sequence[int], m: int | None = None) -> str:
     if m is None or m <= 10:
         # Digits 0..9 take one table lookup each.  Sequences other than
         # tuples, lists and bytes skip this: bytes() would copy a buffer
-        # such as an array('i') as raw memory, not digit by digit.
+        # such as an array('i') as raw memory, not digit by digit.  bytes()
+        # refuses digits that are not ints, such as 1.0, with a TypeError.
         if isinstance(word, (tuple, list)) and word and min(word) >= 0 and max(word) <= 9:
-            word = bytes(word)
+            try:
+                word = bytes(word)
+            except TypeError:
+                pass
         if isinstance(word, bytes):
             text = word.translate(_DIGIT_TABLE)
             if text.isdigit():

@@ -442,12 +442,17 @@ def ocycle_sets():
             yield from ((m, n, "fixed", (k,)) for k in range(-1, top + 2))
             yield from ((m, n, "range", (p, q)) for p in range(-1, top + 1)
                         for q in range(p, top + 2))
-    # Wide alphabets: comma-separated text; m = 257 takes the tuple path.
-    for m in (11, 12, 257):
-        for n in (2, 3):
-            top = (m - 1) * n
-            yield from ((m, n, "fixed", (k,)) for k in (0, 1, m, top - 1, top))
-            yield from ((m, n, "range", (p, q)) for p, q in ((0, 2), (m - 2, m + 3), (top - 2, top)))
+    # m = 10 is the widest concatenated form; m = 11 and 12 are comma-separated.
+    for m, n in ((10, 2), (11, 3), (12, 3)):
+        top = (m - 1) * n
+        yield from ((m, n, "fixed", (k,)) for k in range(top + 1))
+    for m in (11, 12):
+        yield from ((m, 3, "range", (p, q)) for p, q in ((0, 3 * m - 3), (5, 20)))
+    # m = 257 takes the tuple path.
+    for n in (2, 3):
+        top = 256 * n
+        yield from ((257, n, "fixed", (k,)) for k in (0, 1, 257, top - 1, top))
+        yield from ((257, n, "range", (p, q)) for p, q in ((0, 2), (255, 260), (top - 2, top)))
 
 
 def test_ocycle_writer_matches_format_word(capsys, monkeypatch):
@@ -481,8 +486,7 @@ def test_compressed_ocycle_keeps_its_self_check(capsys, monkeypatch):
 
     def swapped(digraph):
         cycle = tour(digraph)
-        cycle[1], cycle[2] = cycle[2], cycle[1]
-        return cycle
+        return type(cycle)((cycle[0], cycle[2], cycle[1], *cycle[3:]), cycle.n)
 
     monkeypatch.setattr(ocycles, "euler_tour", swapped)
     code, out, err = run(capsys, "ocycle", "fixed", "3", "6", "6", "2", "--compressed")

@@ -767,6 +767,20 @@ def test_compress_refuses_broken_code_tours():
     assert _cycle_fault(_Codes([0, 0], n), n, s) == (-1, "input word set contains duplicates")
 
 
+def test_coded_solutions_are_immutable_and_hashable():
+    # A byte-coded cycle is a tuple, so the frozen solution hashes like one
+    # with tuple words, and a single word's cycle, which is the input codes
+    # themselves, cannot be changed through the solution.
+    solution = construct_ocycle(_codes(3, 4, 4, 4), 1)
+    assert hash(solution) == hash(construct_ocycle(_codes(3, 4, 4, 4), 1))
+    single = _Codes([int.from_bytes(bytes((1, 2, 1, 2)), "big")], 4)
+    solution = construct_ocycle(single, 2)
+    assert type(solution.cycle) is _Codes and solution.cycle == single
+    assert hash(solution) == hash(OcycleSolution(2, single))
+    with pytest.raises(TypeError):
+        solution.cycle[0] = 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.lists(st.integers(0, 255), min_size=3, max_size=3).map(tuple), max_size=6),

@@ -29,7 +29,7 @@ from graycycles import (
     weight_decomposition,
     witness_non_rotation,
 )
-from graycycles.words import _codes, _Codes, _walk
+from graycycles.words import _codes, _Codes, _walk, _word_codes
 from word_oracles import brute_fixed_weight, brute_weight_range, count_oracle, gray_oracle
 
 
@@ -242,7 +242,34 @@ def test_codes_match_the_walker(window):
     expected = [int.from_bytes(bytes(w), "big") for w in _walk(m, n, p, q, False)]
     codes = _codes(m, n, p, q)
     assert type(codes) is _Codes and codes.n == n
-    assert codes == expected
+    assert list(codes) == expected
+
+
+def outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except (MaterializationLimitError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_word_codes_check_and_cap_like_the_enumerators():
+    # Byte codes over m <= 256, tuples beyond; the same error, word for
+    # word, wherever an enumerator refuses.
+    for m, n, p, q, cap in [
+        (3, 4, 4, None, 10**6), (3, 4, 2, 5, 10**6), (257, 2, 300, None, 10**6),
+        (257, 2, 0, 3, 10**6), (3, 4, 4, None, 18), (3, 4, 4, None, 19),
+        (3, 4, 2, 5, 49), (3, 4, 9, None, 10), (0, 4, 1, None, 10), (3, -1, 1, None, 10),
+        (3, 4, 3, 3, 10), (3, 4, 5, 2, 10), (3, 4, -1, 2, 10), (1, 0, 0, None, 10),
+    ]:
+        if q is None:
+            expected = outcome(enumerate_fixed_weight, m, n, p, cap=cap)
+        else:
+            expected = outcome(enumerate_weight_range, m, n, p, q, cap=cap)
+        got = outcome(_word_codes, m, n, p, q, cap=cap)
+        if type(got) is _Codes:
+            assert m <= 256 and got.n == n
+            got = [tuple(c.to_bytes(n, "big")) for c in got]
+        assert got == expected, (m, n, p, q, cap)
 
 
 def test_codes_need_digits_that_fit_a_byte():
@@ -424,7 +451,9 @@ def _format_word_reference(word, m=None):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.integers(-12, 300), max_size=8) | st.lists(st.integers(0, 9), max_size=8),
+    st.lists(st.integers(-12, 300), max_size=8) | st.lists(st.integers(0, 9), max_size=8)
+    # digits that are not ints, such as 1.0, which bytes() refuses
+    | st.lists(st.integers(0, 9) | st.floats(0, 12, allow_nan=False), max_size=8),
     st.none() | st.integers(1, 14),
     st.sampled_from([tuple, list]),
 )
@@ -448,6 +477,8 @@ def test_format_word_edge_forms():
     assert format_word((-1, 12)) == "-1,12"
     assert format_word([0, -1, 2]) == "0-12"
     assert format_word((0, -1, 2), m=12) == "0,-1,2"
+    assert format_word((1.0, 2.0)) == "1.02.0"
+    assert format_word([0, 2.5], m=3) == "02.5"
 
 
 def test_parse_word():
