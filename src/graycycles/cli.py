@@ -6,10 +6,12 @@ codes: 0 success / exists / valid, 1 not-exists / invalid input list,
 2 usage or parameter error.  A reader that closes the pipe early (``| head``)
 ends the command with exit 1 and nothing on stderr.
 
-Word lists are written in chunks of ``_CHUNK`` words, one ``write`` call per
-chunk, so the cost does not depend on whether stdout is buffered.  ``gray``
-always streams and holds one chunk at a time, O(n) memory per chunk; without
-``--stream`` it first refuses, from the count, sets over the 10^6-word cap.
+Word lists are written in chunks of at least ``_CHUNK`` words, one ``write``
+call per chunk, so the cost does not depend on whether stdout is buffered.
+``gray`` always streams the text blocks of ``words._gray_blocks``, in O(n)
+memory plus a tail table of at most ``words._TAIL_LINES`` short lines for
+every m; without ``--stream`` it first refuses, from the count, sets over
+the 10^6-word cap.
 
 ``ocycle`` and ``digraph`` refuse a set over the cap the same way, then
 enumerate it, both through ``words._word_codes``.  Over m <= 256 each word
@@ -21,12 +23,13 @@ out only there; larger alphabets take the tuple path.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .graycode import _ORDERING_HEAD, gray_stream, verify_gray
+from .graycode import _ORDERING_HEAD, verify_gray
 from .ocycles import (
     REASON_GCD,
     NotEulerianError,
@@ -45,6 +48,7 @@ from .words import (
     _check_cap,
     _check_overlap,
     _Codes,
+    _gray_blocks,
     _word_codes,
     count_fixed_weight,
     format_word,
@@ -55,6 +59,7 @@ from .words import (
 _CHUNK = 1024
 
 
+@functools.cache  # built once per process: each build costs about 3 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graycycles",
@@ -146,9 +151,9 @@ def _write_words(words: Iterable[Word], m: int) -> None:
     """Write the words to stdout, one per line, one write call per chunk.
 
     Over m <= 10 a chunk is formatted in one bytes pass through
-    ``_DIGIT_TABLE``; the callers pass words from the walker or an Euler
-    tour, as tuples or as the bytes of byte codes, so every digit is below
-    m.  Larger alphabets use ``format_word`` per word.
+    ``_DIGIT_TABLE``; the words come from an Euler tour over the set, as
+    tuples or as the bytes of byte codes, so every digit is below m.
+    Larger alphabets use ``format_word`` per word.
     """
     words = iter(words)
     write = sys.stdout.write
@@ -164,7 +169,17 @@ def _cmd_gray(args: argparse.Namespace) -> int:
     if not args.stream:
         total = count_fixed_weight(args.m, args.n, args.k)
         _check_cap(total, DEFAULT_MATERIALIZATION_CAP, _ORDERING_HEAD)
-    _write_words(gray_stream(args.m, args.n, args.k), args.m)
+    # One write per run of blocks that reaches _CHUNK lines.
+    write = sys.stdout.write
+    pending, lines = [], 0
+    for text, count in _gray_blocks(args.m, args.n, args.k, _CHUNK):
+        pending.append(text)
+        lines += count
+        if lines >= _CHUNK:
+            write("".join(pending))
+            pending, lines = [], 0
+    if pending:
+        write("".join(pending))
     return 0
 
 

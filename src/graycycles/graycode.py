@@ -11,7 +11,9 @@ That parity rule is what makes every group boundary a two-position change.
 Both ``gray_list`` (the full, capped list) and ``gray_stream`` (one word at
 a time in O(n) memory) come from the iterative walker in ``words``.  The
 tests check them against an independent recursive builder kept in
-``tests/word_oracles.py``.
+``tests/word_oracles.py``.  CLI ``gray`` calls neither: it writes the same
+order as text from ``words._gray_blocks``, which spells each list of short
+tails once and shares it, reversed for odd weights, among the heads.
 """
 
 from __future__ import annotations

@@ -15,17 +15,20 @@ that form, from heads and tails of half the length, without making a tuple
 per word.  ``_word_codes``, the CLI's one source of word sets, checks and
 caps a set as ``enumerate_*`` do and lists it as byte codes over m <= 256.
 CLI ``ocycle`` carries these codes from enumeration to output; CLI
-``digraph`` decodes them once, for its DOT text.
+``digraph`` decodes them once, for its DOT text.  ``_gray_blocks`` uses the
+same head and tail split, ``_split``, to give CLI ``gray`` the reflected
+order as text blocks, each tail spelled once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 Word = tuple[int, ...]
+_T = TypeVar("_T")
 
 # Full-list operations refuse to materialize more words than this unless the
 # caller raises the cap explicitly.  Streaming generators are exempt.
@@ -279,28 +282,78 @@ class _Codes(tuple):
         return map(int.to_bytes, self, repeat(self.n), repeat("big"))
 
 
+def _split(
+    m: int, n: int, t: int, p: int, q: int, reflected: bool, spell: Callable[[Word], _T]
+) -> Iterator[tuple[Word, list[_T]]]:
+    """Cut the ``_walk`` order of the words of weight in [p, q] after n-t digits.
+
+    Yields (head, tails) per head: the heads are the length-(n-t) words
+    whose weight a some tail can complete, in ``_walk`` order, and ``tails``
+    lists ``spell(tail)`` for the length-t words with weight in [p-a, q-a],
+    in the order the full walk takes them after that head; one list per a,
+    walked once.  With ``reflected`` a head of odd weight starts its tails
+    backward, and the reflected walk started backward is the forward walk
+    reversed (by induction on t: each digit's run of tails flips, and the
+    digits come in reverse).  Only heads and tails that some word uses are
+    listed, so the work is O(number of words).
+    """
+    tails: dict[int, list[_T]] = {}
+    for head in _walk(m, n - t, p - (m - 1) * t, q, reflected):
+        a = sum(head)
+        if a not in tails:
+            tails[a] = [spell(w) for w in _walk(m, t, p - a, q - a, reflected)]
+            if reflected and a & 1:
+                tails[a].reverse()
+        yield head, tails[a]
+
+
+def _byte_code(word: Word) -> int:
+    return int.from_bytes(bytes(word), "big")
+
+
 def _codes(m: int, n: int, p: int, q: int) -> _Codes:
     """Byte codes of the length-n words with weight in [p, q], ascending.
 
     Needs 1 <= m <= 256 and n >= 0; an empty window gives an empty list.
-    Each word is cut after h = n//2 digits.  The heads are the length-h
-    words whose weight a some tail can complete, in ``_walk`` order; the
-    tails of each head weight a are the length-(n-h) words with weight in
-    [p-a, q-a], walked once per a.  Only heads and tails that some word
-    uses are listed, so the work is O(number of words), and each word costs
+    Each word is cut after n//2 digits by ``_split``, and each word costs
     one addition: head code shifted past the tail, plus tail code.
     """
-    h = n // 2
-    shift = 8 * (n - h)
-    tails: dict[int, list[int]] = {}
-    pairs = []
-    for head in _walk(m, h, p - (m - 1) * (n - h), q, False):
-        a = sum(head)
-        if a not in tails:
-            walk = _walk(m, n - h, p - a, q - a, False)
-            tails[a] = [int.from_bytes(bytes(t), "big") for t in walk]
-        pairs.append((int.from_bytes(bytes(head), "big") << shift, tails[a]))
+    t = n - n // 2
+    pairs = [(_byte_code(head) << 8 * t, lasts)
+             for head, lasts in _split(m, n, t, p, q, False, _byte_code)]
     return _Codes([first + last for first, lasts in pairs for last in lasts], n)
+
+
+# The tail table of ``_gray_blocks`` holds at most this many lines.
+_TAIL_LINES = 4096
+
+
+def _gray_blocks(m: int, n: int, k: int, chunk: int) -> Iterator[tuple[str, int]]:
+    """The reflected Gray order of the weight-k words as text blocks.
+
+    Yields (text, lines): words in their text form, each line ending in a
+    newline, and the number of lines.  ``_split`` cuts the words after n-t
+    digits, with t <= n the longest tail whose m**t tails fit in
+    ``_TAIL_LINES`` lines (13 digits for m = 1), so the tail table holds at
+    most that many lines of t digits.  Each head's block is its text joined
+    to its tails in one pass.  A one-digit tail is forced by its head, so
+    below t = 2 (n <= 1, or m**2 over ``_TAIL_LINES``) nothing is shared and
+    the walker's words are formatted one by one, ``chunk`` per block.
+    m < 1 or n < 0 raise on the first next(); out-of-range k yields nothing.
+    """
+    _check_params(m, n)
+    t = min(n, _TAIL_LINES.bit_length())
+    while m**t > _TAIL_LINES:
+        t -= 1
+    if t < 2:
+        walk = _walk(m, n, k, k, True)
+        while words := list(islice(walk, chunk)):
+            yield "".join([format_word(w, m) + "\n" for w in words]), len(words)
+        return
+    sep = "," if m > 10 and t < n else ""  # between head and tail digits
+    for head, tails in _split(m, n, t, k, k, True, lambda w: format_word(w, m)):
+        text = format_word(head, m) + sep
+        yield text + ("\n" + text).join(tails) + "\n", len(tails)
 
 
 def _word_codes(

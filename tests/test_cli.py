@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from graycycles import (
 )
 from graycycles import ocycles
 from graycycles.cli import _CHUNK, build_parser, main
+from graycycles.words import _split
 from ocycle_oracles import oracle_self_check
 
 GOLDEN_345 = Path(__file__).parent / "data" / "gray_3_4_5.txt"
@@ -383,21 +385,97 @@ def lines_of(words, m):
     return "".join(format_word(w, m) + "\n" for w in words)
 
 
-def test_gray_writer_matches_format_word(capsys):
-    # Alphabets up to 10 take the one-pass bytes form, larger ones format
-    # word by word; the last cases cross several chunk boundaries.
-    cases = [(m, n) for m in (1, 2, 3) for n in range(7)]
-    cases += [(m, n) for m in (10, 11, 12) for n in range(5)]
-    for m, n in cases:
-        for k in range(-1, (m - 1) * n + 2):
-            expected = lines_of(gray_list(m, n, k), m)
-            for flags in ((), ("--stream",)):
-                code, out, err = run(capsys, "gray", str(m), str(n), str(k), *flags)
-                assert (code, out, err) == (0, expected, ""), (m, n, k, flags)
+def gray_sets():
+    """(m, n, k) for the CLI ``gray`` differential, out-of-range k included.
+
+    For each m the lengths run past the tail length t of the head and tail
+    split (m**t <= 4096, t <= 13), so words get real heads; n <= 1 and
+    m = 257 and 10**6 take the chunked path.
+    """
+    lengths = {1: 15, 2: 14, 3: 9, 4: 8, 5: 7, 10: 5, 11: 5, 12: 5, 257: 3}
+    for m, stop in lengths.items():
+        for n in range(stop):
+            yield from ((m, n, k) for k in range(-1, (m - 1) * n + 2))
+    m = 10**6
+    for n in range(4):
+        top = (m - 1) * n
+        yield from ((m, n, k) for k in sorted({-1, 0, 1, 2, top - 1, top, top + 1}))
+
+
+def test_gray_writer_matches_format_word(capsys, monkeypatch):
+    # The head and tail blocks against the walker's words, formatted one by
+    # one, with and without --stream; the last cases cross several chunk
+    # boundaries.
+    heads = {}
+
+    def spy(m, n, t, *rest):
+        heads[m] = max(heads.get(m, 0), n - t)
+        return _split(m, n, t, *rest)
+
+    monkeypatch.setattr("graycycles.words._split", spy)
+    for m, n, k in gray_sets():
+        expected = lines_of(gray_list(m, n, k), m)
+        for flags in ((), ("--stream",)):
+            code, out, err = run(capsys, "gray", str(m), str(n), str(k), *flags)
+            assert (code, out, err) == (0, expected, ""), (m, n, k, flags)
+    assert all(heads[m] > 0 for m in (1, 2, 3, 4, 5, 10, 11, 12)), heads
     for m, n, k in ((3, 9, 9), (10, 5, 22), (12, 5, 27)):
         assert count_fixed_weight(m, n, k) > 2 * _CHUNK
         code, out, _ = run(capsys, "gray", str(m), str(n), str(k), "--stream")
         assert code == 0 and out == lines_of(gray_list(m, n, k), m)
+    code, out, _ = run(capsys, "gray", "2", "1200", "1", "--stream")
+    assert code == 0 and out == lines_of(gray_list(2, 1200, 1), 2)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("gray 3 12 12 --stream", "542f29b9525179e9f0040109b3cce8b3c555c69f73ba722165fc00fd8c00c480"),
+    ("gray 3 11 11", "170a67cbd14afe7fc5c5a3e57bfb6f4798dbfcd31de26053eafe7d2aeb44355c"),
+    ("gray 3 14 14 --stream", "faccab4e87e9149b7c9548f631ac0379f0fadb3fcfa197b54466b39fb45017a8"),
+])
+def test_gray_output_is_pinned(capsys, argv, digest):
+    # Digests taken while the CLI still wrote the walker's words one by one.
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+class Enough(Exception):
+    pass
+
+
+class LineSink(io.TextIOBase):
+    """A stdout that keeps nothing and stops the command after ``limit`` lines."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.lines = 0
+        self.limit = limit
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        if self.lines >= self.limit:
+            raise Enough
+        return len(text)
+
+
+@pytest.mark.parametrize("argv", ["gray 1000000 3 999999 --stream", "gray 3 40 40 --stream"])
+def test_gray_streams_in_bounded_memory(monkeypatch, argv):
+    # 200,000 words of each: the walker, the pending blocks and the tail
+    # table must stay under 2 MiB.  A tail table kept for every head weight
+    # grows with the words written on the first command, to tens of MiB by
+    # this point.
+    sink = LineSink(200_000)
+    monkeypatch.setattr("sys.stdout", sink)
+    build_parser()  # built once per process, outside the measurement
+    tracemalloc.start()
+    try:
+        with pytest.raises(Enough):
+            main(argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.lines >= 200_000
+    assert peak < 2 * 2**20, peak
 
 
 def tuple_path(mode, m, n, weights):
@@ -455,12 +533,9 @@ def ocycle_sets():
         yield from ((257, n, "range", (p, q)) for p, q in ((0, 2), (255, 260), (top - 2, top)))
 
 
-def test_ocycle_writer_matches_format_word(capsys, monkeypatch):
+def test_ocycle_writer_matches_format_word(capsys):
     # The byte-coded CLI path against the tuple library, plain and
     # compressed, on every s from 0 to n: stdout, stderr and exit code.
-    # The parser is built once: building it costs more than most commands.
-    parser = build_parser()
-    monkeypatch.setattr("graycycles.cli.build_parser", lambda: parser)
     for m, n, mode, weights in ocycle_sets():
         expected = tuple_path(mode, m, n, weights)
         for s in range(n + 1):
@@ -524,6 +599,19 @@ def cli(*argv, unbuffered="1"):
 def test_unbuffered_stdout_matches_golden_file():
     out, err = cli("gray", "3", "4", "5").communicate(timeout=60)
     assert out == GOLDEN_345.read_bytes() and err == b""
+
+
+def test_one_parser_serves_every_command(capsys):
+    # main builds its parser once per process; flags and subcommands of one
+    # call must not leak into the next.
+    assert build_parser() is build_parser()
+    for argv in ("ocycle fixed 3 4 4 2 --compressed", "ocycle fixed 3 4 4 2",
+                 "gray 3 4 4", "ocycle range 2 4 1 3 2 --compressed", "gray 3 4 4 --stream",
+                 "gray 0 4 4", "exists 3 4 4 2"):
+        code, out, err = run(capsys, *argv.split())
+        proc = cli(*argv.split())
+        fresh_out, fresh_err = proc.communicate(timeout=60)
+        assert (code, out, err) == (proc.returncode, fresh_out.decode(), fresh_err.decode()), argv
 
 
 @pytest.mark.parametrize("unbuffered", ["1", None])
