@@ -1,24 +1,48 @@
 """Gray codes and overlap cycles for weight-restricted m-ary words.
 
-Two generators with matching verifiers and exact counts:
+Two generators with matching verifiers and exact counts: a two-change Gray
+code for the length-n words over {0..m-1} of a fixed digit sum, as a full
+list or a constant-memory stream; and s-overlap cycles (each word's last s
+digits are the next word's first s) for fixed-weight and weight-range word
+sets, built as Euler tours of transition digraphs, with existence
+predicates, a compressed text form, and DOT export.
 
-* a two-change Gray code that orders all length-n words over {0..m-1} with
-  a fixed digit sum so that consecutive words differ in exactly two
-  positions, available as a full list or a constant-memory stream;
-* s-overlap cycles (cyclic orderings where each word's last s digits equal
-  the next word's first s digits) for fixed-weight and weight-range word
-  sets, built as Euler tours of transition digraphs, with existence
-  predicates, a compressed text form, and DOT export.
-
-Every public name is defined once, in the ``__all__`` of its module
-(``words``, ``graycode`` or ``ocycles``), and re-exported here from there.
+Each public name is defined in one module (``words``, ``graycode`` or
+``ocycles``), listed in its ``__all__`` and re-exported here.  Importing the
+package loads only ``words``; the other two load on first access to them or
+to a name of theirs (PEP 562).  So that the package knows those names before
+it imports the modules, their ``__all__`` lists are kept here, in ``_LAZY``.
 """
 
-from . import graycode, ocycles, words
-from .graycode import *  # noqa: F403
-from .ocycles import *  # noqa: F403
+from importlib import import_module
+
+from . import words
 from .words import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [*words.__all__, *graycode.__all__, *ocycles.__all__]
+_LAZY = {
+    "graycode": """GrayList GrayReport gray_list gray_stream first_word last_word
+        hamming_distance verify_gray""".split(),
+    "ocycles": """REASON_GCD REASON_WEIGHT_RANGE REASON_CONSTRUCTED REASON_DISCONNECTED
+        REASON_UNBALANCED REASON_EMPTY REASON_DEGENERATE REASON_SINGLETON NotEulerianError
+        TransitionDigraph OcycleSolution OcycleReport ExistenceVerdict build_transition_digraph
+        is_balanced is_weakly_connected weak_components euler_tour construct_ocycle
+        verify_ocycle exists_fixed_weight_ocycle exists_weight_range_ocycle compress_cycle
+        decompress_cycle export_dot""".split(),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = [*words.__all__, *_LAZY["graycode"], *_LAZY["ocycles"]]
+
+
+def __getattr__(name: str) -> object:
+    if name in _LAZY:
+        return import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_HOME})

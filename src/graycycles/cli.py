@@ -18,6 +18,9 @@ enumerate it, both through ``words._word_codes``.  Over m <= 256 each word
 travels as one int, its byte code, through the transition digraph, the
 Euler tour and the tour's self-check to the text written, and is spelled
 out only there; larger alphabets take the tuple path.
+
+Handlers import from ``graycode`` and ``ocycles`` when they run, so ``gray``
+and ``count`` load only ``words``.
 """
 
 from __future__ import annotations
@@ -27,22 +30,11 @@ import functools
 import os
 import sys
 from itertools import islice
-from typing import Iterable, Sequence
 
-from .graycode import _ORDERING_HEAD, verify_gray
-from .ocycles import (
-    REASON_GCD,
-    NotEulerianError,
-    _cycle_fault,
-    build_transition_digraph,
-    compress_cycle,
-    construct_ocycle,
-    exists_fixed_weight_ocycle,
-    export_dot,
-)
 from .words import (
     DEFAULT_MATERIALIZATION_CAP,
     _DIGIT_TABLE,
+    _ORDERING_HEAD,
     MaterializationLimitError,
     Word,
     _check_cap,
@@ -54,6 +46,10 @@ from .words import (
     format_word,
     parse_word,
 )
+
+TYPE_CHECKING = False  # typing serves type checkers only; see words
+if TYPE_CHECKING:
+    from typing import Iterable, Sequence
 
 # Words per stdout write.
 _CHUNK = 1024
@@ -69,11 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gray", help="list the two-change ordering of B_k(m,n)")
     _add_ints(p, "m", "n", "k")
-    p.add_argument(
-        "--stream",
-        action="store_true",
-        help="lift the 10^6-word cap",
-    )
+    p.add_argument("--stream", action="store_true", help="lift the 10^6-word cap")
 
     p = sub.add_parser("count", help="print |B_k(m,n)| exactly")
     _add_ints(p, "m", "n", "k")
@@ -189,6 +181,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_exists(args: argparse.Namespace) -> int:
+    from .ocycles import REASON_GCD, exists_fixed_weight_ocycle
     verdict = exists_fixed_weight_ocycle(args.m, args.n, args.k, args.s)
     if verdict.reason == REASON_GCD:
         phrase = "n-s > gcd(n,s)" if verdict.exists else "n-s = gcd(n,s)"
@@ -205,6 +198,7 @@ def _word_set(args: argparse.Namespace) -> list[Word] | _Codes:
 
 
 def _cmd_ocycle(args: argparse.Namespace) -> int:
+    from .ocycles import NotEulerianError, compress_cycle, construct_ocycle
     words = _word_set(args)
     if not words:
         print("error: the word set is empty", file=sys.stderr)
@@ -237,8 +231,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"error: line {lineno}: {exc}", file=sys.stderr)
             return 1
     if args.target == "gray":
+        from .graycode import verify_gray
         fault = verify_gray(words, args.m, args.n, args.k).first_violation
     else:
+        from .ocycles import _cycle_fault
         _check_overlap(args.n, args.s)
         fault = _cycle_fault(words, args.n, args.s)
     if fault is None:
@@ -250,6 +246,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_digraph(args: argparse.Namespace) -> int:
+    from .ocycles import build_transition_digraph, export_dot
     digraph = build_transition_digraph(_word_set(args), args.s)
     text = export_dot(digraph, args.m)
     if args.dot:

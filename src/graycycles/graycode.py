@@ -18,14 +18,14 @@ tails once and shares it, reversed for odd weights, among the heads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
-
+from . import _LAZY
 from .words import (
     DEFAULT_MATERIALIZATION_CAP,
+    _ORDERING_HEAD,
     Word,
     _check_cap,
     _check_params,
+    _Record,
     _walk,
     count_fixed_weight,
     format_word,
@@ -34,23 +34,14 @@ from .words import (
     weight_decomposition,
 )
 
-__all__ = [
-    "GrayList",
-    "GrayReport",
-    "gray_list",
-    "gray_stream",
-    "first_word",
-    "last_word",
-    "hamming_distance",
-    "verify_gray",
-]
+TYPE_CHECKING = False  # typing serves type checkers only; see words
+if TYPE_CHECKING:
+    from typing import Iterator, Sequence
 
-# Head of the over-cap message of an ordering, shared with CLI ``gray``.
-_ORDERING_HEAD = "ordering holds {} words"
+__all__ = _LAZY["graycode"]  # listed in the package, which loads this module lazily
 
 
-@dataclass(frozen=True)
-class GrayList:
+class GrayList(_Record):
     """An ordering of the weight-k words for parameters (m, n, k)."""
 
     m: int
@@ -65,8 +56,7 @@ class GrayList:
         return iter(self.words)
 
 
-@dataclass(frozen=True)
-class GrayReport:
+class GrayReport(_Record):
     """Verifier verdict; ``first_violation`` is (index, description).
 
     The index points at the offending word or adjacent pair; -1 marks a

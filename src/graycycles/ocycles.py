@@ -7,21 +7,14 @@ s-suffix turns these cycles into exactly the Euler tours of the resulting
 multigraph, so existence reduces to the classic criterion: balanced and
 weakly connected.
 
-``TransitionDigraph`` stores only integer codes.  Tuple words are coded as
-the number their digits spell in base b = 1 + largest digit; byte-coded
-words (``words._Codes``, one byte per digit) keep their codes, with
-b = 256.  Either way numeric order is word order, the s-prefix vertex is
-``code // b**(n-s)``, so each vertex's out-edges are one run of the sorted
-codes, and the s-suffix vertex is ``code % b**s``, a mask when b is a power
-of two.  ``is_balanced`` and ``euler_tour`` work on these codes, and
-byte-coded input gets its tour back as byte codes, so CLI ``ocycle`` makes
-no word tuple from enumeration to output.  The tuple view for DOT export, components and degree queries is
-derived on first use, so ``construct_ocycle`` never builds it.
-``_cycle_fault``, the one check of a cycle against itself and of the
-overlap rule, serves ``compress_cycle``, ``verify_ocycle`` and CLI ``verify
-ocycle``, on tuples or byte codes.  The tests check the engine against the
-earlier tuple-based Hierholzer, kept in ``tests/ocycle_oracles.py``, and
-against networkx.
+``TransitionDigraph`` stores only integer codes, in which numeric order is
+word order (see ``build_transition_digraph``), so each vertex's out-edges
+are one run of the sorted codes.  ``is_balanced`` and ``euler_tour`` work
+on the codes, and byte-coded input (``words._Codes``) gets its tour back as
+byte codes, so CLI ``ocycle`` makes no word tuple from enumeration to
+output.  ``_cycle_fault`` is the one self-check of a cycle.  The tests
+check the engine against the tuple-based Hierholzer kept in
+``tests/ocycle_oracles.py`` and against networkx.
 """
 
 from __future__ import annotations
@@ -29,49 +22,27 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, groupby, islice, repeat
 from operator import ge, getitem, ne
-from typing import Callable, Iterator, Sequence
 
+from . import _LAZY
 from .words import (
     Word,
     _check_overlap,
     _check_params,
     _Codes,
+    _Record,
     enumerate_fixed_weight,
     format_word,
     parse_word,
 )
 
-__all__ = [
-    "REASON_GCD",
-    "REASON_WEIGHT_RANGE",
-    "REASON_CONSTRUCTED",
-    "REASON_DISCONNECTED",
-    "REASON_UNBALANCED",
-    "REASON_EMPTY",
-    "REASON_DEGENERATE",
-    "REASON_SINGLETON",
-    "NotEulerianError",
-    "TransitionDigraph",
-    "OcycleSolution",
-    "OcycleReport",
-    "ExistenceVerdict",
-    "build_transition_digraph",
-    "is_balanced",
-    "is_weakly_connected",
-    "weak_components",
-    "euler_tour",
-    "construct_ocycle",
-    "verify_ocycle",
-    "exists_fixed_weight_ocycle",
-    "exists_weight_range_ocycle",
-    "compress_cycle",
-    "decompress_cycle",
-    "export_dot",
-]
+TYPE_CHECKING = False  # typing serves type checkers only; see words
+if TYPE_CHECKING:
+    from typing import Callable, Iterator, Sequence
+
+__all__ = _LAZY["ocycles"]  # listed in the package, which loads this module lazily
 
 REASON_GCD = "gcd-condition"
 REASON_WEIGHT_RANGE = "theorem-weight-range"
@@ -91,25 +62,22 @@ class NotEulerianError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class TransitionDigraph:
+class TransitionDigraph(_Record):
     """Directed multigraph of overlaps: vertices are s-strings, edges are words.
 
     Stored as ``by_code``: the words keyed by their base-``base`` codes (see
-    ``build_transition_digraph``), or for byte-coded input the ``_Codes``
-    tuple itself, whose words are decoded only when asked.  The tuple view
-    is derived on first use and kept: ``edges`` maps (prefix, suffix)
-    vertex pairs to the sorted tuple of word labels travelling that way, so
-    parallel edges are longer tuples, and ``vertices`` holds their
-    endpoints.  Instances are treated as immutable.
-    ``by_code`` is left out of the hash and the repr: the hash uses
-    (s, n, base), which equal digraphs share, and the repr stays short.
+    ``build_transition_digraph``), or byte codes as the ``_Codes`` tuple
+    itself.  The tuple view is derived on first use and kept: ``edges``
+    maps (prefix, suffix) vertex pairs to the sorted tuple of word labels
+    travelling that way, and ``vertices`` holds their endpoints.
+    ``by_code`` is left out of the hash and the repr.
     """
 
     s: int
     n: int
     base: int
-    by_code: dict[int, Word] | _Codes = field(repr=False, hash=False)
+    by_code: dict[int, Word] | _Codes
+    _hidden = ("by_code",)
 
     def edge_count(self) -> int:
         return len(self.by_code)
@@ -340,8 +308,7 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word]:
     return list(map(digraph._labels.__getitem__, tour))
 
 
-@dataclass(frozen=True)
-class OcycleSolution:
+class OcycleSolution(_Record):
     """A cyclic word ordering with the s-overlap property.
 
     Stored linearly with implicit wraparound, rotated to start at the
@@ -354,8 +321,7 @@ class OcycleSolution:
     cycle: tuple[Word, ...] | _Codes
 
 
-@dataclass(frozen=True)
-class OcycleReport:
+class OcycleReport(_Record):
     """Verifier verdict; index -1 marks a whole-cycle violation."""
 
     ok: bool
@@ -469,8 +435,7 @@ def verify_ocycle(
     return OcycleReport(fault is None, fault)
 
 
-@dataclass(frozen=True)
-class ExistenceVerdict:
+class ExistenceVerdict(_Record):
     """Outcome of an existence check, with the rule that decided it."""
 
     exists: bool
@@ -539,8 +504,12 @@ def compress_cycle(solution: OcycleSolution, n: int) -> str:
         raise ValueError("refusing to compress an unverified cycle")
     step = n - s
     if isinstance(cycle, _Codes):  # the first n-s digits of code c are c >> 8*s
-        heads = map((8 * s).__rrshift__, cycle)
-        digits = b"".join(map(int.to_bytes, heads, repeat(step), repeat("big")))
+        heads = map(int.to_bytes, map((8 * s).__rrshift__, cycle), repeat(step), repeat("big"))
+        # Joined 4,096 at a time: one block's bytes objects alive, not one per word.
+        digits = bytearray()
+        while block := b"".join(islice(heads, 4096)):
+            digits += block
+        digits = bytes(digits)
     else:
         try:  # one byte per digit when every digit fits in a byte
             digits = bytes(chain.from_iterable(map(getitem, cycle, repeat(slice(None, step)))))

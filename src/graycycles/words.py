@@ -9,13 +9,9 @@ a difference of two of its values.  Tests check both against brute-force,
 recursive and dynamic-programming oracles kept in ``tests/``.
 
 Over alphabets of at most 256 letters a word can also travel as one int,
-its byte code ``int.from_bytes(bytes(word), "big")``; ``_Codes`` is a tuple
-of them that carries the word length.  ``_codes`` lists a weight window in
-that form, from heads and tails of half the length, without making a tuple
-per word.  ``_word_codes``, the CLI's one source of word sets, checks and
-caps a set as ``enumerate_*`` do and lists it as byte codes over m <= 256.
-CLI ``ocycle`` carries these codes from enumeration to output; CLI
-``digraph`` decodes them once, for its DOT text.  ``_gray_blocks`` uses the
+its byte code; ``_Codes`` is a tuple of them.  ``_word_codes``, the CLI's
+one source of word sets for ``ocycle`` and ``digraph``, lists a set that
+way from heads and tails of half the length, and ``_gray_blocks`` uses the
 same head and tail split, ``_split``, to give CLI ``gray`` the reflected
 order as text blocks, each tail spelled once.
 """
@@ -23,12 +19,16 @@ order as text blocks, each tail spelled once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+# Annotations are strings (PEP 563); typing, which costs start-up time, is for type checkers.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+    _T = TypeVar("_T")
 
 Word = tuple[int, ...]
-_T = TypeVar("_T")
 
 # Full-list operations refuse to materialize more words than this unless the
 # caller raises the cap explicitly.  Streaming generators are exempt.
@@ -59,8 +59,54 @@ __all__ = [
 ]
 
 
+# Head of the over-cap message of an ordering, shared by ``gray_list`` and CLI ``gray``.
+_ORDERING_HEAD = "ordering holds {} words"
+
+
 class MaterializationLimitError(Exception):
     """A full-list operation would exceed the configured word cap."""
+
+
+class _Record:
+    """Base of the immutable result records: fields are the annotated names.
+
+    A class attribute named like a field is its default.  Records are equal
+    only within one class, field for field; hash and repr skip ``_hidden``.
+    """
+
+    _hidden: tuple[str, ...] = ()
+    _fields = _shown = _hidden  # set for each subclass
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__match_args__ = tuple(vars(cls).get("__annotations__", ()))
+        cls._shown = tuple(name for name in cls._fields if name not in cls._hidden)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        cls, fields = type(self), self._fields
+        given = {**dict(zip(fields, args)), **kwargs}
+        defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
+        # Too many, repeated, unknown or missing arguments.
+        if len(given) < len(args) + len(kwargs) or {*given, *defaults} != set(fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
+        self.__dict__.update({name: given.get(name, defaults.get(name)) for name in fields})
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(vars(self)[name] == vars(other)[name] for name in self._fields)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self)[name] for name in self._shown))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={vars(self)[name]!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_params(
@@ -385,8 +431,7 @@ def s_suffix(word: Sequence[int], s: int) -> Word:
     return tuple(word[len(word) - s:])
 
 
-@dataclass(frozen=True)
-class WeightDecomposition:
+class WeightDecomposition(_Record):
     """k written as q*(m-1) + r with 0 <= r < m-1."""
 
     q: int
@@ -408,8 +453,7 @@ def weight_decomposition(k: int, m: int) -> WeightDecomposition:
     return WeightDecomposition(k // (m - 1), k % (m - 1))
 
 
-@dataclass(frozen=True)
-class BlockProfile:
+class BlockProfile(_Record):
     """Block weights of a word cut into consecutive blocks of length d."""
 
     d: int

@@ -28,7 +28,7 @@ from graycycles import (
     parse_word,
     verify_ocycle,
 )
-from graycycles import ocycles
+from graycycles import graycode, ocycles
 from graycycles.cli import _CHUNK, build_parser, main
 from graycycles.words import _split
 from ocycle_oracles import oracle_self_check
@@ -566,6 +566,42 @@ def test_compressed_ocycle_keeps_its_self_check(capsys, monkeypatch):
     monkeypatch.setattr(ocycles, "euler_tour", swapped)
     code, out, err = run(capsys, "ocycle", "fixed", "3", "6", "6", "2", "--compressed")
     assert (code, out, err) == (2, "", "error: refusing to compress an unverified cycle\n")
+
+
+def test_handlers_call_the_module_functions_they_find(capsys, monkeypatch):
+    # The handlers import from graycode and ocycles when they run, so they
+    # call what those modules hold at that moment.
+    called = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [
+        (ocycles, "exists_fixed_weight_ocycle"), (ocycles, "construct_ocycle"),
+        (ocycles, "build_transition_digraph"), (ocycles, "compress_cycle"),
+        (ocycles, "_cycle_fault"), (ocycles, "export_dot"), (graycode, "verify_gray"),
+    ]:
+        spy(module, name)
+    assert run(capsys, "exists", "3", "4", "4", "1") == (0, "yes (n-s > gcd(n,s))\n", "")
+    assert run(capsys, "ocycle", "fixed", "2", "4", "2", "1", "--compressed")[0] == 0
+    assert run(capsys, "digraph", "fixed", "2", "4", "2", "1")[0] == 0
+    feed(monkeypatch, "0122\n")
+    assert run(capsys, "verify", "gray", "3", "4", "5")[0] == 1
+    feed(monkeypatch, "0011\n")
+    assert run(capsys, "verify", "ocycle", "4", "2")[0] == 1
+    assert called == [
+        "exists_fixed_weight_ocycle",
+        "construct_ocycle", "build_transition_digraph", "compress_cycle", "_cycle_fault",
+        "build_transition_digraph", "export_dot",
+        "verify_gray",
+        "_cycle_fault",
+    ]
 
 
 class CountingStdout(io.StringIO):

@@ -1,10 +1,17 @@
-"""The library imports nothing outside the standard library and exports each name once."""
+"""The library imports only the standard library, exports each name once, and
+loads only the modules that a command uses.
+"""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "graycycles").glob("*.py"))
+import pytest
+
+SRC = Path(__file__).parents[1] / "src"
+SOURCES = sorted((SRC / "graycycles").glob("*.py"))
 
 
 def absolute_imports(path):
@@ -30,8 +37,58 @@ def test_package_reexports_each_module_name_once():
     modules = (words, graycode, ocycles)
     names = graycycles.__all__
     assert len(names) == len(set(names))
-    assert set(names) == set().union(*(module.__all__ for module in modules))
+    assert names == [*words.__all__, *graycode.__all__, *ocycles.__all__]
     for module in modules:
         for name in module.__all__:
             assert getattr(graycycles, name) is getattr(module, name), name
     assert graycycles.REASON_GCD == "gcd-condition"
+
+
+def test_star_import_and_dir_give_every_public_name():
+    import graycycles
+
+    namespace = {}
+    exec("from graycycles import *", namespace)
+    assert set(graycycles.__all__) <= set(namespace)
+    assert set(graycycles.__all__) | {"words", "graycode", "ocycles"} <= set(dir(graycycles))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    import graycycles
+
+    with pytest.raises(AttributeError, match="no attribute 'nothing_here'"):
+        graycycles.nothing_here
+    assert not hasattr(graycycles, "_cycle_fault")
+
+
+def fresh(code):
+    """Run code in a new interpreter without site hooks; return its stdout lines."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return done.stdout.splitlines()
+
+
+# Modules that CLI gray and count leave unloaded: graycode and ocycles are
+# not needed there, and the others cost start-up time.
+UNNEEDED = ["dataclasses", "graycycles.graycode", "graycycles.ocycles", "inspect", "typing"]
+
+
+@pytest.mark.parametrize("argv", [["gray", "3", "4", "5"], ["count", "3", "4", "5"]])
+def test_gray_and_count_load_only_what_they_use(argv):
+    lines = fresh(
+        "import sys; from graycycles.cli import main; "
+        f"code = main({argv!r}); "
+        f"print(code, [m for m in {UNNEEDED!r} if m in sys.modules])"
+    )
+    assert lines[-1] == "0 []"
+
+
+def test_lazy_names_load_on_first_access():
+    lines = fresh(
+        "import sys, graycycles; "
+        "print('graycycles.ocycles' in sys.modules); "
+        "print(graycycles.ocycles.REASON_GCD, graycycles.gray_list(3, 2, 2).words); "
+        "print(graycycles.construct_ocycle is graycycles.ocycles.construct_ocycle)"
+    )
+    assert lines == ["False", "gcd-condition ((0, 2), (1, 1), (2, 0))", "True"]
