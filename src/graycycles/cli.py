@@ -14,10 +14,10 @@ every m; without ``--stream`` it first refuses, from the count, sets over
 the 10^6-word cap.
 
 ``ocycle`` and ``digraph`` refuse a set over the cap the same way, then
-enumerate it, both through ``words._word_codes``.  Over m <= 256 each word
-travels as one int, its byte code, through the transition digraph, the
-Euler tour and the tour's self-check to the text written, and is spelled
-out only there; larger alphabets take the tuple path.
+enumerate it, both through ``ocycles._word_codes``, which owns the word
+coding.  Each word travels as one int (a byte code over m <= 256) through
+the transition digraph, the Euler tour and the tour's self-check to the
+text written, and is spelled out only there.
 
 Handlers import from ``graycode`` and ``ocycles`` when they run, so ``gray``
 and ``count`` load only ``words``.
@@ -39,9 +39,7 @@ from .words import (
     Word,
     _check_cap,
     _check_overlap,
-    _Codes,
     _gray_blocks,
-    _word_codes,
     count_fixed_weight,
     format_word,
     parse_word,
@@ -139,19 +137,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
-def _write_words(words: Iterable[Word], m: int) -> None:
+def _write_words(words: Iterable[bytes | Word], m: int) -> None:
     """Write the words to stdout, one per line, one write call per chunk.
 
-    Over m <= 10 a chunk is formatted in one bytes pass through
-    ``_DIGIT_TABLE``; the words come from an Euler tour over the set, as
-    tuples or as the bytes of byte codes, so every digit is below m.
+    Over m <= 10 the words are the bytes of byte codes, digits below m, so
+    a chunk is formatted in one bytes pass through ``_DIGIT_TABLE``.
     Larger alphabets use ``format_word`` per word.
     """
     words = iter(words)
     write = sys.stdout.write
     while chunk := list(islice(words, _CHUNK)):
         if m <= 10:
-            lines = b"\n".join(map(bytes, chunk)) + b"\n"
+            lines = b"\n".join(chunk) + b"\n"
             write(lines.translate(_DIGIT_TABLE).decode("ascii"))
         else:
             write("".join([format_word(w, m) + "\n" for w in chunk]))
@@ -191,7 +188,8 @@ def _cmd_exists(args: argparse.Namespace) -> int:
     return 0 if verdict.exists else 1
 
 
-def _word_set(args: argparse.Namespace) -> list[Word] | _Codes:
+def _word_set(args: argparse.Namespace) -> tuple[int, ...]:
+    from .ocycles import _word_codes
     if args.mode == "fixed":
         return _word_codes(args.m, args.n, args.k, None)
     return _word_codes(args.m, args.n, args.p, args.q)
@@ -208,13 +206,10 @@ def _cmd_ocycle(args: argparse.Namespace) -> int:
     except NotEulerianError as exc:
         print(f"no {args.s}-overlap cycle: {exc.reason}", file=sys.stderr)
         return 1
-    cycle = solution.cycle
     if args.compressed:
         print(compress_cycle(solution, args.n))
-    elif isinstance(cycle, _Codes):
-        _write_words(cycle.digits(), args.m)
     else:
-        _write_words(cycle, args.m)
+        _write_words(solution.cycle.digits(), args.m)
     return 0
 
 

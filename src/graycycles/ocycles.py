@@ -7,14 +7,16 @@ s-suffix turns these cycles into exactly the Euler tours of the resulting
 multigraph, so existence reduces to the classic criterion: balanced and
 weakly connected.
 
-``TransitionDigraph`` stores only integer codes, in which numeric order is
-word order (see ``build_transition_digraph``), so each vertex's out-edges
-are one run of the sorted codes.  ``is_balanced`` and ``euler_tour`` work
-on the codes, and byte-coded input (``words._Codes``) gets its tour back as
-byte codes, so CLI ``ocycle`` makes no word tuple from enumeration to
-output.  ``_cycle_fault`` is the one self-check of a cycle.  The tests
-check the engine against the tuple-based Hierholzer kept in
-``tests/ocycle_oracles.py`` and against networkx.
+This module owns the engine's one word coding, ``_Codes``: each word is an
+int whose fixed-width bit fields hold its digits, so numeric order is word
+order and prefixes and suffixes are shifts and masks.  Digits in 0..255
+take byte codes, ``int.from_bytes(bytes(word), "big")``.  CLI ``ocycle`` and
+``digraph`` enumerate their sets straight into codes (``_word_codes``);
+tuple words given to the library are coded once on entry (``_encode``) and
+decoded once on exit.  In between, the digraph, ``is_balanced``, the
+Hierholzer walk, the self-check ``_cycle_fault`` and compression work on
+the codes only.  The tests check the engine against the tuple-based
+Hierholzer kept in ``tests/ocycle_oracles.py`` and against networkx.
 """
 
 from __future__ import annotations
@@ -23,16 +25,18 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
-from itertools import chain, compress, count, groupby, islice, repeat
-from operator import ge, getitem, ne
+from itertools import chain, compress, count, islice, repeat
+from operator import ge, ne
 
 from . import _LAZY
 from .words import (
+    DEFAULT_MATERIALIZATION_CAP,
     Word,
     _check_overlap,
     _check_params,
-    _Codes,
+    _check_set,
     _Record,
+    _split,
     enumerate_fixed_weight,
     format_word,
     parse_word,
@@ -40,7 +44,7 @@ from .words import (
 
 TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
-    from typing import Callable, Iterator, Sequence
+    from typing import Iterable, Iterator, Sequence
 
 __all__ = _LAZY["ocycles"]  # listed in the package, which loads this module lazily
 
@@ -62,57 +66,135 @@ class NotEulerianError(ValueError):
         self.reason = reason
 
 
+class _Codes(tuple):
+    """Codes of words of one length ``n``: a tuple of ints that carries its coding.
+
+    Digit d of a word fills a ``width``-bit field with d - ``low``, first
+    digit highest, so numeric order is word order, the first j digits of
+    code c are ``c >> width*(n-j)`` and the last j are
+    ``c & ((1 << width*j) - 1)``.  Byte codes, the default, have width 8
+    and low 0: ``int.from_bytes(bytes(word), "big")``.  ``tuples`` marks
+    codes made from tuple words, which the engine hands back as tuples.
+    Being a tuple, it is immutable and hashable like a tuple of words.
+    """
+
+    tuples = False
+
+    def __new__(cls, codes: Iterable[int], n: int, width: int = 8, low: int = 0) -> _Codes:
+        self = super().__new__(cls, codes)
+        self.n, self.width, self.low = n, width, low
+        return self
+
+    def like(self, codes: Iterable[int]) -> _Codes:
+        """Other codes in this coding, marked like these."""
+        other = _Codes(codes, self.n, self.width, self.low)
+        other.tuples = self.tuples
+        return other
+
+    def digits(self) -> Iterator[bytes | Word]:
+        """Each word's digits, in order: bytes for byte codes, else tuples."""
+        n, width, low = self.n, self.width, self.low
+        if (width, low) == (8, 0):
+            return map(int.to_bytes, self, repeat(n), repeat("big"))
+        mask, shifts = (1 << width) - 1, range(width * (n - 1), -1, -width)
+        return (tuple([(c >> i & mask) + low for i in shifts]) for c in self)
+
+
+def _code(word: Sequence[int], width: int, low: int = 0) -> int:
+    """The code of one word whose digits less ``low`` fit in ``width`` bits."""
+    code = 0
+    for d in word:
+        code = code << width | d - low
+    return code
+
+
+def _encode(words: Sequence[Sequence[int]], n: int) -> _Codes:
+    """The codes of words of length n, in their order, marked as tuple words.
+
+    Byte codes when every digit lies in 0..255, which ``bytes`` checks as it
+    codes; otherwise each digit less the smallest one fills just enough bits
+    for the largest.
+    """
+    try:
+        codes = _Codes(map(int.from_bytes, map(bytes, words), repeat("big")), n)
+    except ValueError:  # a digit outside 0..255
+        low = min(map(min, words))
+        width = (max(map(max, words)) - low).bit_length() or 1
+        codes = _Codes(map(_code, words, repeat(width), repeat(low)), n, width, low)
+    codes.tuples = True
+    return codes
+
+
+def _misfit(words: Sequence[Sequence[int]], n: int) -> int | None:
+    """Index of the first word whose length is not n, or None."""
+    return next(compress(count(), map(ne, map(len, words), repeat(n))), None)
+
+
+def _codes(m: int, n: int, p: int, q: int) -> _Codes:
+    """Codes of the length-n words over {0..m-1} with weight in [p, q], ascending.
+
+    Byte codes over m <= 256, fields of (m-1).bit_length() bits beyond.
+    Needs m >= 1 and n >= 0; an empty window gives no codes.  Each word is
+    cut after n//2 digits by ``_split``, and each word costs one addition:
+    head code shifted past the tail, plus tail code.
+    """
+    width = 8 if m <= 256 else (m - 1).bit_length()
+    t = n - n // 2
+    pairs = [(_code(head, width) << width * t, lasts)
+             for head, lasts in _split(m, n, t, p, q, False, lambda w: _code(w, width))]
+    return _Codes([first + last for first, lasts in pairs for last in lasts], n, width)
+
+
+def _word_codes(
+    m: int, n: int, p: int, q: int | None, *, cap: int = DEFAULT_MATERIALIZATION_CAP
+) -> _Codes:
+    """The codes (``_codes``) of the words of weight p (q is None) or in [p, q].
+
+    Checked and capped as ``enumerate_fixed_weight`` and
+    ``enumerate_weight_range`` do; this is the CLI's one source of word sets
+    for ``ocycle`` and ``digraph``.
+    """
+    _check_set(m, n, p, q, cap)
+    return _codes(m, n, p, p if q is None else q)
+
+
 class TransitionDigraph(_Record):
     """Directed multigraph of overlaps: vertices are s-strings, edges are words.
 
-    Stored as ``by_code``: the words keyed by their base-``base`` codes (see
-    ``build_transition_digraph``), or byte codes as the ``_Codes`` tuple
-    itself.  The tuple view is derived on first use and kept: ``edges``
-    maps (prefix, suffix) vertex pairs to the sorted tuple of word labels
-    travelling that way, and ``vertices`` holds their endpoints.
-    ``by_code`` is left out of the hash and the repr.
+    Stored as ``by_code``, the words' codes (``_Codes``) in ascending order;
+    ``base`` is 2**width, 256 for byte codes.  The tuple view is decoded on
+    first use and kept: ``edges`` maps (prefix, suffix) vertex pairs to the
+    ascending tuple of word labels travelling that way, and ``vertices``
+    holds their endpoints.  ``by_code`` is left out of the hash and the repr.
     """
 
     s: int
     n: int
     base: int
-    by_code: dict[int, Word] | _Codes
+    by_code: _Codes
     _hidden = ("by_code",)
 
     def edge_count(self) -> int:
         return len(self.by_code)
 
     @cached_property
-    def _ascending(self) -> Sequence[int]:
-        """The edge codes in ascending order; byte codes already are."""
-        if isinstance(self.by_code, _Codes):
-            return self.by_code
-        return sorted(self.by_code)
-
-    @cached_property
-    def _labels(self) -> dict[int, Word]:
-        """Word tuple by edge code; byte codes are decoded on first use."""
-        if isinstance(self.by_code, dict):
-            return self.by_code
-        return dict(zip(self.by_code, map(tuple, self.by_code.digits())))
-
-    @cached_property
     def edges(self) -> dict[tuple[Word, Word], tuple[Word, ...]]:
-        """Word labels by (prefix, suffix) vertex pair, grouped by code."""
-        n, s = self.n, self.s
-        suffix_of = _suffix_of(self.base, s)
-        codes = self._ascending
+        """Word labels by (prefix, suffix) vertex pair, grouped on the codes.
+
+        Pairs come in order of prefix, then suffix; each vertex is decoded
+        once and shared by all its pairs.
+        """
+        codes, n, s = self.by_code, self.n, self.s
+        shift, mask = codes.width * (n - s), (1 << codes.width * s) - 1
+        groups: dict[tuple[int, int], list[Word]] = {}
+        for code, word in zip(codes, map(tuple, codes.digits())):
+            groups.setdefault((code >> shift, code & mask), []).append(word)
         vertex: dict[int, Word] = {}
         edges: dict[tuple[Word, Word], tuple[Word, ...]] = {}
-        for u, lo, hi in _prefix_runs(codes, self.base ** (n - s)):
-            # A stable sort by suffix keeps each label tuple in ascending order.
-            for v, group in groupby(sorted(codes[lo:hi], key=suffix_of), suffix_of):
-                labels = tuple(map(self._labels.__getitem__, group))
-                if u not in vertex:
-                    vertex[u] = labels[0][:s]
-                if v not in vertex:
-                    vertex[v] = labels[0][n - s:]
-                edges[vertex[u], vertex[v]] = labels
+        for u, v in sorted(groups):
+            labels = groups[u, v]
+            pair = vertex.setdefault(u, labels[0][:s]), vertex.setdefault(v, labels[0][n - s:])
+            edges[pair] = tuple(labels)
         return edges
 
     @cached_property
@@ -136,34 +218,19 @@ class TransitionDigraph(_Record):
         return self._degrees[1].get(vertex, 0)
 
 
-def _suffix_of(base: int, s: int) -> Callable[[int], int]:
-    """The s-suffix vertex of a base-``base`` word code, as a function.
-
-    A power-of-two base takes a mask, which costs about half of a
-    remainder on multi-digit ints.
-    """
-    if base & (base - 1):
-        return (base ** s).__rmod__
-    return ((1 << (base.bit_length() - 1) * s) - 1).__and__
-
-
-def _prefix_runs(codes: Sequence[int], cut: int) -> Iterator[tuple[int, int, int]]:
+def _prefix_runs(codes: Sequence[int], shift: int) -> Iterator[tuple[int, int, int]]:
     """(u, lo, hi) for each s-prefix vertex u of the ascending ``codes``.
 
-    ``cut`` is base**(n-s).  The codes with prefix u fill [u*cut, (u+1)*cut),
-    so they are the run ``codes[lo:hi]``, found with one bisection per vertex.
+    ``shift`` is width*(n-s).  The codes with prefix u fill
+    [u << shift, (u+1) << shift), so they are the run ``codes[lo:hi]``,
+    found with one bisection per vertex.
     """
     lo, total = 0, len(codes)
     while lo < total:
-        u = codes[lo] // cut
-        hi = bisect_left(codes, (u + 1) * cut, lo)
+        u = codes[lo] >> shift
+        hi = bisect_left(codes, (u + 1) << shift, lo)
         yield u, lo, hi
         lo = hi
-
-
-# Byte d in 0..35 becomes the base-36 digit character for d; other bytes
-# become 0xFF, which int() rejects in every base.
-_BASE36_DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"\xff")
 
 
 def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph:
@@ -171,58 +238,44 @@ def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph
 
     All words must share one length n with 1 <= s <= n-1 and be pairwise
     distinct; an empty list only needs s >= 1 and builds an empty digraph.
-    Each word is keyed, in input order, by its code: the number its digits
-    spell in base b = 1 + largest digit (at least 2), so numeric order is
-    word order.  If some digit lies outside 0..35, every digit is first
-    lowered by the smallest one and b shrinks to match.  Byte codes
-    (``words._Codes``) are kept as they are, with b = 256; they must be
-    strictly ascending, which also makes them distinct.
+    The words are coded once (``_encode``) and their codes sorted.  Codes
+    (``_Codes``) are kept as they are; they must be strictly ascending,
+    which also makes them distinct.
     """
-    if isinstance(words, _Codes) and words:
-        _check_overlap(words.n, s)
-        if any(map(ge, words, islice(words, 1, None))):
-            raise ValueError("byte codes are not strictly ascending")
-        return TransitionDigraph(s, words.n, 256, words)
-    labels = list(map(tuple, words))
-    if not labels:
-        if s < 1:
-            raise ValueError(f"overlap length s={s} out of range")
-        return TransitionDigraph(s, 0, 2, {})
-    n = len(labels[0])
-    if len(set(map(len, labels))) > 1:
-        w = next(w for w in labels if len(w) != n)
-        raise ValueError(
-            f"mixed word lengths: {format_word(w)} has length {len(w)}, expected {n}"
-        )
-    _check_overlap(n, s)
-    high = max(map(max, labels))
-    try:
-        base = max(high + 1, 2)
-        texts = map(bytes.translate, map(bytes, labels), repeat(_BASE36_DIGITS))
-        by_code = dict(zip(map(int, texts, repeat(base)), labels))
-    except ValueError:  # a digit outside 0..35, or too many digits for int()
-        low = min(map(min, labels))
-        base = max(high - low + 1, 2)
-        by_code = {}
-        for w in labels:
-            code = 0
-            for d in w:
-                code = code * base + d - low
-            by_code[code] = w
-    if len(by_code) != len(labels):
-        raise ValueError("duplicate words in input set")
-    return TransitionDigraph(s, n, base, by_code)
+    if isinstance(words, _Codes):
+        codes = words
+    else:
+        words = list(words)
+        n = len(words[0]) if words else 0
+        i = _misfit(words, n)
+        if i is not None:
+            w = words[i]
+            raise ValueError(
+                f"mixed word lengths: {format_word(w)} has length {len(w)}, expected {n}"
+            )
+        codes = _encode(words, n)
+        codes = codes.like(sorted(codes))
+    if codes:
+        _check_overlap(codes.n, s)
+    elif s < 1:
+        raise ValueError(f"overlap length s={s} out of range")
+    if any(map(ge, codes, islice(codes, 1, None))):
+        if codes.tuples:
+            raise ValueError("duplicate words in input set")
+        raise ValueError("byte codes are not strictly ascending")
+    return TransitionDigraph(s, codes.n, 1 << codes.width, codes)
 
 
 def is_balanced(digraph: TransitionDigraph) -> bool:
     """True iff in-degree equals out-degree at every vertex, counted on the codes.
 
-    Out-degrees are the lengths of the sorted codes' prefix runs.
+    Out-degrees are the lengths of the sorted codes' prefix runs, in-degrees
+    the counts of their suffixes.
     """
-    base, n, s = digraph.base, digraph.n, digraph.s
-    codes = digraph._ascending
-    outs = Counter({u: hi - lo for u, lo, hi in _prefix_runs(codes, base ** (n - s))})
-    return outs == Counter(map(_suffix_of(base, s), codes))
+    codes, s = digraph.by_code, digraph.s
+    runs = _prefix_runs(codes, codes.width * (digraph.n - s))
+    outs = Counter({u: hi - lo for u, lo, hi in runs})
+    return outs == Counter(map(((1 << codes.width * s) - 1).__and__, codes))
 
 
 def weak_components(digraph: TransitionDigraph) -> list[frozenset[Word]]:
@@ -257,42 +310,42 @@ def is_weakly_connected(digraph: TransitionDigraph) -> bool:
     return len(weak_components(digraph)) <= 1
 
 
-def euler_tour(digraph: TransitionDigraph) -> list[Word]:
+def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
     """Closed walk using every edge exactly once, as a list of edge labels.
 
-    Hierholzer's algorithm over the digraph's integer codes, made
-    deterministic: the walk starts at the smallest vertex and always leaves
-    on the smallest unused out-edge, so the tour begins with the smallest
-    word.  Balance is checked first, by ``is_balanced``; in a balanced
-    digraph the walk from one vertex covers exactly that vertex's weak
-    component, so a tour shorter than the edge count means the digraph is
-    not weakly connected.  Raises NotEulerianError when the digraph is
-    unbalanced or not weakly connected, and ValueError when it has no edges.
-    A byte-coded digraph returns its tour as byte codes (``words._Codes``).
+    Hierholzer's algorithm over the digraph's codes, made deterministic: the
+    walk starts at the smallest vertex and always leaves on the smallest
+    unused out-edge, so the tour begins with the smallest word.  Balance is
+    checked first, by ``is_balanced``; in a balanced digraph the walk from
+    one vertex covers exactly that vertex's weak component, so a tour
+    shorter than the edge count means the digraph is not weakly connected.
+    Raises NotEulerianError when the digraph is unbalanced or not weakly
+    connected, and ValueError when it has no edges.  A digraph built from
+    codes (``_Codes``) returns its tour as codes.
     """
-    if not digraph.by_code:
+    codes = digraph.by_code
+    if not codes:
         raise ValueError("digraph has no edges")
     if not is_balanced(digraph):
         raise NotEulerianError(
             REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex"
         )
-    suffix_of = _suffix_of(digraph.base, digraph.s)
-    codes = digraph._ascending
-    cut = digraph.base ** (digraph.n - digraph.s)
+    shift = codes.width * (digraph.n - digraph.s)
+    mask = (1 << codes.width * digraph.s) - 1  # a code's s-suffix vertex is code & mask
     # Out-lists run largest code first, so pop() yields the smallest.
-    out = {u: [*reversed(codes[lo:hi])] for u, lo, hi in _prefix_runs(codes, cut)}
+    out = {u: [*reversed(codes[lo:hi])] for u, lo, hi in _prefix_runs(codes, shift)}
     # An edge on the stack left from the vertex whose out-list sits at the
     # same depth of ``left``, so stepping back needs no prefix arithmetic.
     stack: list[int] = []
     left: list[list[int]] = []
     tour: list[int] = []
-    ready = out[codes[0] // cut]
+    ready = out[codes[0] >> shift]
     while True:
         if ready:
             code = ready.pop()
             stack.append(code)
             left.append(ready)
-            ready = out[suffix_of(code)]  # balanced: every vertex entered has one
+            ready = out[code & mask]  # balanced: every vertex entered has one
         elif stack:
             tour.append(stack.pop())
             ready = left.pop()
@@ -303,18 +356,17 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word]:
             REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected"
         )
     tour.reverse()
-    if isinstance(digraph.by_code, _Codes):
-        return _Codes(tour, digraph.n)
-    return list(map(digraph._labels.__getitem__, tour))
+    coded = codes.like(tour)
+    return list(map(tuple, coded.digits())) if codes.tuples else coded
 
 
 class OcycleSolution(_Record):
     """A cyclic word ordering with the s-overlap property.
 
     Stored linearly with implicit wraparound, rotated to start at the
-    lexicographically smallest word.  For byte-coded input (``words._Codes``)
-    ``construct_ocycle`` stores the cycle as byte codes too, in a
-    ``_Codes``, which is a tuple: the solution stays immutable and hashable.
+    lexicographically smallest word.  For input given as codes (``_Codes``)
+    ``construct_ocycle`` stores the cycle as codes too, in a ``_Codes``,
+    which is a tuple: the solution stays immutable and hashable.
     """
 
     s: int
@@ -328,38 +380,33 @@ class OcycleReport(_Record):
     first_violation: tuple[int, str] | None = None
 
 
-def _cycle_fault(cycle: Sequence[Word], n: int, s: int) -> tuple[int, str] | None:
+def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, str] | None:
     """First fault of a claimed s-overlap cycle, checked against itself only.
 
     In order: a word whose length is not n, any repeated word (index -1),
     then the first word whose last s digits differ from the next word's
     first s digits, wrapping around.  Returns (index, description) or None.
-    Takes tuple words or byte codes (``words._Codes``), and 1 <= s < n.
-    Byte codes are checked for repeats on a sorted copy, which costs less
-    time and memory than a set of them.
+    Takes words, coded once their lengths pass, or codes (``_Codes``), and
+    1 <= s < n.  Repeats are found on a sorted copy of the codes, which
+    costs less time and memory than a set of them.
     """
-    if isinstance(cycle, _Codes):
-        if cycle and cycle.n != n:
-            return 0, f"word has length {cycle.n}, expected {n}"
-        ordered = sorted(cycle)
-        if any(map(ge, ordered, islice(ordered, 1, None))):
-            return -1, "input word set contains duplicates"
-        suffixes = map(_suffix_of(256, s), cycle)
-        next_prefixes = map((8 * (n - s)).__rrshift__, chain(islice(cycle, 1, None), cycle[:1]))
-    else:
-        if set(map(len, cycle)) - {n}:
-            i = next(i for i, w in enumerate(cycle) if len(w) != n)
+    if not isinstance(cycle, _Codes):
+        i = _misfit(cycle, n)
+        if i is not None:
             return i, f"word has length {len(cycle[i])}, expected {n}"
-        if len(set(cycle)) != len(cycle):
-            return -1, "input word set contains duplicates"
-        suffixes = map(getitem, cycle, repeat(slice(-s, None)))
-        next_prefixes = map(getitem, chain(cycle[1:], cycle[:1]), repeat(slice(None, s)))
+        cycle = _encode(cycle, n)
+    elif cycle and cycle.n != n:
+        return 0, f"word has length {cycle.n}, expected {n}"
+    ordered = sorted(cycle)
+    if any(map(ge, ordered, islice(ordered, 1, None))):
+        return -1, "input word set contains duplicates"
+    suffixes = map(((1 << cycle.width * s) - 1).__and__, cycle)
+    following = chain(islice(cycle, 1, None), cycle[:1])
+    next_prefixes = map((cycle.width * (n - s)).__rrshift__, following)
     i = next(compress(count(), map(ne, suffixes, next_prefixes)), None)
     if i is None:
         return None
-    w, nxt = cycle[i], cycle[(i + 1) % len(cycle)]
-    if isinstance(cycle, _Codes):
-        w, nxt = w.to_bytes(n, "big"), nxt.to_bytes(n, "big")
+    w, nxt = cycle.like((cycle[i], cycle[(i + 1) % len(cycle)])).digits()
     return i, f"words {format_word(w)} and {format_word(nxt)} do not overlap in {s} digits"
 
 
@@ -369,25 +416,24 @@ def construct_ocycle(words: Sequence[Word], s: int) -> OcycleSolution:
     The cycle is the Euler tour of the transition digraph read as edge
     labels, so it exists iff that digraph is balanced and weakly connected.
     A single word forms a cycle by itself iff its s-prefix equals its
-    s-suffix.  Deterministic for a given input set.
+    s-suffix, which is when its digraph, one edge, is balanced.
+    Deterministic for a given input set.
     """
     digraph = build_transition_digraph(words, s)
-    total = digraph.edge_count()
-    if total == 0:
+    codes = digraph.by_code
+    if not codes:
         raise ValueError("cannot build an overlap cycle for an empty word set")
-    if total == 1:
-        by_code = digraph.by_code
-        cycle = by_code if isinstance(by_code, _Codes) else tuple(by_code.values())
-        if _cycle_fault(cycle, digraph.n, s) is not None:
-            (word,) = digraph._labels.values()
-            raise NotEulerianError(
-                REASON_SINGLETON,
-                f"single word {format_word(word)} does not overlap itself in {s} digits",
-            )
-        return OcycleSolution(s=s, cycle=cycle)
-    # The tour already begins with the smallest word: no rotation needed.
-    tour = euler_tour(digraph)
-    return OcycleSolution(s=s, cycle=tour if isinstance(tour, _Codes) else tuple(tour))
+    try:
+        tour = euler_tour(digraph)  # begins with the smallest word: no rotation
+    except NotEulerianError:
+        if len(codes) > 1:
+            raise
+        (word,) = codes.digits()
+        raise NotEulerianError(
+            REASON_SINGLETON,
+            f"single word {format_word(word)} does not overlap itself in {s} digits",
+        ) from None
+    return OcycleSolution(s=s, cycle=tuple(tour) if codes.tuples else tour)
 
 
 def verify_ocycle(
@@ -492,29 +538,26 @@ def compress_cycle(solution: OcycleSolution, n: int) -> str:
     The input is checked first, in O(len(cycle)), by the check that CLI
     ``verify ocycle`` runs: it is rejected unless 1 <= s <= n-1, its words
     all have length n and are distinct, and each word's last s digits equal
-    the next word's first s digits, wrapping around.  A byte-coded cycle
-    (``words._Codes``) is checked and written from its codes.
+    the next word's first s digits, wrapping around.  Words are coded once,
+    after their lengths are checked; the check and the text work on codes.
     """
     cycle, s = solution.cycle, solution.s
-    if not isinstance(cycle, _Codes):
-        cycle = tuple(map(tuple, cycle))
     if not cycle:
         raise ValueError("cannot compress an empty cycle")
+    if not isinstance(cycle, _Codes) and _misfit(cycle, n) is None:
+        cycle = _encode(cycle, n)  # a length fault is left to _cycle_fault
     if not 1 <= s < n or _cycle_fault(cycle, n, s) is not None:
         raise ValueError("refusing to compress an unverified cycle")
     step = n - s
-    if isinstance(cycle, _Codes):  # the first n-s digits of code c are c >> 8*s
-        heads = map(int.to_bytes, map((8 * s).__rrshift__, cycle), repeat(step), repeat("big"))
-        # Joined 4,096 at a time: one block's bytes objects alive, not one per word.
-        digits = bytearray()
-        while block := b"".join(islice(heads, 4096)):
-            digits += block
-        digits = bytes(digits)
-    else:
-        try:  # one byte per digit when every digit fits in a byte
-            digits = bytes(chain.from_iterable(map(getitem, cycle, repeat(slice(None, step)))))
-        except ValueError:
-            digits = [d for w in cycle for d in w[:step]]
+    if (cycle.width, cycle.low) != (8, 0):
+        return format_word([d for w in cycle.digits() for d in w[:step]])
+    # The first n-s digits of byte code c are the bytes of c >> 8*s.
+    heads = map(int.to_bytes, map((8 * s).__rrshift__, cycle), repeat(step), repeat("big"))
+    # Joined 4,096 at a time: one block's bytes objects alive, not one per word.
+    digits = bytearray()
+    while block := b"".join(islice(heads, 4096)):
+        digits += block
+    digits = bytes(digits)  # rebound, so the bytearray is freed before the text is made
     return format_word(digits)
 
 

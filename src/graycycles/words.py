@@ -8,23 +8,21 @@ reflected Gray order in ``graycode``.  Counts come from one closed form,
 a difference of two of its values.  Tests check both against brute-force,
 recursive and dynamic-programming oracles kept in ``tests/``.
 
-Over alphabets of at most 256 letters a word can also travel as one int,
-its byte code; ``_Codes`` is a tuple of them.  ``_word_codes``, the CLI's
-one source of word sets for ``ocycle`` and ``digraph``, lists a set that
-way from heads and tails of half the length, and ``_gray_blocks`` uses the
-same head and tail split, ``_split``, to give CLI ``gray`` the reflected
-order as text blocks, each tail spelled once.
+``_split`` cuts a word order into heads and shared tails.  ``_gray_blocks``
+uses it to give CLI ``gray`` the reflected order as text blocks, each tail
+spelled once, and ``ocycles`` to enumerate a set straight into the integer
+codes of its overlap-cycle engine.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice, repeat
+from itertools import islice
 
 # Annotations are strings (PEP 563); typing, which costs start-up time, is for type checkers.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+    from typing import Callable, Iterator, Sequence, TypeVar
 
     _T = TypeVar("_T")
 
@@ -306,28 +304,6 @@ def _check_set(m: int, n: int, p: int, q: int | None, cap: int) -> None:
         _check_cap(count_weight_range(m, n, p, q), cap, head)
 
 
-class _Codes(tuple):
-    """Byte codes of words of one length ``n``: a tuple of ints that carries n.
-
-    A word's byte code is ``int.from_bytes(bytes(word), "big")``, one byte
-    per digit, so every digit lies in 0..255.  Numeric order is word order,
-    the first j digits of code c are ``c >> 8*(n-j)``, the last j are
-    ``c & ((1 << 8*j) - 1)``, and ``c.to_bytes(n, "big")`` holds the digits.
-    Being a tuple, it is immutable and hashable like a tuple of words.
-    """
-
-    n: int
-
-    def __new__(cls, codes: Iterable[int], n: int) -> _Codes:
-        self = super().__new__(cls, codes)
-        self.n = n
-        return self
-
-    def digits(self) -> Iterator[bytes]:
-        """Each word's digits, one byte per digit, in order."""
-        return map(int.to_bytes, self, repeat(self.n), repeat("big"))
-
-
 def _split(
     m: int, n: int, t: int, p: int, q: int, reflected: bool, spell: Callable[[Word], _T]
 ) -> Iterator[tuple[Word, list[_T]]]:
@@ -351,23 +327,6 @@ def _split(
             if reflected and a & 1:
                 tails[a].reverse()
         yield head, tails[a]
-
-
-def _byte_code(word: Word) -> int:
-    return int.from_bytes(bytes(word), "big")
-
-
-def _codes(m: int, n: int, p: int, q: int) -> _Codes:
-    """Byte codes of the length-n words with weight in [p, q], ascending.
-
-    Needs 1 <= m <= 256 and n >= 0; an empty window gives an empty list.
-    Each word is cut after n//2 digits by ``_split``, and each word costs
-    one addition: head code shifted past the tail, plus tail code.
-    """
-    t = n - n // 2
-    pairs = [(_byte_code(head) << 8 * t, lasts)
-             for head, lasts in _split(m, n, t, p, q, False, _byte_code)]
-    return _Codes([first + last for first, lasts in pairs for last in lasts], n)
 
 
 # The tail table of ``_gray_blocks`` holds at most this many lines.
@@ -400,21 +359,6 @@ def _gray_blocks(m: int, n: int, k: int, chunk: int) -> Iterator[tuple[str, int]
     for head, tails in _split(m, n, t, k, k, True, lambda w: format_word(w, m)):
         text = format_word(head, m) + sep
         yield text + ("\n" + text).join(tails) + "\n", len(tails)
-
-
-def _word_codes(
-    m: int, n: int, p: int, q: int | None, *, cap: int = DEFAULT_MATERIALIZATION_CAP
-) -> list[Word] | _Codes:
-    """The words of weight p (q is None) or weight in [p, q], ascending.
-
-    Checked and capped as ``enumerate_fixed_weight`` and
-    ``enumerate_weight_range`` do; the words come as byte codes
-    (``_codes``) over m <= 256 and as tuples over larger alphabets.
-    """
-    _check_set(m, n, p, q, cap)
-    if q is None:
-        q = p
-    return _codes(m, n, p, q) if m <= 256 else list(_walk(m, n, p, q, False))
 
 
 def s_prefix(word: Sequence[int], s: int) -> Word:

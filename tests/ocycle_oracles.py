@@ -2,11 +2,12 @@
 
 The library finds Euler tours on integer word codes.  This oracle shares
 none of that code: it keys vertices by s-digit tuples, counts degrees per
-vertex, decides weak connectivity with its own union-find, and walks
-Hierholzer's algorithm over tuple labels with a per-vertex cursor.  It
-follows the same deterministic rule (start at the smallest vertex, leave on
-the smallest unused label) and raises the same errors, so the library must
-match it exactly.
+vertex, decides weak connectivity with its own graph search, and walks
+Hierholzer's algorithm over tuple labels with a per-vertex cursor, an
+iterator over the vertex's sorted labels.  It follows the same
+deterministic rule (start at the smallest vertex, leave on the smallest
+unused label) and raises the same errors, so the library must match it
+exactly.
 
 ``oracle_edges`` builds the tuple view of the transition digraph by slicing
 every word, and ``oracle_first_gap`` checks the overlap rule one index at a
@@ -77,48 +78,43 @@ def oracle_tour(words, s):
     labels = [tuple(w) for w in words]
     n = len(labels[0])
     tail = n - s
-    out, outs, ins = {}, {}, {}
+    out, ins, pairs = {}, {}, set()
     for w in labels:
         u, v = w[:s], w[tail:]
         out.setdefault(u, []).append(w)
-        outs[u] = outs.get(u, 0) + 1
         ins[v] = ins.get(v, 0) + 1
-    vertices = set(outs) | set(ins)
-    if any(outs.get(v, 0) != ins.get(v, 0) for v in vertices):
+        pairs.add((u, v))
+    vertices = set(out) | set(ins)
+    if any(len(out.get(v, ())) != ins.get(v, 0) for v in vertices):
         raise NotEulerianError(
             REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex"
         )
 
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for w in labels:
-        ru, rv = find(w[:s]), find(w[tail:])
-        if ru != rv:
-            parent[ru] = rv
-    if len({find(v) for v in vertices}) > 1:
+    # Weakly connected iff a search along the pairs, both ways, reaches every vertex.
+    near = {v: set() for v in vertices}
+    for u, v in pairs:
+        near[u].add(v)
+        near[v].add(u)
+    seen = {min(vertices)}
+    todo = list(seen)
+    while todo:
+        new = near[todo.pop()] - seen
+        seen |= new
+        todo.extend(new)
+    if len(seen) != len(vertices):
         raise NotEulerianError(
             REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected"
         )
 
-    for ready in out.values():
-        ready.sort()
-    cursor = {u: 0 for u in out}
-    stack = [(min(out), None)]
+    # Balanced, so every vertex the walk enters has out-edges.
+    cursor = {u: iter(sorted(ready)) for u, ready in out.items()}
+    stack = [(cursor[min(out)], None)]
     tour = []
     while stack:
-        vertex, incoming = stack[-1]
-        ready = out.get(vertex, ())
-        i = cursor.get(vertex, 0)
-        if i < len(ready):
-            cursor[vertex] = i + 1
-            label = ready[i]
-            stack.append((label[tail:], label))
+        ready, incoming = stack[-1]
+        label = next(ready, None)
+        if label is not None:
+            stack.append((cursor[label[tail:]], label))
         else:
             stack.pop()
             if incoming is not None:

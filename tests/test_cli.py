@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from graycycles import (
     MaterializationLimitError,
     NotEulerianError,
-    compress_cycle,
-    construct_ocycle,
     count_fixed_weight,
     count_weight_range,
     enumerate_fixed_weight,
@@ -31,7 +29,7 @@ from graycycles import (
 from graycycles import graycode, ocycles
 from graycycles.cli import _CHUNK, build_parser, main
 from graycycles.words import _split
-from ocycle_oracles import oracle_self_check
+from ocycle_oracles import oracle_cycle, oracle_self_check
 
 GOLDEN_345 = Path(__file__).parent / "data" / "gray_3_4_5.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -479,12 +477,14 @@ def test_gray_streams_in_bounded_memory(monkeypatch, argv):
 
 
 def tuple_path(mode, m, n, weights):
-    """(exit code, stdout, stderr) of CLI ``ocycle`` built from the tuple library.
+    """(exit code, stdout, stderr) of CLI ``ocycle`` spelled out with the oracles.
 
     Keyed by (s, compressed) for every s from 0 to n.  The word set comes
-    from ``enumerate_*``, the cycle from ``construct_ocycle`` and the text
-    from ``compress_cycle`` or ``format_word``: the CLI's path before it
-    carried byte codes, with its checks in the same order.
+    from ``enumerate_*``, the cycle from ``oracle_cycle`` (the tuple-based
+    Hierholzer of ``tests/ocycle_oracles.py``) and the text from
+    ``format_word``, once per word of the set: the compressed line is the
+    first n-s digits of each word, around the cycle.  The checks come in the
+    CLI's order.
     """
     results = {}
     try:
@@ -495,19 +495,21 @@ def tuple_path(mode, m, n, weights):
     except (MaterializationLimitError, ValueError) as exc:
         failed = 2, "", f"error: {exc}\n"
         return {(s, c): failed for s in range(n + 1) for c in (False, True)}
+    line = {w: format_word(w, m) + "\n" for w in words}
     for s in range(n + 1):
         if not words:
             plain = compressed = 1, "", "error: the word set is empty\n"
+        elif not 1 <= s < n:
+            plain = compressed = 2, "", f"error: overlap length s={s} out of range for n={n}\n"
         else:
             try:
-                solution = construct_ocycle(words, s)
+                cycle = oracle_cycle(words, s)
             except NotEulerianError as exc:
                 plain = compressed = 1, "", f"no {s}-overlap cycle: {exc.reason}\n"
-            except ValueError as exc:
-                plain = compressed = 2, "", f"error: {exc}\n"
             else:
-                plain = 0, lines_of(solution.cycle, m), ""
-                compressed = 0, compress_cycle(solution, n) + "\n", ""
+                plain = 0, "".join(map(line.__getitem__, cycle)), ""
+                heads = [d for w in cycle for d in w[:n - s]]
+                compressed = 0, format_word(heads) + "\n", ""
         results[s, False], results[s, True] = plain, compressed
     return results
 
@@ -526,7 +528,7 @@ def ocycle_sets():
         yield from ((m, n, "fixed", (k,)) for k in range(top + 1))
     for m in (11, 12):
         yield from ((m, 3, "range", (p, q)) for p, q in ((0, 3 * m - 3), (5, 20)))
-    # m = 257 takes the tuple path.
+    # m = 257 takes the general coding: digit 256 has no byte.
     for n in (2, 3):
         top = 256 * n
         yield from ((257, n, "fixed", (k,)) for k in (0, 1, 257, top - 1, top))
@@ -534,8 +536,8 @@ def ocycle_sets():
 
 
 def test_ocycle_writer_matches_format_word(capsys):
-    # The byte-coded CLI path against the tuple library, plain and
-    # compressed, on every s from 0 to n: stdout, stderr and exit code.
+    # The coded CLI path against the tuple oracles, plain and compressed,
+    # on every s from 0 to n: stdout, stderr and exit code.
     for m, n, mode, weights in ocycle_sets():
         expected = tuple_path(mode, m, n, weights)
         for s in range(n + 1):

@@ -38,10 +38,18 @@ from graycycles.ocycles import (
     REASON_DISCONNECTED,
     REASON_SINGLETON,
     REASON_UNBALANCED,
+    _codes,
+    _Codes,
     _cycle_fault,
+    _encode,
 )
-from graycycles.words import _codes, _Codes
-from ocycle_oracles import oracle_cycle, oracle_edges, oracle_first_gap, oracle_tour
+from ocycle_oracles import (
+    oracle_cycle,
+    oracle_edges,
+    oracle_first_gap,
+    oracle_self_check,
+    oracle_tour,
+)
 
 B24_2 = enumerate_fixed_weight(2, 4, 2)  # 0011 0101 0110 1001 1010 1100
 
@@ -420,7 +428,7 @@ def test_engine_matches_oracle_on_edge_shapes():
 
 
 def test_engine_keeps_order_under_shifted_digits():
-    # Negative digits and digits beyond 35 take the general encoding; adding
+    # Negative digits and digits beyond 255 take the general coding; adding
     # one constant to every digit must shift the cycle and change nothing else.
     for m, n, k, s in [(2, 4, 2, 1), (3, 4, 4, 1), (3, 5, 5, 2), (2, 6, 3, 2)]:
         words = enumerate_fixed_weight(m, n, k)
@@ -434,8 +442,7 @@ def test_engine_keeps_order_under_shifted_digits():
 
 
 def test_engine_on_words_too_long_for_int_parsing():
-    # 5000 base-3 digits exceed int()'s default string-conversion limit,
-    # so those codes come from the general encoding; 1200 digits do not.
+    # Codes of 40,000 and 9,600 bits.
     n = 5000
     high, low = (2, 0) * (n // 2), (0, 2) * (n // 2)
     assert construct_ocycle([high, low], n - 1).cycle == (low, high)
@@ -456,28 +463,24 @@ def decoded(codes):
 
 
 def assert_codes_match_tuples(words, s):
-    """Byte-coded input gives the tuple path's digraph, cycle or error, and text."""
+    """Byte-coded input gives the oracles' digraph view, cycle or error, and text."""
     codes = coded(words)
-    d, expected = build_transition_digraph(codes, s), build_transition_digraph(words, s)
+    d = assert_view_matches_oracle(words, s, codes)
     assert repr(d) == f"TransitionDigraph(s={s}, n={codes.n}, base=256)"
-    assert d.edge_count() == expected.edge_count()
-    assert d.edges == expected.edges and d.vertices == expected.vertices
-    assert is_balanced(d) == is_balanced(expected)
-    assert weak_components(d) == weak_components(expected)
-    assert export_dot(d) == export_dot(expected)
     try:
-        solution = construct_ocycle(codes, s)
+        expected = oracle_cycle(words, s)
     except NotEulerianError as exc:
         with pytest.raises(NotEulerianError) as info:
-            construct_ocycle(words, s)
-        assert (exc.reason, str(exc)) == (info.value.reason, str(info.value)), (words, s)
+            construct_ocycle(codes, s)
+        assert (info.value.reason, str(info.value)) == (exc.reason, str(exc)), (words, s)
         return
-    expected = construct_ocycle(words, s)
+    solution = construct_ocycle(codes, s)
     assert type(solution.cycle) is _Codes and solution.cycle.n == codes.n
-    assert decoded(solution.cycle) == expected.cycle, (words, s)
-    assert compress_cycle(solution, codes.n) == compress_cycle(expected, codes.n)
+    assert decoded(solution.cycle) == expected, (words, s)
+    heads = [digit for w in expected for digit in w[:codes.n - s]]
+    assert compress_cycle(solution, codes.n) == format_word(heads)
     if len(words) > 1:
-        assert decoded(euler_tour(d)) == expected.cycle
+        assert decoded(euler_tour(d)) == expected
 
 
 def test_byte_codes_match_the_tuple_path():
@@ -500,6 +503,45 @@ def test_byte_codes_must_ascend():
     with pytest.raises(ValueError, match="^overlap length s=2 out of range for n=2$"):
         build_transition_digraph(_Codes([1, 2], 2), 2)
     assert build_transition_digraph(_Codes([], 0), 1).edge_count() == 0
+
+
+def word_lists():
+    """Lists of words of one length n from 1 to 6, digits -300..600."""
+    return st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-300, 600)] * n), min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_lists())
+@example([(0, 1, 255), (255, 0, 0), (0, 1, 2)])  # byte codes
+@example([(-1,), (0,), (-300,), (600,)])
+@example([tuple(7 * i % 901 - 300 for i in range(5000))])  # one word, n = 5000
+def test_one_coder_keeps_order_identity_and_digits(words):
+    codes = _encode(words, len(words[0]))
+    assert list(map(tuple, codes.digits())) == words
+    for a, b in product(range(len(words)), repeat=2):
+        assert (codes[a] < codes[b]) == (words[a] < words[b]), (words[a], words[b])
+        assert (codes[a] == codes[b]) == (words[a] == words[b]), (words[a], words[b])
+
+
+SHIFT_CASES = [(2, 4, 2, 1), (3, 4, 4, 1), (3, 5, 5, 2), (2, 6, 3, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHIFT_CASES), st.sampled_from((-40, 300)), st.randoms())
+def test_coded_shifted_sets_keep_their_cycles(case, shift, rng):
+    # The sets of test_engine_keeps_order_under_shifted_digits, shifted out
+    # of 0..255 and shuffled: their codes sort as the words do, and the
+    # cycle is the oracle's cycle of the unshifted set, shifted.
+    m, n, k, s = case
+    words = enumerate_fixed_weight(m, n, k)
+    moved = [tuple(d + shift for d in w) for w in words]
+    rng.shuffle(moved)
+    codes = _encode(moved, n)
+    assert (codes.width, codes.low) != (8, 0)
+    assert [moved[i] for i in sorted(range(len(moved)), key=codes.__getitem__)] == sorted(moved)
+    expected = tuple(tuple(d + shift for d in w) for w in oracle_cycle(words, s))
+    assert construct_ocycle(moved, s).cycle == expected
 
 
 def test_construct_agrees_with_networkx():
@@ -525,9 +567,13 @@ def test_construct_agrees_with_networkx():
                 assert reason == REASON_UNBALANCED, (words, s)
 
 
-def assert_view_matches_oracle(words, s):
-    """Every query on the code-backed digraph agrees with the sliced tuple view."""
-    d = build_transition_digraph(words, s)
+def assert_view_matches_oracle(words, s, given=None):
+    """Every query on the digraph agrees with the sliced tuple view; returns it.
+
+    The digraph is built from ``given`` (the words' codes, say), by default
+    from the words themselves.
+    """
+    d = build_transition_digraph(words if given is None else given, s)
     edges = oracle_edges(words, s)
     vertices = frozenset(chain.from_iterable(edges))
     assert d.edges == edges, (words, s)
@@ -550,11 +596,12 @@ def assert_view_matches_oracle(words, s):
     for u, v in sorted(edges):
         dot += [f'    "{text[u]}" -> "{text[v]}" [label="{text[w]}"];' for w in edges[u, v]]
     assert export_dot(d) == "\n".join(dot + ["}"]) + "\n"
+    return d
 
 
 def test_digraph_view_matches_tuple_oracle():
-    # Shifted digits leave 0..35, so those digraphs come from the general
-    # encoding; the 5000-digit words are too long for int() parsing.
+    # Shifted by -40 or 300, digits leave 0..255, so those digraphs take the
+    # general coding.
     assert_view_matches_oracle([], 1)
     # Here some vertices only start edges and others only end them.
     for words in ([W("0011")], [W("001"), W("012")]):
@@ -577,7 +624,7 @@ def test_digraph_hash_and_repr_leave_the_codes_out():
     assert d == same and hash(d) == hash(same)
     assert d != other
     assert len({d, same, other}) == 2
-    assert repr(d) == "TransitionDigraph(s=2, n=4, base=2)"
+    assert repr(d) == "TransitionDigraph(s=2, n=4, base=256)"
 
 
 # ------------------------------------------------------------- compression
@@ -791,8 +838,11 @@ def test_coded_solutions_are_immutable_and_hashable():
 @example([(1, 1, 1)] * 2, 1, 3)  # a repeat whose overlaps hold
 def test_cycle_fault_on_codes_matches_tuples(cycle, s, n):
     # One length per code list; a declared n that differs is a length fault.
+    # The oracle is CLI ``verify ocycle`` on the tuple words.
     codes = _Codes([int.from_bytes(bytes(w), "big") for w in cycle], 3)
-    assert _cycle_fault(codes, n, s) == _cycle_fault(cycle, n, s)
+    fault = _cycle_fault(codes, n, s)
+    text = "ok\n" if fault is None else "violation at index {}: {}\n".format(*fault)
+    assert (text, int(fault is not None)) == oracle_self_check(cycle, n, s)
 
 
 def test_compress_wide_and_shifted_digits():

@@ -29,7 +29,8 @@ from graycycles import (
     weight_decomposition,
     witness_non_rotation,
 )
-from graycycles.words import _codes, _Codes, _walk, _word_codes
+from graycycles.ocycles import _codes, _Codes, _word_codes
+from graycycles.words import _walk
 from word_oracles import brute_fixed_weight, brute_weight_range, count_oracle, gray_oracle
 
 
@@ -253,8 +254,8 @@ def outcome(f, *args, **kwargs):
 
 
 def test_word_codes_check_and_cap_like_the_enumerators():
-    # Byte codes over m <= 256, tuples beyond; the same error, word for
-    # word, wherever an enumerator refuses.
+    # Byte codes over m <= 256, wider fields beyond; the same error, word
+    # for word, wherever an enumerator refuses.
     for m, n, p, q, cap in [
         (3, 4, 4, None, 10**6), (3, 4, 2, 5, 10**6), (257, 2, 300, None, 10**6),
         (257, 2, 0, 3, 10**6), (3, 4, 4, None, 18), (3, 4, 4, None, 19),
@@ -267,15 +268,22 @@ def test_word_codes_check_and_cap_like_the_enumerators():
             expected = outcome(enumerate_weight_range, m, n, p, q, cap=cap)
         got = outcome(_word_codes, m, n, p, q, cap=cap)
         if type(got) is _Codes:
-            assert m <= 256 and got.n == n
-            got = [tuple(c.to_bytes(n, "big")) for c in got]
+            assert (got.width == 8) == (m <= 256) and got.n == n
+            got = list(map(tuple, got.digits()))
         assert got == expected, (m, n, p, q, cap)
 
 
-def test_codes_need_digits_that_fit_a_byte():
-    # Digit 256 has no byte, so m = 257 takes the CLI's tuple path instead.
-    with pytest.raises(ValueError):
-        _codes(257, 2, 256, 256)
+def test_codes_past_a_byte_take_wider_fields():
+    # Digit 256 has no byte: over m > 256 each digit fills (m-1).bit_length()
+    # bits, first digit highest.
+    for m, n, p, q in [(257, 2, 256, 256), (257, 3, 0, 2), (257, 3, 765, 768),
+                       (1000, 2, 990, 1010), (1000, 1, 0, 999)]:
+        width = (m - 1).bit_length()
+        expected = [sum(d << width * (n - 1 - i) for i, d in enumerate(w))
+                    for w in _walk(m, n, p, q, False)]
+        codes = _codes(m, n, p, q)
+        assert (codes.n, codes.width, codes.low) == (n, width, 0)
+        assert list(codes) == expected, (m, n, p, q)
 
 
 def test_iterators_validate_lazily():
