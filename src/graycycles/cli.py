@@ -15,9 +15,10 @@ the 10^6-word cap.
 
 ``ocycle`` and ``digraph`` refuse a set over the cap the same way, then
 enumerate it, both through ``ocycles._word_codes``, which owns the word
-coding.  Each word travels as one int (a byte code over m <= 256) through
-the transition digraph, the Euler tour and the tour's self-check to the
-text written, and is spelled out only there.
+coding.  Each word travels as one int, its digits in fields of
+(m-1).bit_length() bits, kept in an array of machine words when the word
+fits 64 bits, through the transition digraph, the Euler tour and the
+tour's self-check to the text written, and is spelled out only there.
 
 Handlers import from ``graycode`` and ``ocycles`` when they run, so ``gray``
 and ``count`` load only ``words``.
@@ -29,25 +30,23 @@ import argparse
 import functools
 import os
 import sys
-from itertools import islice
 
 from .words import (
     DEFAULT_MATERIALIZATION_CAP,
-    _DIGIT_TABLE,
     _ORDERING_HEAD,
     MaterializationLimitError,
-    Word,
     _check_cap,
     _check_overlap,
     _gray_blocks,
     count_fixed_weight,
-    format_word,
     parse_word,
 )
 
 TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
-    from typing import Iterable, Sequence
+    from typing import Sequence
+
+    from .ocycles import _Codes
 
 # Words per stdout write.
 _CHUNK = 1024
@@ -137,23 +136,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
-def _write_words(words: Iterable[bytes | Word], m: int) -> None:
-    """Write the words to stdout, one per line, one write call per chunk.
-
-    Over m <= 10 the words are the bytes of byte codes, digits below m, so
-    a chunk is formatted in one bytes pass through ``_DIGIT_TABLE``.
-    Larger alphabets use ``format_word`` per word.
-    """
-    words = iter(words)
-    write = sys.stdout.write
-    while chunk := list(islice(words, _CHUNK)):
-        if m <= 10:
-            lines = b"\n".join(chunk) + b"\n"
-            write(lines.translate(_DIGIT_TABLE).decode("ascii"))
-        else:
-            write("".join([format_word(w, m) + "\n" for w in chunk]))
-
-
 def _cmd_gray(args: argparse.Namespace) -> int:
     if not args.stream:
         total = count_fixed_weight(args.m, args.n, args.k)
@@ -188,7 +170,7 @@ def _cmd_exists(args: argparse.Namespace) -> int:
     return 0 if verdict.exists else 1
 
 
-def _word_set(args: argparse.Namespace) -> tuple[int, ...]:
+def _word_set(args: argparse.Namespace) -> _Codes:
     from .ocycles import _word_codes
     if args.mode == "fixed":
         return _word_codes(args.m, args.n, args.k, None)
@@ -196,7 +178,7 @@ def _word_set(args: argparse.Namespace) -> tuple[int, ...]:
 
 
 def _cmd_ocycle(args: argparse.Namespace) -> int:
-    from .ocycles import NotEulerianError, compress_cycle, construct_ocycle
+    from .ocycles import NotEulerianError, _lines, compress_cycle, construct_ocycle
     words = _word_set(args)
     if not words:
         print("error: the word set is empty", file=sys.stderr)
@@ -209,7 +191,9 @@ def _cmd_ocycle(args: argparse.Namespace) -> int:
     if args.compressed:
         print(compress_cycle(solution, args.n))
     else:
-        _write_words(solution.cycle.digits(), args.m)
+        write = sys.stdout.write
+        for lines in _lines(solution.cycle, "," if args.m > 10 else "", _CHUNK):
+            write(lines)
     return 0
 
 

@@ -8,28 +8,35 @@ multigraph, so existence reduces to the classic criterion: balanced and
 weakly connected.
 
 This module owns the engine's one word coding, ``_Codes``: each word is an
-int whose fixed-width bit fields hold its digits, so numeric order is word
-order and prefixes and suffixes are shifts and masks.  Digits in 0..255
-take byte codes, ``int.from_bytes(bytes(word), "big")``.  CLI ``ocycle`` and
-``digraph`` enumerate their sets straight into codes (``_word_codes``);
-tuple words given to the library are coded once on entry (``_encode``) and
-decoded once on exit.  In between, the digraph, ``is_balanced``, the
-Hierholzer walk, the self-check ``_cycle_fault`` and compression work on
-the codes only.  The tests check the engine against the tuple-based
-Hierholzer kept in ``tests/ocycle_oracles.py`` and against networkx.
+int whose fixed-width bit fields hold its digits less the smallest one, so
+numeric order is word order and prefixes and suffixes are shifts and masks.
+Codes of up to 64 bits sit in one ``array`` of machine words, wider ones in
+a tuple of ints.  CLI ``ocycle`` and ``digraph`` enumerate their sets
+straight into codes (``_word_codes``); tuple words given to the library are
+coded once on entry (``_encode``) and decoded once on exit.  In between, the
+digraph, ``is_balanced``, the Hierholzer walk, the self-check
+``_cycle_fault``, compression and the CLI writer work on the codes only.
+Digits are read from the array's memory, one digit position at a time
+(``_columns``), where fields have at most 4 bits or 8; other codes are
+spelled through tables of chunk codes of at most ``_TAIL_LINES`` entries.
+The tests check the engine against the tuple-based Hierholzer kept in
+``tests/ocycle_oracles.py`` and against networkx.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
-from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
-from operator import ge, ne
+from functools import cached_property, lru_cache
+from itertools import chain, compress, count, islice, product, repeat
+from operator import add, ge, ne
 
 from . import _LAZY
 from .words import (
+    _TAIL_LINES,
     DEFAULT_MATERIALIZATION_CAP,
     Word,
     _check_overlap,
@@ -44,7 +51,7 @@ from .words import (
 
 TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
-    from typing import Iterable, Iterator, Sequence
+    from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = _LAZY["ocycles"]  # listed in the package, which loads this module lazily
 
@@ -59,31 +66,76 @@ REASON_SINGLETON = "singleton-mismatch"
 
 
 class NotEulerianError(ValueError):
-    """The digraph admits no Euler tour; ``reason`` says which condition failed."""
+    """The digraph admits no Euler tour; ``reason`` says which condition failed.
 
-    def __init__(self, reason: str, message: str):
+    ``detail`` says where: the smallest unbalanced vertex with its degrees,
+    or how many edges the walk covered; None when not known.
+    """
+
+    def __init__(self, reason: str, message: str, detail: str | None = None):
         super().__init__(message)
         self.reason = reason
+        self.detail = detail
 
 
-class _Codes(tuple):
-    """Codes of words of one length ``n``: a tuple of ints that carries its coding.
+# The smallest unsigned array type that holds b bits, for b in 0..64.
+_ARRAY_TYPE = [next(code for code in "BHIQ" if array(code).itemsize * 8 >= b) for b in range(65)]
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+# Digits of base 2**width for width <= 5, as ``int`` reads them.
+_BASE32 = b"0123456789abcdefghijklmnopqrstuv"
+
+# A chunk table spells at most this many bits of digit fields: _TAIL_LINES entries.
+_CHUNK_BITS = _TAIL_LINES.bit_length() - 1
+
+
+class _Codes:
+    """Codes of words of one length ``n``, in ascending or cycle order.
 
     Digit d of a word fills a ``width``-bit field with d - ``low``, first
     digit highest, so numeric order is word order, the first j digits of
     code c are ``c >> width*(n-j)`` and the last j are
-    ``c & ((1 << width*j) - 1)``.  Byte codes, the default, have width 8
-    and low 0: ``int.from_bytes(bytes(word), "big")``.  ``tuples`` marks
-    codes made from tuple words, which the engine hands back as tuples.
-    Being a tuple, it is immutable and hashable like a tuple of words.
+    ``c & ((1 << width*j) - 1)``.  ``raw`` holds the codes: an ``array`` of
+    the smallest unsigned type that fits n*width bits when that is at most
+    64, else a tuple of ints; an array of that type is taken as it is, not
+    copied.  ``tuples`` marks codes made from tuple words, which the engine
+    hands back as tuples.  Immutable and hashable, like a tuple of words.
     """
 
-    tuples = False
+    __slots__ = ("raw", "n", "width", "low", "tuples")
 
-    def __new__(cls, codes: Iterable[int], n: int, width: int = 8, low: int = 0) -> _Codes:
-        self = super().__new__(cls, codes)
-        self.n, self.width, self.low = n, width, low
-        return self
+    def __init__(self, codes: Iterable[int], n: int, width: int, low: int = 0):
+        if n * width > 64:
+            raw = tuple(codes)
+        else:
+            kind = _ARRAY_TYPE[n * width]
+            raw = codes if type(codes) is array and codes.typecode == kind else array(kind, codes)
+        self.raw, self.n, self.width, self.low, self.tuples = raw, n, width, low, False
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.raw)
+
+    def __getitem__(self, index: int) -> int:
+        return self.raw[index]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not _Codes:
+            return NotImplemented
+        return self._coding() == other._coding() and self.raw == other.raw
+
+    def __hash__(self) -> int:
+        raw = self.raw
+        return hash((self._coding(), raw if type(raw) is tuple else raw.tobytes()))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self.raw))
+
+    def _coding(self) -> tuple[int, int, int]:
+        return self.n, self.width, self.low
 
     def like(self, codes: Iterable[int]) -> _Codes:
         """Other codes in this coding, marked like these."""
@@ -91,13 +143,134 @@ class _Codes(tuple):
         other.tuples = self.tuples
         return other
 
-    def digits(self) -> Iterator[bytes | Word]:
-        """Each word's digits, in order: bytes for byte codes, else tuples."""
-        n, width, low = self.n, self.width, self.low
-        if (width, low) == (8, 0):
-            return map(int.to_bytes, self, repeat(n), repeat("big"))
-        mask, shifts = (1 << width) - 1, range(width * (n - 1), -1, -width)
-        return (tuple([(c >> i & mask) + low for i in shifts]) for c in self)
+    def empty(self) -> array | list[int]:
+        """A new growable sequence for these codes: an array of their type, or a list."""
+        raw = self.raw
+        return array(raw.typecode) if type(raw) is array else []
+
+    def in_bytes(self) -> bool:
+        """Whether ``_columns`` can read these codes: an array whose digits fit bytes."""
+        width = self.width
+        return (type(self.raw) is array and (width <= 4 or width == 8)
+                and 0 <= self.low <= 256 - (1 << width))
+
+    def digits(self) -> Iterator[Word]:
+        """Each word's digits as a tuple, in order.
+
+        Zipped from the digit columns of the array's memory where
+        ``in_bytes``, else spelled chunk by chunk through ``_table``.
+        """
+        raw, n, width, low = self.raw, self.n, self.width, self.low
+        if n and self.in_bytes():
+            blocks = (raw[i:i + 4096] for i in range(0, len(raw), 4096))
+            return chain.from_iterable(zip(*_columns(b, n, n, width, low, 0)) for b in blocks)
+        chunks = _fields(raw, n, n, width)
+        if not chunks:  # words of length 0
+            return repeat((), len(raw))
+        columns = [map(_table(t, width, low, None), fields) for t, fields in chunks]
+        if len(columns) > 3:  # long words: one flat call per word, not nested adds
+            return map(tuple, map(chain, *columns))
+        words = columns[0]
+        for column in columns[1:]:
+            words = map(add, words, column)
+        return words
+
+
+@lru_cache(maxsize=32)
+def _table(size: int, width: int, low: int, sep: str | None) -> Callable[[int], Word | str]:
+    """The spelling of each code of ``size`` digit fields, as a lookup function.
+
+    Tuples of digits when ``sep`` is None, else the digits' decimal texts
+    joined by ``sep``.  A table holds one entry per code, at most
+    2**_CHUNK_BITS; a digit wider than that has no table and is spelled
+    one code at a time.
+    """
+    if size * width > _CHUNK_BITS:  # size is 1
+        return (lambda v: (v + low,)) if sep is None else (lambda v: str(v + low))
+    digits = range(low, low + (1 << width))
+    if sep is None:
+        return list(product(digits, repeat=size)).__getitem__
+    return list(map(sep.join, product(list(map(str, digits)), repeat=size))).__getitem__
+
+
+def _fields(
+    codes: Sequence[int], n: int, lead: int, width: int
+) -> list[tuple[int, Iterator[int]]]:
+    """The first ``lead`` of each code's n digit fields, cut into chunks.
+
+    (t, fields) per chunk of t digits, first digits first: ``fields`` gives
+    the chunk's t fields of every code in ``codes``, in order, as one code.
+    A chunk takes as many digits as a table of ``_CHUNK_BITS`` bits allows,
+    and at least one.
+    """
+    size = max(1, _CHUNK_BITS // width)
+    chunks = []
+    for start in range(0, lead, size):
+        t = min(size, lead - start)
+        shift = width * (n - start - t)
+        fields = map(shift.__rrshift__, codes) if shift else iter(codes)
+        if start:
+            fields = map(((1 << width * t) - 1).__and__, fields)
+        chunks.append((t, fields))
+    return chunks
+
+
+def _text(codes: Sequence[int], n: int, lead: int, width: int, low: int, sep: str) -> str:
+    """The first ``lead`` digits of each code, all joined by ``sep`` in one text."""
+    columns = [map(_table(t, width, low, sep), f) for t, f in _fields(codes, n, lead, width)]
+    return sep.join(columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns)))
+
+
+@lru_cache(maxsize=64)
+def _byte_table(shift: int, width: int, low: int, base: int) -> bytes:
+    """``bytes.translate`` table: byte b to base + the digit of its field at ``shift``.
+
+    The digit is the field plus ``low``.  With base 48 a digit is its ASCII
+    character, and one over 9 becomes byte 0xFF.
+    """
+    digits = [low + (b >> shift & (1 << width) - 1) for b in range(256)]
+    if base:
+        return bytes(base + d if d <= 9 else 0xFF for d in digits)
+    return bytes(digits)
+
+
+def _columns(block: array, n: int, lead: int, width: int, low: int, base: int) -> list[bytes]:
+    """Digit p of every code in ``block``, for p < ``lead``: one bytes per p.
+
+    Read from the array's memory (``_Codes.in_bytes``): a digit is one
+    strided slice of the array's bytes and one ``translate`` by
+    ``_byte_table``.  A 3-bit field that crosses a byte boundary lies
+    inside a byte of the codes shifted right by 4.
+    """
+    size = block.itemsize
+    memory = [block.tobytes()]
+    columns = []
+    for p in range(lead):
+        low_bit, view = width * (n - 1 - p), 0
+        if low_bit % 8 + width > 8:
+            if len(memory) == 1:
+                memory.append(array(block.typecode, map((4).__rrshift__, block)).tobytes())
+            low_bit, view = low_bit - 4, 1
+        byte = low_bit // 8 if _LITTLE_ENDIAN else size - 1 - low_bit // 8
+        table = _byte_table(low_bit % 8, width, low, base)
+        columns.append(memory[view][byte::size].translate(table))
+    return columns
+
+
+def _ascii(block: array, n: int, lead: int, width: int, low: int, end: bytes) -> bytearray:
+    """The first ``lead`` digits of each code in ``block`` as ASCII, then ``end``.
+
+    Each digit column (``_columns``) lands in the text by one strided slice
+    assignment.  A digit outside 0..9 gives a byte that is not an ASCII
+    digit.
+    """
+    step = lead + len(end)
+    text = bytearray(step * len(block))
+    for p, column in enumerate(_columns(block, n, lead, width, low, 48)):
+        text[p::step] = column
+    if end:
+        text[lead::step] = end * len(block)
+    return text
 
 
 def _code(word: Sequence[int], width: int, low: int = 0) -> int:
@@ -111,15 +284,28 @@ def _code(word: Sequence[int], width: int, low: int = 0) -> int:
 def _encode(words: Sequence[Sequence[int]], n: int) -> _Codes:
     """The codes of words of length n, in their order, marked as tuple words.
 
-    Byte codes when every digit lies in 0..255, which ``bytes`` checks as it
-    codes; otherwise each digit less the smallest one fills just enough bits
-    for the largest.
+    Each digit less the smallest one fills just enough bits for the largest,
+    and at least one.  Words of digits in 0..255 (``bytes`` checks) with
+    fields of at most 5 bits are read in C: each byte becomes its field's
+    digit in base 2**width, and ``int`` parses the text.
     """
     try:
-        codes = _Codes(map(int.from_bytes, map(bytes, words), repeat("big")), n)
+        texts = list(map(bytes, words)) if n else None
     except ValueError:  # a digit outside 0..255
-        low = min(map(min, words))
-        width = (max(map(max, words)) - low).bit_length() or 1
+        texts = None
+    low = top = 0
+    if texts:
+        digits = b"".join(texts)
+        low, top = min(digits), max(digits)
+    elif n and words:  # words of length 0 have no digits
+        low, top = min(map(min, words)), max(map(max, words))
+    width = (top - low).bit_length() or 1
+    if texts and width <= 5:
+        table = bytearray(256)
+        table[low:top + 1] = _BASE32[:top + 1 - low]
+        fields = map(bytes.translate, texts, repeat(table))
+        codes = _Codes(map(int, fields, repeat(1 << width)), n, width, low)
+    else:
         codes = _Codes(map(_code, words, repeat(width), repeat(low)), n, width, low)
     codes.tuples = True
     return codes
@@ -133,16 +319,17 @@ def _misfit(words: Sequence[Sequence[int]], n: int) -> int | None:
 def _codes(m: int, n: int, p: int, q: int) -> _Codes:
     """Codes of the length-n words over {0..m-1} with weight in [p, q], ascending.
 
-    Byte codes over m <= 256, fields of (m-1).bit_length() bits beyond.
-    Needs m >= 1 and n >= 0; an empty window gives no codes.  Each word is
-    cut after n//2 digits by ``_split``, and each word costs one addition:
-    head code shifted past the tail, plus tail code.
+    Each digit fills (m-1).bit_length() bits, and at least one.  Needs
+    m >= 1 and n >= 0; an empty window gives no codes.  Each word is cut
+    after n//2 digits by ``_split``, and each word costs one addition: head
+    code shifted past the tail, plus tail code.
     """
-    width = 8 if m <= 256 else (m - 1).bit_length()
+    width = (m - 1).bit_length() or 1
     t = n - n // 2
-    pairs = [(_code(head, width) << width * t, lasts)
-             for head, lasts in _split(m, n, t, p, q, False, lambda w: _code(w, width))]
-    return _Codes([first + last for first, lasts in pairs for last in lasts], n, width)
+    heads = _split(m, n, t, p, q, False, lambda w: _code(w, width))
+    return _Codes(chain.from_iterable(
+        map((_code(head, width) << width * t).__add__, lasts) for head, lasts in heads
+    ), n, width)
 
 
 def _word_codes(
@@ -162,10 +349,10 @@ class TransitionDigraph(_Record):
     """Directed multigraph of overlaps: vertices are s-strings, edges are words.
 
     Stored as ``by_code``, the words' codes (``_Codes``) in ascending order;
-    ``base`` is 2**width, 256 for byte codes.  The tuple view is decoded on
-    first use and kept: ``edges`` maps (prefix, suffix) vertex pairs to the
-    ascending tuple of word labels travelling that way, and ``vertices``
-    holds their endpoints.  ``by_code`` is left out of the hash and the repr.
+    ``base`` is 2**width.  The tuple view is decoded on first use and kept:
+    ``edges`` maps (prefix, suffix) vertex pairs to the ascending tuple of
+    word labels travelling that way, and ``vertices`` holds their endpoints.
+    ``by_code`` is left out of the hash and the repr.
     """
 
     s: int
@@ -187,7 +374,7 @@ class TransitionDigraph(_Record):
         codes, n, s = self.by_code, self.n, self.s
         shift, mask = codes.width * (n - s), (1 << codes.width * s) - 1
         groups: dict[tuple[int, int], list[Word]] = {}
-        for code, word in zip(codes, map(tuple, codes.digits())):
+        for code, word in zip(codes.raw, codes.digits()):
             groups.setdefault((code >> shift, code & mask), []).append(word)
         vertex: dict[int, Word] = {}
         edges: dict[tuple[Word, Word], tuple[Word, ...]] = {}
@@ -254,28 +441,44 @@ def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph
                 f"mixed word lengths: {format_word(w)} has length {len(w)}, expected {n}"
             )
         codes = _encode(words, n)
-        codes = codes.like(sorted(codes))
+        codes = codes.like(sorted(codes.raw))
     if codes:
         _check_overlap(codes.n, s)
     elif s < 1:
         raise ValueError(f"overlap length s={s} out of range")
-    if any(map(ge, codes, islice(codes, 1, None))):
+    raw = codes.raw
+    if any(map(ge, raw, islice(raw, 1, None))):
         if codes.tuples:
             raise ValueError("duplicate words in input set")
-        raise ValueError("byte codes are not strictly ascending")
+        raise ValueError("codes are not strictly ascending")
     return TransitionDigraph(s, codes.n, 1 << codes.width, codes)
 
 
-def is_balanced(digraph: TransitionDigraph) -> bool:
-    """True iff in-degree equals out-degree at every vertex, counted on the codes.
+def _degree_counts(digraph: TransitionDigraph) -> tuple[Counter[int], Counter[int]]:
+    """(out-degree, in-degree) by vertex code, counted on the codes.
 
     Out-degrees are the lengths of the sorted codes' prefix runs, in-degrees
     the counts of their suffixes.
     """
     codes, s = digraph.by_code, digraph.s
-    runs = _prefix_runs(codes, codes.width * (digraph.n - s))
+    runs = _prefix_runs(codes.raw, codes.width * (digraph.n - s))
     outs = Counter({u: hi - lo for u, lo, hi in runs})
-    return outs == Counter(map(((1 << codes.width * s) - 1).__and__, codes))
+    return outs, Counter(map(((1 << codes.width * s) - 1).__and__, codes.raw))
+
+
+def is_balanced(digraph: TransitionDigraph) -> bool:
+    """True iff in-degree equals out-degree at every vertex, counted on the codes."""
+    outs, ins = _degree_counts(digraph)
+    return outs == ins
+
+
+def _imbalance(digraph: TransitionDigraph) -> str:
+    """The smallest vertex whose in- and out-degree differ, with both, as text."""
+    outs, ins = _degree_counts(digraph)
+    u = min(v for v in outs.keys() | ins.keys() if outs[v] != ins[v])
+    codes = digraph.by_code
+    (vertex,) = _Codes((u,), digraph.s, codes.width, codes.low).digits()
+    return f"vertex {format_word(vertex)} has in-degree {ins[u]} and out-degree {outs[u]}"
 
 
 def weak_components(digraph: TransitionDigraph) -> list[frozenset[Word]]:
@@ -324,40 +527,50 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
     codes (``_Codes``) returns its tour as codes.
     """
     codes = digraph.by_code
-    if not codes:
+    raw = codes.raw
+    if not raw:
         raise ValueError("digraph has no edges")
     if not is_balanced(digraph):
         raise NotEulerianError(
-            REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex"
+            REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex",
+            _imbalance(digraph),
         )
-    shift = codes.width * (digraph.n - digraph.s)
-    mask = (1 << codes.width * digraph.s) - 1  # a code's s-suffix vertex is code & mask
-    # Out-lists run largest code first, so pop() yields the smallest.
-    out = {u: [*reversed(codes[lo:hi])] for u, lo, hi in _prefix_runs(codes, shift)}
-    # An edge on the stack left from the vertex whose out-list sits at the
-    # same depth of ``left``, so stepping back needs no prefix arithmetic.
-    stack: list[int] = []
-    left: list[list[int]] = []
-    tour: list[int] = []
-    ready = out[codes[0] >> shift]
+    shift = codes.width * (digraph.n - digraph.s)  # a code's s-prefix vertex is code >> shift
+    mask = (1 << codes.width * digraph.s) - 1  # and its s-suffix vertex code & mask
+    # Vertex u's unused out-edges, its run of the ascending codes reversed,
+    # so pop() takes the smallest.
+    out = {}
+    for u, lo, hi in _prefix_runs(raw, shift):
+        out[u] = run = codes.empty()
+        run.extend(reversed(raw[lo:hi]))
+    stack, tour = codes.empty(), codes.empty()
+    ready = out[raw[0] >> shift]
     while True:
         if ready:
             code = ready.pop()
             stack.append(code)
-            left.append(ready)
-            ready = out[code & mask]  # balanced: every vertex entered has one
-        elif stack:
-            tour.append(stack.pop())
-            ready = left.pop()
-        else:
+            ready = out[code & mask]  # balanced: every vertex entered has out-edges
+            continue
+        if not stack:
             break
-    if len(tour) != len(codes):
+        # Stuck: move the stack's top edges to the tour, down to and
+        # including the first whose source vertex (its prefix) has an unused
+        # edge left, and go on from that vertex.
+        sources = map(shift.__rrshift__, reversed(stack))
+        depth = len(stack) - next(compress(count(1), map(out.__getitem__, sources)), len(stack))
+        back = stack[depth:]
+        del stack[depth:]
+        back.reverse()
+        tour += back
+        ready = out[back[-1] >> shift]
+    if len(tour) != len(raw):
         raise NotEulerianError(
-            REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected"
+            REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected",
+            f"the walk covered {len(tour)} of {len(raw)} edges",
         )
     tour.reverse()
     coded = codes.like(tour)
-    return list(map(tuple, coded.digits())) if codes.tuples else coded
+    return list(coded.digits()) if codes.tuples else coded
 
 
 class OcycleSolution(_Record):
@@ -397,16 +610,18 @@ def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, s
         cycle = _encode(cycle, n)
     elif cycle and cycle.n != n:
         return 0, f"word has length {cycle.n}, expected {n}"
-    ordered = sorted(cycle)
+    raw = cycle.raw
+    ordered = sorted(raw)
     if any(map(ge, ordered, islice(ordered, 1, None))):
         return -1, "input word set contains duplicates"
-    suffixes = map(((1 << cycle.width * s) - 1).__and__, cycle)
-    following = chain(islice(cycle, 1, None), cycle[:1])
+    del ordered  # freed first: the scan's short-lived ints reuse its memory
+    suffixes = map(((1 << cycle.width * s) - 1).__and__, raw)
+    following = chain(islice(raw, 1, None), raw[:1])
     next_prefixes = map((cycle.width * (n - s)).__rrshift__, following)
     i = next(compress(count(), map(ne, suffixes, next_prefixes)), None)
     if i is None:
         return None
-    w, nxt = cycle.like((cycle[i], cycle[(i + 1) % len(cycle)])).digits()
+    w, nxt = cycle.like((raw[i], raw[(i + 1) % len(raw)])).digits()
     return i, f"words {format_word(w)} and {format_word(nxt)} do not overlap in {s} digits"
 
 
@@ -425,13 +640,14 @@ def construct_ocycle(words: Sequence[Word], s: int) -> OcycleSolution:
         raise ValueError("cannot build an overlap cycle for an empty word set")
     try:
         tour = euler_tour(digraph)  # begins with the smallest word: no rotation
-    except NotEulerianError:
+    except NotEulerianError as exc:
         if len(codes) > 1:
             raise
         (word,) = codes.digits()
         raise NotEulerianError(
             REASON_SINGLETON,
             f"single word {format_word(word)} does not overlap itself in {s} digits",
+            exc.detail,
         ) from None
     return OcycleSolution(s=s, cycle=tuple(tour) if codes.tuples else tour)
 
@@ -548,17 +764,40 @@ def compress_cycle(solution: OcycleSolution, n: int) -> str:
         cycle = _encode(cycle, n)  # a length fault is left to _cycle_fault
     if not 1 <= s < n or _cycle_fault(cycle, n, s) is not None:
         raise ValueError("refusing to compress an unverified cycle")
-    step = n - s
-    if (cycle.width, cycle.low) != (8, 0):
-        return format_word([d for w in cycle.digits() for d in w[:step]])
-    # The first n-s digits of byte code c are the bytes of c >> 8*s.
-    heads = map(int.to_bytes, map((8 * s).__rrshift__, cycle), repeat(step), repeat("big"))
-    # Joined 4,096 at a time: one block's bytes objects alive, not one per word.
-    digits = bytearray()
-    while block := b"".join(islice(heads, 4096)):
-        digits += block
-    digits = bytes(digits)  # rebound, so the bytearray is freed before the text is made
-    return format_word(digits)
+    raw, width, low, step = cycle.raw, cycle.width, cycle.low, n - s
+    # Spelled 4,096 heads at a time: one block's spelling alive, not one per word.
+    starts = range(0, len(raw), 4096)
+    # Digits join without a separator unless one of them is over 9, as in
+    # format_word; a verified cycle's heads hold every digit of its words.
+    if cycle.in_bytes() and low <= 9:
+        digits = bytearray()
+        for i in starts:
+            digits += _ascii(raw[i:i + 4096], n, step, width, low, b"")
+        if digits.isdigit():
+            return digits.decode("ascii")
+        sep = ","
+    else:
+        sep = "," if low + (1 << width) - 1 > 9 and max(map(max, cycle.digits())) > 9 else ""
+    return sep.join([_text(raw[i:i + 4096], n, step, width, low, sep) for i in starts])
+
+
+def _lines(cycle: _Codes, sep: str, block: int) -> Iterator[str]:
+    """The words of the cycle as text lines, ``block`` lines per string.
+
+    A word's digits are joined by ``sep``; without one every digit must lie
+    in 0..9, and codes that ``in_bytes`` are spelled from the array's
+    memory (``_ascii``).  Other codes go through the chunk tables.
+    """
+    raw, n, width, low = cycle.raw, cycle.n, cycle.width, cycle.low
+    starts = range(0, len(raw), block)
+    if not sep and cycle.in_bytes():
+        for i in starts:
+            yield _ascii(raw[i:i + block], n, n, width, low, b"\n").decode("ascii")
+        return
+    for i in starts:
+        chunks = _fields(raw[i:i + block], n, n, width)
+        line = (sep.join(["{}"] * len(chunks)) + "\n").format
+        yield "".join(map(line, *[map(_table(t, width, low, sep), f) for t, f in chunks]))
 
 
 def decompress_cycle(text: str, n: int, s: int) -> tuple[Word, ...]:

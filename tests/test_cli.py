@@ -522,13 +522,18 @@ def ocycle_sets():
             yield from ((m, n, "fixed", (k,)) for k in range(-1, top + 2))
             yield from ((m, n, "range", (p, q)) for p in range(-1, top + 1)
                         for q in range(p, top + 2))
+    # m = 5 and 8 have 3-bit digits, some of which cross a byte of the codes.
+    for m, n in ((5, 4), (8, 3)):
+        top = (m - 1) * n
+        yield from ((m, n, "fixed", (k,)) for k in range(top + 1))
+        yield from ((m, n, "range", (p, q)) for p, q in ((0, top), (3, top - 3)))
     # m = 10 is the widest concatenated form; m = 11 and 12 are comma-separated.
     for m, n in ((10, 2), (11, 3), (12, 3)):
         top = (m - 1) * n
         yield from ((m, n, "fixed", (k,)) for k in range(top + 1))
     for m in (11, 12):
         yield from ((m, 3, "range", (p, q)) for p, q in ((0, 3 * m - 3), (5, 20)))
-    # m = 257 takes the general coding: digit 256 has no byte.
+    # m = 257 takes 9-bit fields: digit 256 has no byte.
     for n in (2, 3):
         top = 256 * n
         yield from ((257, n, "fixed", (k,)) for k in (0, 1, 257, top - 1, top))
@@ -557,13 +562,47 @@ def test_ocycle_output_is_pinned(capsys, flags, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("ocycle fixed 3 14 14 6 --compressed",
+     "cadbf4685887e02efeff9128851f532e6efabce0a12d6e6345edd391c9658ee1"),
+    # 80-bit and 1,200-bit codes: a tuple of ints, not an array
+    ("ocycle fixed 3 40 2 3", "7994c3d0a4c4c6ab8dd2e252cdd16d06f931f1454ee4a69c22228a5c5a2f5cc9"),
+    ("ocycle range 2 1200 0 1 1 --compressed",
+     "166c24f82c0f50cba59b7a5b88f5dfc2098f18916346d9ccf6fb38b16bea5b3a"),
+])
+def test_larger_and_wider_ocycles_are_pinned(capsys, argv, digest):
+    # Digests taken while every word was still a byte code.
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flags, bound", [((), 20), (("--compressed",), 56)])
+def test_ocycle_peak_memory_per_word(monkeypatch, flags, bound):
+    # The traced peak of the 73,789-word cycle, in bytes per word: about 17
+    # plain and 48 compressed with codes in arrays of machine words, where a
+    # tuple of 96-bit byte codes took 73 and 77.  Most of the compressed
+    # peak is the sorted copy that the duplicate check makes.
+    sink = LineSink(10**9)
+    monkeypatch.setattr("sys.stdout", sink)
+    build_parser()  # built once per process, outside the measurement
+    tracemalloc.start()
+    try:
+        code = main(["ocycle", "fixed", "3", "12", "12", "5", *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.lines == (1 if flags else 73_789)
+    assert peak < bound * 73_789, peak / 73_789
+
+
 def test_compressed_ocycle_keeps_its_self_check(capsys, monkeypatch):
     # A tour with two codes swapped must stop at compress_cycle's check.
     tour = ocycles.euler_tour
 
     def swapped(digraph):
         cycle = tour(digraph)
-        return type(cycle)((cycle[0], cycle[2], cycle[1], *cycle[3:]), cycle.n)
+        return cycle.like((cycle[0], cycle[2], cycle[1], *cycle[3:]))
 
     monkeypatch.setattr(ocycles, "euler_tour", swapped)
     code, out, err = run(capsys, "ocycle", "fixed", "3", "6", "6", "2", "--compressed")

@@ -453,9 +453,9 @@ def test_engine_on_words_too_long_for_int_parsing():
 
 
 def coded(words):
-    """The words as ascending byte codes (``words._Codes``)."""
+    """The words as ascending byte codes: ``_Codes`` of width 8."""
     codes = sorted(int.from_bytes(bytes(w), "big") for w in words)
-    return _Codes(codes, len(words[0]) if words else 0)
+    return _Codes(codes, len(words[0]) if words else 0, 8)
 
 
 def decoded(codes):
@@ -498,11 +498,11 @@ def test_byte_codes_match_the_tuple_path():
 
 def test_byte_codes_must_ascend():
     for bad in ([1, 0], [3, 3]):
-        with pytest.raises(ValueError, match="^byte codes are not strictly ascending$"):
-            build_transition_digraph(_Codes(bad, 2), 1)
+        with pytest.raises(ValueError, match="^codes are not strictly ascending$"):
+            build_transition_digraph(_Codes(bad, 2, 8), 1)
     with pytest.raises(ValueError, match="^overlap length s=2 out of range for n=2$"):
-        build_transition_digraph(_Codes([1, 2], 2), 2)
-    assert build_transition_digraph(_Codes([], 0), 1).edge_count() == 0
+        build_transition_digraph(_Codes([1, 2], 2, 8), 2)
+    assert build_transition_digraph(_Codes([], 0, 8), 1).edge_count() == 0
 
 
 def word_lists():
@@ -513,7 +513,10 @@ def word_lists():
 
 @settings(max_examples=300, deadline=None)
 @given(word_lists())
-@example([(0, 1, 255), (255, 0, 0), (0, 1, 2)])  # byte codes
+@example([(0, 1, 255), (255, 0, 0), (0, 1, 2)])  # 8-bit fields
+@example([(250, 254, 250), (254, 250, 250), (251, 252, 253)])  # near 255, 3-bit fields
+@example([(7, 0, 5), (3, 6, 1)])  # the first 3-bit field crosses a byte
+@example([(240, 247, 243, 245), (241, 240, 246, 247)])  # read from bytes, above 0
 @example([(-1,), (0,), (-300,), (600,)])
 @example([tuple(7 * i % 901 - 300 for i in range(5000))])  # one word, n = 5000
 def test_one_coder_keeps_order_identity_and_digits(words):
@@ -538,7 +541,7 @@ def test_coded_shifted_sets_keep_their_cycles(case, shift, rng):
     moved = [tuple(d + shift for d in w) for w in words]
     rng.shuffle(moved)
     codes = _encode(moved, n)
-    assert (codes.width, codes.low) != (8, 0)
+    assert (codes.low, codes.width) == (shift, (m - 1).bit_length())
     assert [moved[i] for i in sorted(range(len(moved)), key=codes.__getitem__)] == sorted(moved)
     expected = tuple(tuple(d + shift for d in w) for w in oracle_cycle(words, s))
     assert construct_ocycle(moved, s).cycle == expected
@@ -553,8 +556,8 @@ def test_construct_agrees_with_networkx():
             try:
                 construct_ocycle(words, s)
                 reason = None
-            except NotEulerianError as exc:
-                reason = exc.reason
+            except NotEulerianError as error:
+                exc, reason = error, error.reason
             assert (reason is None) == nx.is_eulerian(graph), (words, s)
             if reason is None:
                 continue
@@ -565,6 +568,41 @@ def test_construct_agrees_with_networkx():
                 assert reason == REASON_DISCONNECTED and not nx.is_weakly_connected(graph)
             else:
                 assert reason == REASON_UNBALANCED, (words, s)
+            assert exc.detail == networkx_detail(graph, len(words)), (words, s)
+
+
+def networkx_detail(graph, edges):
+    """The detail a NotEulerianError on this multigraph should carry."""
+    unbalanced = [v for v in graph if graph.in_degree(v) != graph.out_degree(v)]
+    if unbalanced:
+        v = min(unbalanced)
+        return (f"vertex {format_word(v)} has in-degree {graph.in_degree(v)}"
+                f" and out-degree {graph.out_degree(v)}")
+    component = nx.node_connected_component(graph.to_undirected(), min(graph))
+    covered = graph.subgraph(component).number_of_edges()
+    return f"the walk covered {covered} of {edges} edges"
+
+
+def test_not_eulerian_errors_say_where():
+    # The detail is taken from the codes and decoded only when the error
+    # is raised; a default error has none.
+    assert NotEulerianError(REASON_UNBALANCED, "message").detail is None
+    cases = [
+        (B24_2, 2, REASON_DISCONNECTED, "the walk covered 2 of 6 edges"),
+        ([W("000"), W("001")], 2, REASON_UNBALANCED,
+         "vertex 00 has in-degree 1 and out-degree 2"),
+        ([(300, 300, 300), (300, 300, 301)], 2, REASON_UNBALANCED,
+         "vertex 300,300 has in-degree 1 and out-degree 2"),
+        ([W("0011")], 2, REASON_SINGLETON, "vertex 00 has in-degree 0 and out-degree 1"),
+    ]
+    for words, s, reason, detail in cases:
+        for given in (words, coded(words) if max(map(max, words)) <= 255 else words):
+            with pytest.raises(NotEulerianError) as info:
+                construct_ocycle(given, s)
+            assert (info.value.reason, info.value.detail) == (reason, detail)
+    with pytest.raises(NotEulerianError) as info:
+        euler_tour(build_transition_digraph(_codes(3, 4, 4, 4), 2))
+    assert info.value.detail == "the walk covered 2 of 19 edges"  # 0022 and 2200
 
 
 def assert_view_matches_oracle(words, s, given=None):
@@ -624,7 +662,7 @@ def test_digraph_hash_and_repr_leave_the_codes_out():
     assert d == same and hash(d) == hash(same)
     assert d != other
     assert len({d, same, other}) == 2
-    assert repr(d) == "TransitionDigraph(s=2, n=4, base=256)"
+    assert repr(d) == "TransitionDigraph(s=2, n=4, base=2)"
 
 
 # ------------------------------------------------------------- compression
@@ -795,7 +833,7 @@ def test_verify_gap_at_every_position():
 
 
 def test_compress_refuses_broken_code_tours():
-    # The compress step's own check runs on byte codes: a tour with two
+    # The compress step's own check runs on the codes: a tour with two
     # entries swapped, one with a code repeated and one with a code dropped.
     n, s = 6, 2
     tour = construct_ocycle(_codes(3, n, 6, 6), s).cycle
@@ -805,22 +843,22 @@ def test_compress_refuses_broken_code_tours():
     repeated[5] = repeated[9]
     del dropped[7]
     for broken in (swapped, repeated, dropped, [0, 0]):
-        solution = OcycleSolution(s=s, cycle=_Codes(broken, n))
+        solution = OcycleSolution(s=s, cycle=tour.like(broken))
         with pytest.raises(ValueError, match="^refusing to compress an unverified cycle$"):
             compress_cycle(solution, n)
     with pytest.raises(ValueError, match="^refusing to compress an unverified cycle$"):
         compress_cycle(OcycleSolution(s=s, cycle=tour), n + 1)
     # [0, 0] is the word 000000 twice: every overlap holds, only the repeat fails.
-    assert _cycle_fault(_Codes([0, 0], n), n, s) == (-1, "input word set contains duplicates")
+    assert _cycle_fault(tour.like([0, 0]), n, s) == (-1, "input word set contains duplicates")
 
 
 def test_coded_solutions_are_immutable_and_hashable():
-    # A byte-coded cycle is a tuple, so the frozen solution hashes like one
-    # with tuple words, and a single word's cycle, which is the input codes
-    # themselves, cannot be changed through the solution.
+    # A coded cycle is immutable and hashable, so the frozen solution hashes
+    # like one with tuple words, and a single word's cycle, which is the
+    # input codes themselves, cannot be changed through the solution.
     solution = construct_ocycle(_codes(3, 4, 4, 4), 1)
     assert hash(solution) == hash(construct_ocycle(_codes(3, 4, 4, 4), 1))
-    single = _Codes([int.from_bytes(bytes((1, 2, 1, 2)), "big")], 4)
+    single = _Codes([int.from_bytes(bytes((1, 2, 1, 2)), "big")], 4, 8)
     solution = construct_ocycle(single, 2)
     assert type(solution.cycle) is _Codes and solution.cycle == single
     assert hash(solution) == hash(OcycleSolution(2, single))
@@ -839,10 +877,21 @@ def test_coded_solutions_are_immutable_and_hashable():
 def test_cycle_fault_on_codes_matches_tuples(cycle, s, n):
     # One length per code list; a declared n that differs is a length fault.
     # The oracle is CLI ``verify ocycle`` on the tuple words.
-    codes = _Codes([int.from_bytes(bytes(w), "big") for w in cycle], 3)
+    codes = _Codes([int.from_bytes(bytes(w), "big") for w in cycle], 3, 8)
     fault = _cycle_fault(codes, n, s)
     text = "ok\n" if fault is None else "violation at index {}: {}\n".format(*fault)
     assert (text, int(fault is not None)) == oracle_self_check(cycle, n, s)
+
+
+def test_compress_shifted_digits_below_ten():
+    # Digits 1..9 with the smallest above 0 are joined without commas, and
+    # digits over 9 with them, whatever the field width.
+    for m, n, k, s in [(2, 4, 2, 1), (3, 5, 5, 2), (5, 4, 8, 1), (8, 3, 10, 1)]:
+        cycle = construct_ocycle(enumerate_fixed_weight(m, n, k), s).cycle
+        for shift in (1, 2, 9 - m, 10 - m, 9):
+            moved = tuple(tuple(d + shift for d in w) for w in cycle)
+            heads = [d for w in moved for d in w[:n - s]]
+            assert compress_cycle(OcycleSolution(s, moved), n) == format_word(heads), shift
 
 
 def test_compress_wide_and_shifted_digits():

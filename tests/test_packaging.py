@@ -69,9 +69,10 @@ def fresh(code):
     return done.stdout.splitlines()
 
 
-# Modules that CLI gray and count leave unloaded: graycode and ocycles are
-# not needed there, and the others cost start-up time.
-UNNEEDED = ["dataclasses", "graycycles.graycode", "graycycles.ocycles", "inspect", "typing"]
+# Modules that CLI gray and count leave unloaded: graycode and ocycles (with
+# its array) are not needed there, and the others cost start-up time.
+UNNEEDED = ["array", "dataclasses", "graycycles.graycode", "graycycles.ocycles", "inspect",
+            "typing"]
 
 
 @pytest.mark.parametrize("argv", [["gray", "3", "4", "5"], ["count", "3", "4", "5"]])

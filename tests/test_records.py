@@ -22,10 +22,10 @@ RECORDS = [
      "GrayReport(ok=False, first_violation=(4, 'duplicate word 0122'))"),
     (WeightDecomposition, (2, 1), "WeightDecomposition(q=2, r=1)"),
     (BlockProfile, (2, (1, 3)), "BlockProfile(d=2, weights=(1, 3))"),
-    (TransitionDigraph, (2, 4, 256, _Codes([0x0101, 0x010001], 4)),
+    (TransitionDigraph, (2, 4, 256, _Codes([0x0101, 0x010001], 4, 8)),
      "TransitionDigraph(s=2, n=4, base=256)"),
     (OcycleSolution, (1, ((0, 1), (1, 0))), "OcycleSolution(s=1, cycle=((0, 1), (1, 0)))"),
-    (OcycleSolution, (2, _Codes([258], 2)), "OcycleSolution(s=2, cycle=(258,))"),
+    (OcycleSolution, (2, _Codes([258], 2, 8)), "OcycleSolution(s=2, cycle=(258,))"),
     (OcycleReport, (True, None), "OcycleReport(ok=True, first_violation=None)"),
     (ExistenceVerdict, (True, "gcd-condition", "n-s=3, gcd(n,s)=1"),
      "ExistenceVerdict(exists=True, reason='gcd-condition', detail='n-s=3, gcd(n,s)=1')"),
@@ -108,24 +108,24 @@ def test_equality_needs_the_same_class():
 
 
 def test_digraph_compares_its_codes_but_does_not_hash_or_show_them():
-    one = TransitionDigraph(2, 4, 256, _Codes([0x0101], 4))
-    other = TransitionDigraph(2, 4, 256, _Codes([0x010001], 4))
+    one = TransitionDigraph(2, 4, 256, _Codes([0x0101], 4, 8))
+    other = TransitionDigraph(2, 4, 256, _Codes([0x010001], 4, 8))
     assert one != other
-    assert hash(one) == hash(other) == hash(TransitionDigraph(2, 4, 256, _Codes([], 4)))
+    assert hash(one) == hash(other) == hash(TransitionDigraph(2, 4, 256, _Codes([], 4, 8)))
     assert repr(one) == repr(other) == "TransitionDigraph(s=2, n=4, base=256)"
-    assert one == TransitionDigraph(2, 4, 256, _Codes([0x0101], 4))
-    assert one != TransitionDigraph(1, 4, 256, _Codes([0x0101], 4))
+    assert one == TransitionDigraph(2, 4, 256, _Codes([0x0101], 4, 8))
+    assert one != TransitionDigraph(1, 4, 256, _Codes([0x0101], 4, 8))
 
 
 def test_digraph_caches_its_derived_views():
-    digraph = TransitionDigraph(2, 4, 256, _Codes([0x0101, 0x010001], 4))
+    digraph = TransitionDigraph(2, 4, 256, _Codes([0x0101, 0x010001], 4, 8))
     edges = digraph.edges
     assert edges == {((0, 0), (1, 1)): ((0, 0, 1, 1),), ((0, 1), (0, 1)): ((0, 1, 0, 1),)}
     assert digraph.edges is edges
     assert digraph.vertices == {(0, 0), (1, 1), (0, 1)}
     assert digraph.out_degree((0, 1)) == digraph.in_degree((0, 1)) == 1
     # Cached views are not fields: they leave equality, hash and repr alone.
-    fresh = TransitionDigraph(2, 4, 256, _Codes([0x0101, 0x010001], 4))
+    fresh = TransitionDigraph(2, 4, 256, _Codes([0x0101, 0x010001], 4, 8))
     assert digraph == fresh and hash(digraph) == hash(fresh)
     assert repr(digraph) == repr(fresh)
 

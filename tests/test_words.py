@@ -237,12 +237,14 @@ def code_windows(draw):
 @example((256, 3, 0, 2))
 @example((256, 3, 760, 765))
 def test_codes_match_the_walker(window):
-    # Each word's byte code, one by one, in the walker's order; digit 255 is
-    # the largest a byte code holds.
+    # Each word's code, one by one, in the walker's order: every digit
+    # fills (m-1).bit_length() bits, and at least one.
     m, n, p, q = window
-    expected = [int.from_bytes(bytes(w), "big") for w in _walk(m, n, p, q, False)]
+    width = (m - 1).bit_length() or 1
+    expected = [sum(d << width * (n - 1 - i) for i, d in enumerate(w))
+                for w in _walk(m, n, p, q, False)]
     codes = _codes(m, n, p, q)
-    assert type(codes) is _Codes and codes.n == n
+    assert type(codes) is _Codes and (codes.n, codes.width, codes.low) == (n, width, 0)
     assert list(codes) == expected
 
 
@@ -254,7 +256,7 @@ def outcome(f, *args, **kwargs):
 
 
 def test_word_codes_check_and_cap_like_the_enumerators():
-    # Byte codes over m <= 256, wider fields beyond; the same error, word
+    # Fields of (m-1).bit_length() bits for every m; the same error, word
     # for word, wherever an enumerator refuses.
     for m, n, p, q, cap in [
         (3, 4, 4, None, 10**6), (3, 4, 2, 5, 10**6), (257, 2, 300, None, 10**6),
@@ -268,13 +270,13 @@ def test_word_codes_check_and_cap_like_the_enumerators():
             expected = outcome(enumerate_weight_range, m, n, p, q, cap=cap)
         got = outcome(_word_codes, m, n, p, q, cap=cap)
         if type(got) is _Codes:
-            assert (got.width == 8) == (m <= 256) and got.n == n
+            assert got.width == ((m - 1).bit_length() or 1) and got.n == n
             got = list(map(tuple, got.digits()))
         assert got == expected, (m, n, p, q, cap)
 
 
 def test_codes_past_a_byte_take_wider_fields():
-    # Digit 256 has no byte: over m > 256 each digit fills (m-1).bit_length()
+    # Past a byte too, over m > 256, each digit fills (m-1).bit_length()
     # bits, first digit highest.
     for m, n, p, q in [(257, 2, 256, 256), (257, 3, 0, 2), (257, 3, 765, 768),
                        (1000, 2, 990, 1010), (1000, 1, 0, 999)]:
