@@ -16,7 +16,7 @@ the 10^6-word cap.
 ``ocycle`` and ``digraph`` refuse a set over the cap the same way, then
 enumerate it, both through ``ocycles._word_codes``, which owns the word
 coding.  Each word travels as one int, its digits in fields of
-(m-1).bit_length() bits, kept in an array of machine words when the word
+(m-1).bit_length() bits, kept in read-only machine words when the word
 fits 64 bits, through the transition digraph, the Euler tour and the
 tour's self-check to the text written, and is spelled out only there.
 
@@ -192,7 +192,7 @@ def _cmd_ocycle(args: argparse.Namespace) -> int:
         print(compress_cycle(solution, args.n))
     else:
         write = sys.stdout.write
-        for lines in _lines(solution.cycle, "," if args.m > 10 else "", _CHUNK):
+        for lines in _lines(solution.cycle, args.m, _CHUNK):
             write(lines)
     return 0
 

@@ -10,15 +10,17 @@ weakly connected.
 This module owns the engine's one word coding, ``_Codes``: each word is an
 int whose fixed-width bit fields hold its digits less the smallest one, so
 numeric order is word order and prefixes and suffixes are shifts and masks.
-Codes of up to 64 bits sit in one ``array`` of machine words, wider ones in
-a tuple of ints.  CLI ``ocycle`` and ``digraph`` enumerate their sets
+Codes of up to 64 bits sit in one read-only array of machine words, wider
+ones in a tuple of ints.  CLI ``ocycle`` and ``digraph`` enumerate their sets
 straight into codes (``_word_codes``); tuple words given to the library are
 coded once on entry (``_encode``) and decoded once on exit.  In between, the
 digraph, ``is_balanced``, the Hierholzer walk, the self-check
 ``_cycle_fault``, compression and the CLI writer work on the codes only.
-Digits are read from the array's memory, one digit position at a time
-(``_columns``), where fields have at most 4 bits or 8; other codes are
-spelled through tables of chunk codes of at most ``_TAIL_LINES`` entries.
+Words are decoded through tables of chunk codes of at most ``_TAIL_LINES``
+entries.  The CLI's lines and the compressed text read digits straight from
+the array's memory, one digit position at a time (``_columns``), where
+fields have at most 4 bits or 8 and every digit lies in 0..9; other codes
+are spelled by ``format_word`` from their decoded words.
 The tests check the engine against the tuple-based Hierholzer kept in
 ``tests/ocycle_oracles.py`` and against networkx.
 """
@@ -96,22 +98,29 @@ class _Codes:
     Digit d of a word fills a ``width``-bit field with d - ``low``, first
     digit highest, so numeric order is word order, the first j digits of
     code c are ``c >> width*(n-j)`` and the last j are
-    ``c & ((1 << width*j) - 1)``.  ``raw`` holds the codes: an ``array`` of
-    the smallest unsigned type that fits n*width bits when that is at most
-    64, else a tuple of ints; an array of that type is taken as it is, not
-    copied.  ``tuples`` marks codes made from tuple words, which the engine
-    hands back as tuples.  Immutable and hashable, like a tuple of words.
+    ``c & ((1 << width*j) - 1)``.  ``raw`` holds the codes: when n*width is
+    at most 64, a ``memoryview`` of machine words of the smallest unsigned
+    type that fits, over ``bytes`` of their own, else a tuple of ints.
+    ``tuples`` marks codes made from tuple words, which the engine hands
+    back as tuples.  Immutable and hashable, like a tuple of words.
     """
 
     __slots__ = ("raw", "n", "width", "low", "tuples")
+    __setattr__ = _Record.__setattr__
+    __delattr__ = _Record.__delattr__
 
-    def __init__(self, codes: Iterable[int], n: int, width: int, low: int = 0):
+    def __init__(
+        self, codes: Iterable[int], n: int, width: int, low: int = 0, tuples: bool = False
+    ):
         if n * width > 64:
             raw = tuple(codes)
         else:
             kind = _ARRAY_TYPE[n * width]
-            raw = codes if type(codes) is array and codes.typecode == kind else array(kind, codes)
-        self.raw, self.n, self.width, self.low, self.tuples = raw, n, width, low, False
+            if type(codes) is not array or codes.typecode != kind:
+                codes = array(kind, codes)
+            raw = memoryview(codes.tobytes()).cast(kind)
+        for name, value in zip(self.__slots__, (raw, n, width, low, tuples)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.raw)
@@ -139,35 +148,26 @@ class _Codes:
 
     def like(self, codes: Iterable[int]) -> _Codes:
         """Other codes in this coding, marked like these."""
-        other = _Codes(codes, self.n, self.width, self.low)
-        other.tuples = self.tuples
-        return other
+        return _Codes(codes, self.n, self.width, self.low, self.tuples)
 
     def empty(self) -> array | list[int]:
         """A new growable sequence for these codes: an array of their type, or a list."""
         raw = self.raw
-        return array(raw.typecode) if type(raw) is array else []
+        return [] if type(raw) is tuple else array(raw.format)
 
     def in_bytes(self) -> bool:
         """Whether ``_columns`` can read these codes: an array whose digits fit bytes."""
         width = self.width
-        return (type(self.raw) is array and (width <= 4 or width == 8)
+        return (type(self.raw) is not tuple and (width <= 4 or width == 8)
                 and 0 <= self.low <= 256 - (1 << width))
 
     def digits(self) -> Iterator[Word]:
-        """Each word's digits as a tuple, in order.
-
-        Zipped from the digit columns of the array's memory where
-        ``in_bytes``, else spelled chunk by chunk through ``_table``.
-        """
-        raw, n, width, low = self.raw, self.n, self.width, self.low
-        if n and self.in_bytes():
-            blocks = (raw[i:i + 4096] for i in range(0, len(raw), 4096))
-            return chain.from_iterable(zip(*_columns(b, n, n, width, low, 0)) for b in blocks)
-        chunks = _fields(raw, n, n, width)
+        """Each word's digits as a tuple, in order, spelled chunk by chunk (``_table``)."""
+        raw, width, low = self.raw, self.width, self.low
+        chunks = _fields(raw, self.n, width)
         if not chunks:  # words of length 0
             return repeat((), len(raw))
-        columns = [map(_table(t, width, low, None), fields) for t, fields in chunks]
+        columns = [map(_table(t, width, low), fields) for t, fields in chunks]
         if len(columns) > 3:  # long words: one flat call per word, not nested adds
             return map(tuple, map(chain, *columns))
         words = columns[0]
@@ -177,26 +177,19 @@ class _Codes:
 
 
 @lru_cache(maxsize=32)
-def _table(size: int, width: int, low: int, sep: str | None) -> Callable[[int], Word | str]:
-    """The spelling of each code of ``size`` digit fields, as a lookup function.
+def _table(size: int, width: int, low: int) -> Callable[[int], Word]:
+    """The digits of each code of ``size`` digit fields, as a lookup function.
 
-    Tuples of digits when ``sep`` is None, else the digits' decimal texts
-    joined by ``sep``.  A table holds one entry per code, at most
-    2**_CHUNK_BITS; a digit wider than that has no table and is spelled
-    one code at a time.
+    A table holds one tuple per code, at most 2**_CHUNK_BITS; a digit wider
+    than that has no table and is decoded one code at a time.
     """
     if size * width > _CHUNK_BITS:  # size is 1
-        return (lambda v: (v + low,)) if sep is None else (lambda v: str(v + low))
-    digits = range(low, low + (1 << width))
-    if sep is None:
-        return list(product(digits, repeat=size)).__getitem__
-    return list(map(sep.join, product(list(map(str, digits)), repeat=size))).__getitem__
+        return lambda v: (v + low,)
+    return list(product(range(low, low + (1 << width)), repeat=size)).__getitem__
 
 
-def _fields(
-    codes: Sequence[int], n: int, lead: int, width: int
-) -> list[tuple[int, Iterator[int]]]:
-    """The first ``lead`` of each code's n digit fields, cut into chunks.
+def _fields(codes: Sequence[int], n: int, width: int) -> list[tuple[int, Iterator[int]]]:
+    """Each code's n digit fields, cut into chunks.
 
     (t, fields) per chunk of t digits, first digits first: ``fields`` gives
     the chunk's t fields of every code in ``codes``, in order, as one code.
@@ -205,20 +198,14 @@ def _fields(
     """
     size = max(1, _CHUNK_BITS // width)
     chunks = []
-    for start in range(0, lead, size):
-        t = min(size, lead - start)
+    for start in range(0, n, size):
+        t = min(size, n - start)
         shift = width * (n - start - t)
         fields = map(shift.__rrshift__, codes) if shift else iter(codes)
         if start:
             fields = map(((1 << width * t) - 1).__and__, fields)
         chunks.append((t, fields))
     return chunks
-
-
-def _text(codes: Sequence[int], n: int, lead: int, width: int, low: int, sep: str) -> str:
-    """The first ``lead`` digits of each code, all joined by ``sep`` in one text."""
-    columns = [map(_table(t, width, low, sep), f) for t, f in _fields(codes, n, lead, width)]
-    return sep.join(columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns)))
 
 
 @lru_cache(maxsize=64)
@@ -234,7 +221,7 @@ def _byte_table(shift: int, width: int, low: int, base: int) -> bytes:
     return bytes(digits)
 
 
-def _columns(block: array, n: int, lead: int, width: int, low: int, base: int) -> list[bytes]:
+def _columns(block: memoryview, n: int, lead: int, width: int, low: int, base: int) -> list[bytes]:
     """Digit p of every code in ``block``, for p < ``lead``: one bytes per p.
 
     Read from the array's memory (``_Codes.in_bytes``): a digit is one
@@ -249,7 +236,7 @@ def _columns(block: array, n: int, lead: int, width: int, low: int, base: int) -
         low_bit, view = width * (n - 1 - p), 0
         if low_bit % 8 + width > 8:
             if len(memory) == 1:
-                memory.append(array(block.typecode, map((4).__rrshift__, block)).tobytes())
+                memory.append(array(block.format, map((4).__rrshift__, block)).tobytes())
             low_bit, view = low_bit - 4, 1
         byte = low_bit // 8 if _LITTLE_ENDIAN else size - 1 - low_bit // 8
         table = _byte_table(low_bit % 8, width, low, base)
@@ -257,7 +244,7 @@ def _columns(block: array, n: int, lead: int, width: int, low: int, base: int) -
     return columns
 
 
-def _ascii(block: array, n: int, lead: int, width: int, low: int, end: bytes) -> bytearray:
+def _ascii(block: memoryview, n: int, lead: int, width: int, low: int, end: bytes) -> bytearray:
     """The first ``lead`` digits of each code in ``block`` as ASCII, then ``end``.
 
     Each digit column (``_columns``) lands in the text by one strided slice
@@ -285,30 +272,23 @@ def _encode(words: Sequence[Sequence[int]], n: int) -> _Codes:
     """The codes of words of length n, in their order, marked as tuple words.
 
     Each digit less the smallest one fills just enough bits for the largest,
-    and at least one.  Words of digits in 0..255 (``bytes`` checks) with
-    fields of at most 5 bits are read in C: each byte becomes its field's
-    digit in base 2**width, and ``int`` parses the text.
+    and at least one.  Fields of at most 5 bits over digits in 0..255 are
+    read in C, one word at a time: each byte of ``bytes(word)`` becomes its
+    field's digit in base 2**width, and ``int`` parses the text.
     """
-    try:
-        texts = list(map(bytes, words)) if n else None
-    except ValueError:  # a digit outside 0..255
-        texts = None
     low = top = 0
-    if texts:
-        digits = b"".join(texts)
+    if n and words:  # words of length 0 have no digits
+        digits = set(chain.from_iterable(words))
         low, top = min(digits), max(digits)
-    elif n and words:  # words of length 0 have no digits
-        low, top = min(map(min, words)), max(map(max, words))
     width = (top - low).bit_length() or 1
-    if texts and width <= 5:
+    if 0 <= low and top <= 255 and width <= 5:
         table = bytearray(256)
         table[low:top + 1] = _BASE32[:top + 1 - low]
-        fields = map(bytes.translate, texts, repeat(table))
-        codes = _Codes(map(int, fields, repeat(1 << width)), n, width, low)
+        fields = map(bytes.translate, map(bytes, words), repeat(table))
+        codes = map(int, fields, repeat(1 << width))
     else:
-        codes = _Codes(map(_code, words, repeat(width), repeat(low)), n, width, low)
-    codes.tuples = True
-    return codes
+        codes = map(_code, words, repeat(width), repeat(low))
+    return _Codes(codes, n, width, low, True)
 
 
 def _misfit(words: Sequence[Sequence[int]], n: int) -> int | None:
@@ -568,6 +548,7 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
             REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected",
             f"the walk covered {len(tour)} of {len(raw)} edges",
         )
+    del out, ready, stack  # popped arrays keep their memory: freed before the copy
     tour.reverse()
     coded = codes.like(tour)
     return list(coded.digits()) if codes.tuples else coded
@@ -579,7 +560,7 @@ class OcycleSolution(_Record):
     Stored linearly with implicit wraparound, rotated to start at the
     lexicographically smallest word.  For input given as codes (``_Codes``)
     ``construct_ocycle`` stores the cycle as codes too, in a ``_Codes``,
-    which is a tuple: the solution stays immutable and hashable.
+    which is immutable and hashable, and so is the solution.
     """
 
     s: int
@@ -765,39 +746,33 @@ def compress_cycle(solution: OcycleSolution, n: int) -> str:
     if not 1 <= s < n or _cycle_fault(cycle, n, s) is not None:
         raise ValueError("refusing to compress an unverified cycle")
     raw, width, low, step = cycle.raw, cycle.width, cycle.low, n - s
-    # Spelled 4,096 heads at a time: one block's spelling alive, not one per word.
-    starts = range(0, len(raw), 4096)
     # Digits join without a separator unless one of them is over 9, as in
     # format_word; a verified cycle's heads hold every digit of its words.
     if cycle.in_bytes() and low <= 9:
+        # Spelled _TAIL_LINES heads at a time: one block's spelling alive, not one per word.
         digits = bytearray()
-        for i in starts:
-            digits += _ascii(raw[i:i + 4096], n, step, width, low, b"")
+        for i in range(0, len(raw), _TAIL_LINES):
+            digits += _ascii(raw[i:i + _TAIL_LINES], n, step, width, low, b"")
         if digits.isdigit():
             return digits.decode("ascii")
-        sep = ","
-    else:
-        sep = "," if low + (1 << width) - 1 > 9 and max(map(max, cycle.digits())) > 9 else ""
-    return sep.join([_text(raw[i:i + 4096], n, step, width, low, sep) for i in starts])
+    return format_word([d for w in cycle.digits() for d in w[:step]])
 
 
-def _lines(cycle: _Codes, sep: str, block: int) -> Iterator[str]:
-    """The words of the cycle as text lines, ``block`` lines per string.
+def _lines(cycle: _Codes, m: int, block: int) -> Iterator[str]:
+    """The words of a cycle over {0..m-1} as text lines, ``block`` lines per string.
 
-    A word's digits are joined by ``sep``; without one every digit must lie
-    in 0..9, and codes that ``in_bytes`` are spelled from the array's
-    memory (``_ascii``).  Other codes go through the chunk tables.
+    Over m <= 10, codes that ``in_bytes`` are spelled from the array's
+    memory (``_ascii``); other words are decoded and go through
+    ``format_word``.
     """
     raw, n, width, low = cycle.raw, cycle.n, cycle.width, cycle.low
-    starts = range(0, len(raw), block)
-    if not sep and cycle.in_bytes():
-        for i in starts:
+    if m <= 10 and cycle.in_bytes():
+        for i in range(0, len(raw), block):
             yield _ascii(raw[i:i + block], n, n, width, low, b"\n").decode("ascii")
         return
-    for i in starts:
-        chunks = _fields(raw[i:i + block], n, n, width)
-        line = (sep.join(["{}"] * len(chunks)) + "\n").format
-        yield "".join(map(line, *[map(_table(t, width, low, sep), f) for t, f in chunks]))
+    words = cycle.digits()
+    while chunk := list(islice(words, block)):
+        yield "".join([format_word(w, m) + "\n" for w in chunk])
 
 
 def decompress_cycle(text: str, n: int, s: int) -> tuple[Word, ...]:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 from collections import Counter
 from itertools import chain, product
 
@@ -864,6 +865,20 @@ def test_coded_solutions_are_immutable_and_hashable():
     assert hash(solution) == hash(OcycleSolution(2, single))
     with pytest.raises(TypeError):
         solution.cycle[0] = 0
+    # Neither the codes, nor the memory under them, nor the coding can change.
+    raw = solution.cycle.raw
+    for memory in (raw, raw.obj):
+        with pytest.raises(TypeError):
+            memory[0] = 0
+    with pytest.raises(AttributeError):
+        solution.cycle.n = 2
+    with pytest.raises(AttributeError):
+        del solution.cycle.raw
+    # An array given to _Codes is copied, so changing it later changes no codes.
+    given = array("I", [1, 2])
+    codes = _Codes(given, 4, 8)
+    given[0] = 3
+    assert list(codes) == [1, 2] and hash(codes) == hash(_Codes([1, 2], 4, 8))
 
 
 @settings(max_examples=300, deadline=None)
