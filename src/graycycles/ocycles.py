@@ -14,11 +14,11 @@ Codes of up to 64 bits sit in one read-only array of machine words, wider
 ones in a tuple of ints.  CLI ``ocycle`` and ``digraph`` enumerate their sets
 straight into codes (``_word_codes``); tuple words given to the library are
 coded once on entry (``_encode``) and decoded once on exit.  In between, the
-digraph, ``is_balanced``, the Hierholzer walk, the self-check
+digraph and its queries, the Hierholzer walk, the self-check
 ``_cycle_fault``, compression and the CLI writer work on the codes only.
 Words are decoded through tables of chunk codes of at most ``_TAIL_LINES``
 entries.  The CLI's lines and the compressed text read digits straight from
-the array's memory, one digit position at a time (``_columns``), where
+the array's memory, one digit position at a time (``_ascii``), where
 fields have at most 4 bits or 8 and every digit lies in 0..9; other codes
 are spelled by ``format_word`` from their decoded words.
 The tests check the engine against the tuple-based Hierholzer kept in
@@ -156,7 +156,7 @@ class _Codes:
         return [] if type(raw) is tuple else array(raw.format)
 
     def in_bytes(self) -> bool:
-        """Whether ``_columns`` can read these codes: an array whose digits fit bytes."""
+        """Whether ``_ascii`` can read these codes: an array whose digits fit bytes."""
         width = self.width
         return (type(self.raw) is not tuple and (width <= 4 or width == 8)
                 and 0 <= self.low <= 256 - (1 << width))
@@ -209,29 +209,28 @@ def _fields(codes: Sequence[int], n: int, width: int) -> list[tuple[int, Iterato
 
 
 @lru_cache(maxsize=64)
-def _byte_table(shift: int, width: int, low: int, base: int) -> bytes:
-    """``bytes.translate`` table: byte b to base + the digit of its field at ``shift``.
+def _byte_table(shift: int, width: int, low: int) -> bytes:
+    """``bytes.translate`` table: byte b to the ASCII digit of its field at ``shift``.
 
-    The digit is the field plus ``low``.  With base 48 a digit is its ASCII
-    character, and one over 9 becomes byte 0xFF.
+    The digit is the field plus ``low``; one over 9 becomes byte 0xFF.
     """
-    digits = [low + (b >> shift & (1 << width) - 1) for b in range(256)]
-    if base:
-        return bytes(base + d if d <= 9 else 0xFF for d in digits)
-    return bytes(digits)
+    digits = (low + (b >> shift & (1 << width) - 1) for b in range(256))
+    return bytes(48 + d if d <= 9 else 0xFF for d in digits)
 
 
-def _columns(block: memoryview, n: int, lead: int, width: int, low: int, base: int) -> list[bytes]:
-    """Digit p of every code in ``block``, for p < ``lead``: one bytes per p.
+def _ascii(block: memoryview, n: int, lead: int, width: int, low: int, end: bytes) -> bytearray:
+    """The first ``lead`` digits of each code in ``block`` as ASCII, then ``end``.
 
-    Read from the array's memory (``_Codes.in_bytes``): a digit is one
-    strided slice of the array's bytes and one ``translate`` by
-    ``_byte_table``.  A 3-bit field that crosses a byte boundary lies
-    inside a byte of the codes shifted right by 4.
+    Read from the array's memory (``_Codes.in_bytes``): digit p of every
+    code is one strided slice of the array's bytes and one ``translate`` by
+    ``_byte_table``, and lands in the text by one strided slice assignment.
+    A 3-bit field that crosses a byte boundary lies inside a byte of the
+    codes shifted right by 4.  A digit outside 0..9 gives a byte that is
+    not an ASCII digit.
     """
-    size = block.itemsize
+    size, step = block.itemsize, lead + len(end)
     memory = [block.tobytes()]
-    columns = []
+    text = bytearray(step * len(block))
     for p in range(lead):
         low_bit, view = width * (n - 1 - p), 0
         if low_bit % 8 + width > 8:
@@ -239,22 +238,7 @@ def _columns(block: memoryview, n: int, lead: int, width: int, low: int, base: i
                 memory.append(array(block.format, map((4).__rrshift__, block)).tobytes())
             low_bit, view = low_bit - 4, 1
         byte = low_bit // 8 if _LITTLE_ENDIAN else size - 1 - low_bit // 8
-        table = _byte_table(low_bit % 8, width, low, base)
-        columns.append(memory[view][byte::size].translate(table))
-    return columns
-
-
-def _ascii(block: memoryview, n: int, lead: int, width: int, low: int, end: bytes) -> bytearray:
-    """The first ``lead`` digits of each code in ``block`` as ASCII, then ``end``.
-
-    Each digit column (``_columns``) lands in the text by one strided slice
-    assignment.  A digit outside 0..9 gives a byte that is not an ASCII
-    digit.
-    """
-    step = lead + len(end)
-    text = bytearray(step * len(block))
-    for p, column in enumerate(_columns(block, n, lead, width, low, 48)):
-        text[p::step] = column
+        text[p::step] = memory[view][byte::size].translate(_byte_table(low_bit % 8, width, low))
     if end:
         text[lead::step] = end * len(block)
     return text
@@ -329,10 +313,10 @@ class TransitionDigraph(_Record):
     """Directed multigraph of overlaps: vertices are s-strings, edges are words.
 
     Stored as ``by_code``, the words' codes (``_Codes``) in ascending order;
-    ``base`` is 2**width.  The tuple view is decoded on first use and kept:
-    ``edges`` maps (prefix, suffix) vertex pairs to the ascending tuple of
-    word labels travelling that way, and ``vertices`` holds their endpoints.
-    ``by_code`` is left out of the hash and the repr.
+    ``base`` is 2**width.  Vertices are coded as words of length s, so the
+    queries run on codes; ``edges``, the one tuple view, is decoded on first
+    use.  Views are kept once asked for.  ``by_code`` is left out of the hash
+    and the repr.
     """
 
     s: int
@@ -344,45 +328,52 @@ class TransitionDigraph(_Record):
     def edge_count(self) -> int:
         return len(self.by_code)
 
-    @cached_property
-    def edges(self) -> dict[tuple[Word, Word], tuple[Word, ...]]:
-        """Word labels by (prefix, suffix) vertex pair, grouped on the codes.
+    def _ends(self) -> tuple[int, int]:
+        """(shift, mask): a word code's prefix vertex is code >> shift, its suffix code & mask."""
+        width = self.by_code.width
+        return width * (self.n - self.s), (1 << width * self.s) - 1
 
-        Pairs come in order of prefix, then suffix; each vertex is decoded
-        once and shared by all its pairs.
-        """
-        codes, n, s = self.by_code, self.n, self.s
-        shift, mask = codes.width * (n - s), (1 << codes.width * s) - 1
-        groups: dict[tuple[int, int], list[Word]] = {}
-        for code, word in zip(codes.raw, codes.digits()):
-            groups.setdefault((code >> shift, code & mask), []).append(word)
-        vertex: dict[int, Word] = {}
-        edges: dict[tuple[Word, Word], tuple[Word, ...]] = {}
-        for u, v in sorted(groups):
-            labels = groups[u, v]
-            pair = vertex.setdefault(u, labels[0][:s]), vertex.setdefault(v, labels[0][n - s:])
-            edges[pair] = tuple(labels)
-        return edges
+    @cached_property
+    def _degrees(self) -> tuple[Counter[int], Counter[int]]:
+        """``_degree_counts``, kept for the degree queries; the walk keeps none."""
+        return _degree_counts(self)
+
+    @cached_property
+    def _vertex_words(self) -> dict[int, Word]:
+        """Each vertex's word by its code, in ascending code order: the vertex decoder."""
+        codes, (shift, mask) = self.by_code, self._ends()
+        prefixes = set(map(shift.__rrshift__, codes.raw))
+        vertex_codes = sorted(prefixes.union(map(mask.__and__, codes.raw)))
+        words = _Codes(vertex_codes, self.s, codes.width, codes.low).digits()
+        return dict(zip(vertex_codes, words))
 
     @cached_property
     def vertices(self) -> frozenset[Word]:
-        return frozenset(chain.from_iterable(self.edges))
+        return frozenset(self._vertex_words.values())
 
     @cached_property
-    def _degrees(self) -> tuple[dict[Word, int], dict[Word, int]]:
-        """(out-degree, in-degree) by vertex, counted in one pass over the edges."""
-        outs: dict[Word, int] = {}
-        ins: dict[Word, int] = {}
-        for (u, v), labels in self.edges.items():
-            outs[u] = outs.get(u, 0) + len(labels)
-            ins[v] = ins.get(v, 0) + len(labels)
-        return outs, ins
+    def edges(self) -> dict[tuple[Word, Word], tuple[Word, ...]]:
+        """Word labels by (prefix, suffix) vertex pair, in order of prefix, then suffix."""
+        codes, vertex, (shift, mask) = self.by_code, self._vertex_words, self._ends()
+        groups: dict[tuple[int, int], list[Word]] = {}
+        for code, word in zip(codes.raw, codes.digits()):
+            groups.setdefault((code >> shift, code & mask), []).append(word)
+        return {(vertex[u], vertex[v]): tuple(groups[u, v]) for u, v in sorted(groups)}
+
+    def _degree(self, vertex: Word, side: int) -> int:
+        """Out- (side 0) or in-degree (1) of a vertex, 0 for anything else."""
+        codes = self.by_code
+        low, top = codes.low, codes.low + (1 << codes.width)
+        if isinstance(vertex, tuple) and len(vertex) == self.s and all(
+                isinstance(d, int) and low <= d < top for d in vertex):
+            return self._degrees[side][_code(vertex, codes.width, low)]
+        return 0
 
     def out_degree(self, vertex: Word) -> int:
-        return self._degrees[0].get(vertex, 0)
+        return self._degree(vertex, 0)
 
     def in_degree(self, vertex: Word) -> int:
-        return self._degrees[1].get(vertex, 0)
+        return self._degree(vertex, 1)
 
 
 def _prefix_runs(codes: Sequence[int], shift: int) -> Iterator[tuple[int, int, int]]:
@@ -440,10 +431,9 @@ def _degree_counts(digraph: TransitionDigraph) -> tuple[Counter[int], Counter[in
     Out-degrees are the lengths of the sorted codes' prefix runs, in-degrees
     the counts of their suffixes.
     """
-    codes, s = digraph.by_code, digraph.s
-    runs = _prefix_runs(codes.raw, codes.width * (digraph.n - s))
-    outs = Counter({u: hi - lo for u, lo, hi in runs})
-    return outs, Counter(map(((1 << codes.width * s) - 1).__and__, codes.raw))
+    raw, (shift, mask) = digraph.by_code.raw, digraph._ends()
+    outs = Counter({u: hi - lo for u, lo, hi in _prefix_runs(raw, shift)})
+    return outs, Counter(map(mask.__and__, raw))
 
 
 def is_balanced(digraph: TransitionDigraph) -> bool:
@@ -456,32 +446,33 @@ def _imbalance(digraph: TransitionDigraph) -> str:
     """The smallest vertex whose in- and out-degree differ, with both, as text."""
     outs, ins = _degree_counts(digraph)
     u = min(v for v in outs.keys() | ins.keys() if outs[v] != ins[v])
-    codes = digraph.by_code
-    (vertex,) = _Codes((u,), digraph.s, codes.width, codes.low).digits()
+    vertex = digraph._vertex_words[u]
     return f"vertex {format_word(vertex)} has in-degree {ins[u]} and out-degree {outs[u]}"
 
 
 def weak_components(digraph: TransitionDigraph) -> list[frozenset[Word]]:
     """Connected components of the underlying undirected multigraph.
 
-    Deterministic: components are sorted by their smallest vertex.
+    Deterministic: components are sorted by their smallest vertex.  Found by
+    union-find on vertex codes, one union per distinct (prefix, suffix) pair.
     """
-    parent = {v: v for v in digraph.vertices}
+    raw, (shift, mask), vertex = digraph.by_code.raw, digraph._ends(), digraph._vertex_words
+    parent = {v: v for v in vertex}
 
-    def find(x: Word) -> Word:
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for u, v in digraph.edges:
+    for u, v in set(zip(map(shift.__rrshift__, raw), map(mask.__and__, raw))):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-    groups: dict[Word, set[Word]] = {}
-    for v in digraph.vertices:
-        groups.setdefault(find(v), set()).add(v)
-    return sorted((frozenset(g) for g in groups.values()), key=min)
+    groups: dict[int, list[Word]] = {}
+    for v, word in vertex.items():
+        groups.setdefault(find(v), []).append(word)
+    return [frozenset(group) for group in groups.values()]
 
 
 def is_weakly_connected(digraph: TransitionDigraph) -> bool:
@@ -515,8 +506,7 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
             REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex",
             _imbalance(digraph),
         )
-    shift = codes.width * (digraph.n - digraph.s)  # a code's s-prefix vertex is code >> shift
-    mask = (1 << codes.width * digraph.s) - 1  # and its s-suffix vertex code & mask
+    shift, mask = digraph._ends()
     # Vertex u's unused out-edges, its run of the ascending codes reversed,
     # so pop() takes the smallest.
     out = {}
@@ -799,15 +789,15 @@ def export_dot(digraph: TransitionDigraph, m: int | None = None) -> str:
     """Graphviz DOT text for the digraph, with deterministic ordering.
 
     Vertices are labeled by their s-strings and edges by their full words;
-    both are emitted in sorted order so identical digraphs always render to
-    identical text.
+    both are emitted in the digraph's own ascending order, so identical
+    digraphs always render to identical text.
     """
-    label = {vertex: format_word(vertex, m) for vertex in sorted(digraph.vertices)}
+    edges = digraph.edges  # first: the labels then reuse the memory its build frees
+    label = {vertex: format_word(vertex, m) for vertex in digraph._vertex_words.values()}
     lines = ["digraph transitions {"]
     lines.extend(f'    "{text}";' for text in label.values())
-    for u, v in sorted(digraph.edges):
+    for (u, v), words in edges.items():
         arrow = f'    "{label[u]}" -> "{label[v]}" [label="'
-        for word in digraph.edges[u, v]:
-            lines.append(f'{arrow}{format_word(word, m)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.extend(f'{arrow}{format_word(word, m)}"];' for word in words)
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -325,6 +325,19 @@ def test_digraph_stdout_and_file(capsys, tmp_path):
     assert code == 0 and ranged.count("->") == 4
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("digraph fixed 3 12 12 5",
+     "2476077777b66f808ca160e510cc9b9d759646bdf8f2cbf1c2ad1105f2850ea0"),
+    # 80-bit codes: a tuple of ints, not an array
+    ("digraph fixed 3 40 2 3", "a58b18259aec869742005ecbc5ac70d1c4ed813d57ee106480b11cb230590c0d"),
+])
+def test_digraph_output_is_pinned(capsys, argv, digest):
+    # Digests taken while the degree and component queries read a tuple view.
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (["gray", "3", "4"], ["nonsense"], [], ["ocycle", "fixed", "2"]):
         with pytest.raises(SystemExit) as info:
@@ -577,23 +590,39 @@ def test_larger_and_wider_ocycles_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+def traced_ocycle(monkeypatch, *args):
+    """Exit code, stdout lines and traced peak of ``ocycle fixed 3 12 12`` with args."""
+    sink = LineSink(10**9)
+    monkeypatch.setattr("sys.stdout", sink)
+    build_parser()  # built once per process, outside the measurement
+    tracemalloc.start()
+    try:
+        code = main(["ocycle", "fixed", "3", "12", "12", *args])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, sink.lines, peak
+
+
 @pytest.mark.parametrize("flags, bound", [((), 20), (("--compressed",), 56)])
 def test_ocycle_peak_memory_per_word(monkeypatch, flags, bound):
     # The traced peak of the 73,789-word cycle, in bytes per word: about 17
     # plain and 48 compressed with codes in arrays of machine words, where a
     # tuple of 96-bit byte codes took 73 and 77.  Most of the compressed
     # peak is the sorted copy that the duplicate check makes.
-    sink = LineSink(10**9)
-    monkeypatch.setattr("sys.stdout", sink)
-    build_parser()  # built once per process, outside the measurement
-    tracemalloc.start()
-    try:
-        code = main(["ocycle", "fixed", "3", "12", "12", "5", *flags])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0 and sink.lines == (1 if flags else 73_789)
+    code, lines, peak = traced_ocycle(monkeypatch, "5", *flags)
+    assert code == 0 and lines == (1 if flags else 73_789)
     assert peak < bound * 73_789, peak / 73_789
+
+
+def test_disconnected_ocycle_peak_memory_per_word(monkeypatch, capsys):
+    # At s = 11 nearly every word has a vertex of its own, and the walk
+    # stops short of the edge count.  Its traced peak is about 168 bytes a
+    # word; a degree table kept on the digraph through the walk makes it 303.
+    code, lines, peak = traced_ocycle(monkeypatch, "11")
+    assert (code, lines) == (1, 0)
+    assert "digraph-disconnected" in capsys.readouterr().err
+    assert peak < 200 * 73_789, peak / 73_789
 
 
 def test_compressed_ocycle_keeps_its_self_check(capsys, monkeypatch):

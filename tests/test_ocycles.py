@@ -35,6 +35,7 @@ from graycycles import (
     weak_components,
     witness_non_rotation,
 )
+from graycycles import ocycles
 from graycycles.ocycles import (
     REASON_DISCONNECTED,
     REASON_SINGLETON,
@@ -111,15 +112,26 @@ def test_degrees():
     assert d.out_degree((1,)) == d.in_degree((1,)) == 3
 
 
-def test_balanced():
+def test_balanced(monkeypatch):
     assert is_balanced(build_transition_digraph(B24_2, 2))
     assert is_balanced(build_transition_digraph(B24_2, 1))
     assert not is_balanced(build_transition_digraph([W("0011")], 2))
     assert is_balanced(build_transition_digraph([], 1))
-    # the check and the tour run on the codes; neither derives the tuple view
+    # The check and the tour run on the codes and keep nothing on the
+    # digraph: no tuple view and no degree table.
+    fields = {"s", "n", "base", "by_code"}
     d = build_transition_digraph(B24_2, 1)
     assert is_balanced(d) and euler_tour(d)
-    assert "edges" not in d.__dict__ and "vertices" not in d.__dict__
+    assert d.__dict__.keys() == fields
+    built = []
+
+    def build(words, s):
+        built.append(build_transition_digraph(words, s))
+        return built[-1]
+
+    monkeypatch.setattr(ocycles, "build_transition_digraph", build)
+    assert construct_ocycle(_codes(3, 6, 6, 6), 2).cycle
+    assert [d.__dict__.keys() for d in built] == [fields]
 
 
 def test_fixed_weight_digraphs_always_balanced():
@@ -610,12 +622,14 @@ def assert_view_matches_oracle(words, s, given=None):
     """Every query on the digraph agrees with the sliced tuple view; returns it.
 
     The digraph is built from ``given`` (the words' codes, say), by default
-    from the words themselves.
+    from the words themselves.  The queries on vertex codes run first and
+    must not decode ``edges``.  Anything that is not a vertex of the coding
+    has degree 0: a tuple of another length, one with a digit below the
+    smallest or past the field width, or a list.
     """
     d = build_transition_digraph(words if given is None else given, s)
     edges = oracle_edges(words, s)
     vertices = frozenset(chain.from_iterable(edges))
-    assert d.edges == edges, (words, s)
     assert d.vertices == vertices
     assert d.edge_count() == len(words)
     outs, ins = Counter(), Counter()
@@ -624,12 +638,19 @@ def assert_view_matches_oracle(words, s, given=None):
         ins[v] += len(labels)
     for v in vertices:
         assert (d.out_degree(v), d.in_degree(v)) == (outs[v], ins[v]), (words, s, v)
+    low, top = d.by_code.low, d.by_code.low + d.base
+    for v in sorted(vertices)[:2] or [(low,) * s]:
+        for probe in (v + (low,), v[1:], (low - 1,) + v[1:], (top,) + v[1:], list(v)):
+            assert d.out_degree(probe) == d.in_degree(probe) == 0, (words, s, probe)
     assert is_balanced(d) == (outs == ins)
     graph = nx.MultiDiGraph()
     graph.add_nodes_from(vertices)
     graph.add_edges_from(edges)
     components = sorted(map(frozenset, nx.weakly_connected_components(graph)), key=min)
     assert weak_components(d) == components
+    assert is_weakly_connected(d) == (len(components) <= 1)
+    assert "edges" not in d.__dict__
+    assert d.edges == edges, (words, s)
     text = {w: format_word(w) for w in chain(vertices, map(tuple, words))}
     dot = ["digraph transitions {"] + [f'    "{text[v]}";' for v in sorted(vertices)]
     for u, v in sorted(edges):
@@ -654,6 +675,11 @@ def test_digraph_view_matches_tuple_oracle():
     high, low = (2, 0) * (n // 2), (0, 2) * (n // 2)
     for s in (1, 2, n - 1):
         assert_view_matches_oracle([high, low], s)
+    # 80-bit codes, held in a tuple of ints: wider than a machine word.
+    wide = _codes(3, 40, 2, 2)
+    assert type(wide.raw) is tuple
+    for s in (1, 2, 20, 39):
+        assert_view_matches_oracle(enumerate_fixed_weight(3, 40, 2), s, wide)
 
 
 def test_digraph_hash_and_repr_leave_the_codes_out():
