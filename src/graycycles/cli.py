@@ -30,6 +30,7 @@ import argparse
 import functools
 import os
 import sys
+from itertools import chain
 
 from .words import (
     DEFAULT_MATERIALIZATION_CAP,
@@ -178,7 +179,7 @@ def _word_set(args: argparse.Namespace) -> _Codes:
 
 
 def _cmd_ocycle(args: argparse.Namespace) -> int:
-    from .ocycles import NotEulerianError, _lines, compress_cycle, construct_ocycle
+    from .ocycles import NotEulerianError, _compressed, _lines, construct_ocycle
     words = _word_set(args)
     if not words:
         print("error: the word set is empty", file=sys.stderr)
@@ -188,12 +189,13 @@ def _cmd_ocycle(args: argparse.Namespace) -> int:
     except NotEulerianError as exc:
         print(f"no {args.s}-overlap cycle: {exc.reason}", file=sys.stderr)
         return 1
-    if args.compressed:
-        print(compress_cycle(solution, args.n))
+    if args.compressed:  # checked before its first block, so a fault writes nothing
+        blocks = chain(_compressed(solution, args.n), ("\n",))
     else:
-        write = sys.stdout.write
-        for lines in _lines(solution.cycle, args.m, _CHUNK):
-            write(lines)
+        blocks = _lines(solution.cycle, args.m, _CHUNK)
+    write = sys.stdout.write
+    for text in blocks:
+        write(text)
     return 0
 
 
@@ -226,8 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_digraph(args: argparse.Namespace) -> int:
     from .ocycles import build_transition_digraph, export_dot
-    digraph = build_transition_digraph(_word_set(args), args.s)
-    text = export_dot(digraph, args.m)
+    text = export_dot(build_transition_digraph(_word_set(args), args.s), args.m)  # digraph freed
     if args.dot:
         try:
             with open(args.dot, "w", encoding="ascii") as fh:

@@ -17,10 +17,10 @@ coded once on entry (``_encode``) and decoded once on exit.  In between, the
 digraph and its queries, the Hierholzer walk, the self-check
 ``_cycle_fault``, compression and the CLI writer work on the codes only.
 Words are decoded through tables of chunk codes of at most ``_TAIL_LINES``
-entries.  The CLI's lines and the compressed text read digits straight from
-the array's memory, one digit position at a time (``_ascii``), where
-fields have at most 4 bits or 8 and every digit lies in 0..9; other codes
-are spelled by ``format_word`` from their decoded words.
+entries.  Where fields have at most 4 bits or 8, the self-check's overlap
+test and the text read digits from the array's memory a position at a time
+(``_columns``); the CLI writes its lines and compressed text a block at a
+time, spelled so where every digit lies in 0..9, else by ``format_word``.
 The tests check the engine against the tuple-based Hierholzer kept in
 ``tests/ocycle_oracles.py`` and against networkx.
 """
@@ -32,7 +32,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain, compress, count, islice, product, repeat
 from operator import add, ge, ne
 
@@ -156,7 +156,7 @@ class _Codes:
         return [] if type(raw) is tuple else array(raw.format)
 
     def in_bytes(self) -> bool:
-        """Whether ``_ascii`` can read these codes: an array whose digits fit bytes."""
+        """Whether ``_columns`` can read these codes: an array whose digits fit bytes."""
         width = self.width
         return (type(self.raw) is not tuple and (width <= 4 or width == 8)
                 and 0 <= self.low <= 256 - (1 << width))
@@ -208,37 +208,48 @@ def _fields(codes: Sequence[int], n: int, width: int) -> list[tuple[int, Iterato
     return chunks
 
 
-@lru_cache(maxsize=64)
-def _byte_table(shift: int, width: int, low: int) -> bytes:
-    """``bytes.translate`` table: byte b to the ASCII digit of its field at ``shift``.
+@lru_cache(maxsize=128)
+def _byte_table(shift: int, width: int, low: int | None) -> bytes:
+    """``bytes.translate`` table: byte b to its field at ``shift`` (``low`` None) or its digit.
 
-    The digit is the field plus ``low``; one over 9 becomes byte 0xFF.
+    The digit, in ASCII, is the field plus ``low``; one over 9 becomes 0xFF.
     """
-    digits = (low + (b >> shift & (1 << width) - 1) for b in range(256))
-    return bytes(48 + d if d <= 9 else 0xFF for d in digits)
+    fields = (b >> shift & (1 << width) - 1 for b in range(256))
+    if low is None:
+        return bytes(fields)
+    return bytes(48 + low + f if low + f <= 9 else 0xFF for f in fields)
 
 
-def _ascii(block: memoryview, n: int, lead: int, width: int, low: int, end: bytes) -> bytearray:
-    """The first ``lead`` digits of each code in ``block`` as ASCII, then ``end``.
+def _columns(block: memoryview, n: int, width: int, low: int | None) -> Callable[[int], bytes]:
+    """A reader of digit p of every code in ``block``: a strided slice of its bytes, translated.
 
-    Read from the array's memory (``_Codes.in_bytes``): digit p of every
-    code is one strided slice of the array's bytes and one ``translate`` by
-    ``_byte_table``, and lands in the text by one strided slice assignment.
-    A 3-bit field that crosses a byte boundary lies inside a byte of the
-    codes shifted right by 4.  A digit outside 0..9 gives a byte that is
-    not an ASCII digit.
+    See ``_Codes.in_bytes`` and ``_byte_table``.  A 3-bit field that crosses
+    a byte boundary lies inside a byte of the codes shifted right by 4.
     """
-    size, step = block.itemsize, lead + len(end)
-    memory = [block.tobytes()]
-    text = bytearray(step * len(block))
-    for p in range(lead):
+    size, memory = block.itemsize, [block.tobytes()]
+
+    def column(p: int) -> bytes:
         low_bit, view = width * (n - 1 - p), 0
         if low_bit % 8 + width > 8:
             if len(memory) == 1:
                 memory.append(array(block.format, map((4).__rrshift__, block)).tobytes())
             low_bit, view = low_bit - 4, 1
         byte = low_bit // 8 if _LITTLE_ENDIAN else size - 1 - low_bit // 8
-        text[p::step] = memory[view][byte::size].translate(_byte_table(low_bit % 8, width, low))
+        return memory[view][byte::size].translate(_byte_table(low_bit % 8, width, low))
+
+    return column
+
+
+def _ascii(block: memoryview, n: int, lead: int, width: int, low: int, end: bytes) -> bytearray:
+    """The first ``lead`` digits of each code in ``block`` as ASCII, then ``end``.
+
+    Each digit position is one column (``_columns``) and one strided slice
+    assignment.  A digit outside 0..9 gives byte 0xFF, not an ASCII digit.
+    """
+    step, column = lead + len(end), _columns(block, n, width, low)
+    text = bytearray(step * len(block))
+    for p in range(lead):
+        text[p::step] = column(p)
     if end:
         text[lead::step] = end * len(block)
     return text
@@ -564,6 +575,23 @@ class OcycleReport(_Record):
     first_violation: tuple[int, str] | None = None
 
 
+def _repeats(raw: Sequence[int], bits: int) -> bool:
+    """Whether the codes ``raw``, of ``bits`` bits each, hold some code twice.
+
+    Found on sorted copies.  An array of ``_TAIL_LINES`` codes or more is split
+    by their highest whole byte, one array per value, as equal codes share it.
+    """
+    groups = [raw]
+    if type(raw) is not tuple and len(raw) >= _TAIL_LINES:
+        size, byte = raw.itemsize, max(0, bits - 8) // 8
+        keys = raw.tobytes()[byte if _LITTLE_ENDIAN else size - 1 - byte::size]
+        if keys.count(keys[0]) < len(keys):  # else the codes are their own group
+            groups = [array(raw.format) for _ in range(256)]
+            any(map(array.append, map(groups.__getitem__, keys), raw))
+    # One group's sorted copy is alive at a time; a repeat stops its ascent.
+    return any(any(map(ge, ordered, islice(ordered, 1, None))) for ordered in map(sorted, groups))
+
+
 def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, str] | None:
     """First fault of a claimed s-overlap cycle, checked against itself only.
 
@@ -571,8 +599,8 @@ def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, s
     then the first word whose last s digits differ from the next word's
     first s digits, wrapping around.  Returns (index, description) or None.
     Takes words, coded once their lengths pass, or codes (``_Codes``), and
-    1 <= s < n.  Repeats are found on a sorted copy of the codes, which
-    costs less time and memory than a set of them.
+    1 <= s < n.  Codes that ``in_bytes`` pass if each suffix column n-s+j
+    equals prefix column j rotated by one word; the rest are scanned by word.
     """
     if not isinstance(cycle, _Codes):
         i = _misfit(cycle, n)
@@ -581,14 +609,16 @@ def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, s
         cycle = _encode(cycle, n)
     elif cycle and cycle.n != n:
         return 0, f"word has length {cycle.n}, expected {n}"
-    raw = cycle.raw
-    ordered = sorted(raw)
-    if any(map(ge, ordered, islice(ordered, 1, None))):
+    raw, width = cycle.raw, cycle.width
+    if _repeats(raw, n * width):
         return -1, "input word set contains duplicates"
-    del ordered  # freed first: the scan's short-lived ints reuse its memory
-    suffixes = map(((1 << cycle.width * s) - 1).__and__, raw)
+    if cycle.in_bytes():
+        column = _columns(raw, n, width, None)
+        if all(column(n - s + j) == (head := column(j))[1:] + head[:1] for j in range(s)):
+            return None
+    suffixes = map(((1 << width * s) - 1).__and__, raw)
     following = chain(islice(raw, 1, None), raw[:1])
-    next_prefixes = map((cycle.width * (n - s)).__rrshift__, following)
+    next_prefixes = map((width * (n - s)).__rrshift__, following)
     i = next(compress(count(), map(ne, suffixes, next_prefixes)), None)
     if i is None:
         return None
@@ -725,8 +755,17 @@ def compress_cycle(solution: OcycleSolution, n: int) -> str:
     The input is checked first, in O(len(cycle)), by the check that CLI
     ``verify ocycle`` runs: it is rejected unless 1 <= s <= n-1, its words
     all have length n and are distinct, and each word's last s digits equal
-    the next word's first s digits, wrapping around.  Words are coded once,
-    after their lengths are checked; the check and the text work on codes.
+    the next word's first s digits, wrapping around.  The text is the blocks
+    that CLI ``ocycle --compressed`` writes one at a time (``_compressed``).
+    """
+    return "".join(_compressed(solution, n))
+
+
+def _compressed(solution: OcycleSolution, n: int) -> Iterator[str]:
+    """``compress_cycle``'s text in blocks of ``_TAIL_LINES`` heads, checked before the first.
+
+    Words are coded once their lengths pass; codes that ``in_bytes`` with
+    digits 0..9 are spelled by ``_ascii``, others in one block by ``format_word``.
     """
     cycle, s = solution.cycle, solution.s
     if not cycle:
@@ -736,16 +775,16 @@ def compress_cycle(solution: OcycleSolution, n: int) -> str:
     if not 1 <= s < n or _cycle_fault(cycle, n, s) is not None:
         raise ValueError("refusing to compress an unverified cycle")
     raw, width, low, step = cycle.raw, cycle.width, cycle.low, n - s
+    blocks = [raw[i:i + _TAIL_LINES] for i in range(0, len(raw), _TAIL_LINES)]
+    spell = partial(_ascii, n=n, lead=step, width=width, low=low, end=b"")
     # Digits join without a separator unless one of them is over 9, as in
     # format_word; a verified cycle's heads hold every digit of its words.
-    if cycle.in_bytes() and low <= 9:
-        # Spelled _TAIL_LINES heads at a time: one block's spelling alive, not one per word.
-        digits = bytearray()
-        for i in range(0, len(raw), _TAIL_LINES):
-            digits += _ascii(raw[i:i + _TAIL_LINES], n, step, width, low, b"")
-        if digits.isdigit():
-            return digits.decode("ascii")
-    return format_word([d for w in cycle.digits() for d in w[:step]])
+    if cycle.in_bytes() and low <= 9 and (
+            low + (1 << width) <= 10 or all(spell(block).isdigit() for block in blocks)):
+        for block in blocks:
+            yield spell(block).decode("ascii")
+        return
+    yield format_word([d for w in cycle.digits() for d in w[:step]])
 
 
 def _lines(cycle: _Codes, m: int, block: int) -> Iterator[str]:

@@ -4,7 +4,7 @@ import math
 import random
 from array import array
 from collections import Counter
-from itertools import chain, product
+from itertools import chain, count, product
 
 import networkx as nx
 import pytest
@@ -922,6 +922,66 @@ def test_cycle_fault_on_codes_matches_tuples(cycle, s, n):
     fault = _cycle_fault(codes, n, s)
     text = "ok\n" if fault is None else "violation at index {}: {}\n".format(*fault)
     assert (text, int(fault is not None)) == oracle_self_check(cycle, n, s)
+
+
+# (m, n, k, s, storage, width): one cycle per array type and field width,
+# most of at least 4,096 words, so that the repeat test splits them by a byte.
+COLUMN_CASES = [
+    (2, 8, 4, 1, "B", 1),
+    (2, 16, 8, 5, "H", 1),
+    (3, 10, 10, 4, "I", 2),
+    (5, 7, 14, 3, "I", 3),  # fields at bits 15-17 and 6-8 cross bytes
+    (16, 5, 16, 2, "I", 4),  # digits 10..15 too
+    (150, 3, 200, 1, "I", 8),
+    (2, 34, 3, 1, "Q", 1),
+    (3, 33, 3, 1, None, 2),  # 66 bits: a tuple of ints
+]
+
+
+@pytest.mark.parametrize("m, n, k, s, storage, width", COLUMN_CASES)
+def test_cycle_fault_on_large_cycles_matches_oracle(m, n, k, s, storage, width):
+    # The repeat test's byte groups and the overlap test's digit columns
+    # against CLI ``verify ocycle`` on the tuple words: the cycle itself,
+    # repeats, and overlaps broken at index 0, in the middle and at the
+    # wrap-around, each made alike in the codes and in the words.
+    codes = construct_ocycle(_codes(m, n, k, k), s).cycle
+    words = construct_ocycle(enumerate_fixed_weight(m, n, k), s).cycle
+    raw = codes.raw
+    assert (raw.format if storage else type(raw)) == (storage or tuple)
+    assert codes.width == width and list(codes.digits()) == list(words)
+    total = len(words)
+    assert total >= 4096 or storage == "B"
+    middle = total // 2
+    # A later code in the middle one's group, the codes with its highest
+    # whole byte (8-bit codes are groups of one): repeated in place of it.
+    shift = max(0, n * width - 8) // 8 * 8
+    twin = next((i for i in range(middle + 1, total)
+                 if (raw[i] ^ raw[middle]) >> shift & 0xFF == 0), middle + 1)
+    edits = {
+        "cycle": lambda c: c,
+        "repeat": lambda c: c[:middle] + [c[twin]] + c[middle + 1:],
+        "repeat at the ends": lambda c: c[:-1] + c[:1],
+        "tiled": lambda c: c * -(-4096 // total) if total < 4096 else c + c[:1],
+        "swapped": lambda c: c[:middle] + [c[middle + 1], c[middle]] + c[middle + 2:],
+        "reversed": lambda c: c[::-1],  # overlaps that hold the other way round
+    }
+    drops = {
+        "gap at 0": lambda c, cut: c[:1] + c[1 + cut:],
+        "gap in the middle": lambda c, cut: c[:middle] + c[middle + cut:],
+        "gap at the wrap": lambda c, cut: c[:-cut],
+    }
+    for name, drop in drops.items():
+        # Drop the fewest words that break an overlap: one may still hold.
+        cut = next(i for i in count(1) if oracle_first_gap(drop(list(words), i), s) is not None)
+        edits[name] = lambda c, drop=drop, cut=cut: drop(c, cut)
+    seen = set()
+    for name, edit in edits.items():
+        broken, claimed = codes.like(edit(list(raw))), edit(list(words))
+        fault = _cycle_fault(broken, n, s)
+        text = "ok\n" if fault is None else "violation at index {}: {}\n".format(*fault)
+        assert (text, int(fault is not None)) == oracle_self_check(claimed, n, s), name
+        seen.add(fault and ("wrap" if fault[0] == len(claimed) - 1 else fault[0]))
+    assert {None, -1, 0, middle - 1, "wrap"} <= seen
 
 
 def test_compress_shifted_digits_below_ten():
