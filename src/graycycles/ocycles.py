@@ -5,7 +5,7 @@ each word's last s digits equal the next word's first s digits (wrapping
 around).  Encoding every word as a directed edge from its s-prefix to its
 s-suffix turns these cycles into exactly the Euler tours of the resulting
 multigraph, so existence reduces to the classic criterion: balanced and
-weakly connected.
+weakly connected, which the Hierholzer walk checks as it goes.
 
 This module owns the engine's one word coding, ``_Codes``: each word is an
 int whose fixed-width bit fields hold its digits less the smallest one, so
@@ -500,10 +500,10 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
 
     Hierholzer's algorithm over the digraph's codes, made deterministic: the
     walk starts at the smallest vertex and always leaves on the smallest
-    unused out-edge, so the tour begins with the smallest word.  Balance is
-    checked first, by ``is_balanced``; in a balanced digraph the walk from
-    one vertex covers exactly that vertex's weak component, so a tour
-    shorter than the edge count means the digraph is not weakly connected.
+    unused out-edge, so the tour begins with the smallest word.  Each
+    sub-walk must close where it began and the tour must hold every edge,
+    which proves the Euler criterion; a failed walk counts degrees to tell
+    unbalanced from disconnected (a balanced walk covers its component).
     Raises NotEulerianError when the digraph is unbalanced or not weakly
     connected, and ValueError when it has no edges.  A digraph built from
     codes (``_Codes``) returns its tour as codes.
@@ -512,11 +512,6 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
     raw = codes.raw
     if not raw:
         raise ValueError("digraph has no edges")
-    if not is_balanced(digraph):
-        raise NotEulerianError(
-            REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex",
-            _imbalance(digraph),
-        )
     shift, mask = digraph._ends()
     # Vertex u's unused out-edges, its run of the ascending codes reversed,
     # so pop() takes the smallest.
@@ -525,32 +520,45 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
         out[u] = run = codes.empty()
         run.extend(reversed(raw[lo:hi]))
     stack, tour = codes.empty(), codes.empty()
-    ready = out[raw[0] >> shift]
-    while True:
-        if ready:
-            code = ready.pop()
-            stack.append(code)
-            ready = out[code & mask]  # balanced: every vertex entered has out-edges
-            continue
-        if not stack:
-            break
-        # Stuck: move the stack's top edges to the tour, down to and
-        # including the first whose source vertex (its prefix) has an unused
-        # edge left, and go on from that vertex.
-        sources = map(shift.__rrshift__, reversed(stack))
-        depth = len(stack) - next(compress(count(1), map(out.__getitem__, sources)), len(stack))
-        back = stack[depth:]
-        del stack[depth:]
-        back.reverse()
-        tour += back
-        ready = out[back[-1] >> shift]
-    if len(tour) != len(raw):
-        raise NotEulerianError(
-            REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected",
-            f"the walk covered {len(tour)} of {len(raw)} edges",
-        )
+    start = raw[0] >> shift
+    ready = out[start]
+    try:
+        while True:
+            if ready:
+                code = ready.pop()
+                stack.append(code)
+                ready = out[code & mask]  # KeyError: a vertex with no out-edge
+                continue
+            # Stuck: the sub-walk must end where it began, at ``start``.
+            if not stack or stack[-1] & mask != start:
+                break
+            if len(stack) + len(tour) == len(raw):  # no edge left: the stack leads the tour
+                stack += tour[::-1]
+                tour = stack
+                break
+            # Move the stack's top edges to the tour, down to and including the
+            # first whose source vertex (its prefix) has an unused edge left.
+            # Nothing named here may hold the stack or ``out`` past the walk.
+            depth = len(stack) - next(compress(count(1), map(
+                out.__getitem__, map(shift.__rrshift__, reversed(stack)))), len(stack))
+            tour += stack[depth:][::-1]
+            del stack[depth:]
+            start = tour[-1] >> shift
+            ready = out[start]
+    except KeyError:
+        pass
     del out, ready, stack  # popped arrays keep their memory: freed before the copy
-    tour.reverse()
+    if len(tour) != len(raw):
+        covered = f"the walk covered {len(tour)} of {len(raw)} edges"
+        del tour  # freed before the degree count
+        if is_balanced(digraph):
+            raise NotEulerianError(
+                REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected", covered
+            )
+        raise NotEulerianError(
+            REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex",
+            _imbalance(digraph),
+        )
     coded = codes.like(tour)
     return list(coded.digits()) if codes.tuples else coded
 

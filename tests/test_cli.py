@@ -620,7 +620,8 @@ def test_ocycle_peak_memory_per_word(monkeypatch, flags, bound):
 def test_disconnected_ocycle_peak_memory_per_word(monkeypatch, capsys):
     # At s = 11 nearly every word has a vertex of its own, and the walk
     # stops short of the edge count.  Its traced peak is about 168 bytes a
-    # word; a degree table kept on the digraph through the walk makes it 303.
+    # word; a degree table kept on the digraph through the walk makes it 303,
+    # and counting degrees after the walk but before its arrays are freed, 307.
     code, lines, peak = traced_ocycle(monkeypatch, "11")
     assert (code, lines) == (1, 0)
     assert "digraph-disconnected" in capsys.readouterr().err

@@ -618,6 +618,58 @@ def test_not_eulerian_errors_say_where():
     assert info.value.detail == "the walk covered 2 of 19 edges"  # 0022 and 2200
 
 
+def test_walk_counts_degrees_only_when_it_fails(monkeypatch):
+    # The walk checks the Euler criterion itself; degrees are counted only
+    # to name the reason of a failed walk.
+    calls = []
+    real = ocycles._degree_counts
+    monkeypatch.setattr(ocycles, "_degree_counts", lambda d: calls.append(d) or real(d))
+    assert len(construct_ocycle(_codes(3, 12, 12, 12), 5).cycle) == 73_789
+    assert calls == []
+    with pytest.raises(NotEulerianError) as info:
+        construct_ocycle(B24_2, 2)
+    assert (info.value.reason, info.value.detail) == (
+        REASON_DISCONNECTED, "the walk covered 2 of 6 edges")
+    assert calls
+
+
+@st.composite
+def word_subsets(draw):
+    """A nonempty subset of product(range(m), repeat=n), m <= 3, 2 <= n <= 6, or its complement."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    every = list(product(range(m), repeat=n))
+    picked = draw(st.sets(st.sampled_from(every), min_size=1))
+    if len(picked) < len(every) and draw(st.booleans()):
+        return [w for w in every if w not in picked]
+    return sorted(picked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_subsets())
+@example([W("0011")])  # a singleton, unbalanced for every s
+@example([W("0000")])  # a self-loop
+@example(list(B24_2))  # disconnected at s = 2
+@example([W("000"), W("010"), W("101"), W("111")])  # two components at s = 1
+@example([W("001"), W("010"), W("102")])  # at s = 1 the walk enters 2, which has no out-edge
+@example([W("001"), W("011"), W("100")])  # at s = 1 the walk is stuck at 1, not at 0
+@example([W("001"), W("100"), W("200")])  # at s = 1 the walk closes, then covers 2 of 3
+def test_walk_matches_oracle_on_any_subset(words):
+    # grid_sets() yields only balanced digraphs; here most are not.
+    n = len(words[0])
+    for s in range(1, n):
+        graph = nx.MultiDiGraph()
+        graph.add_edges_from((w[:s], w[n - s:]) for w in words)
+        try:
+            expected = oracle_tour(words, s)
+        except NotEulerianError as exc:
+            with pytest.raises(NotEulerianError) as info:
+                euler_tour(build_transition_digraph(words, s))
+            assert (info.value.reason, str(info.value)) == (exc.reason, str(exc)), (words, s)
+            assert info.value.detail == networkx_detail(graph, len(words)), (words, s)
+        else:
+            assert euler_tour(build_transition_digraph(words, s)) == expected, (words, s)
+
+
 def assert_view_matches_oracle(words, s, given=None):
     """Every query on the digraph agrees with the sliced tuple view; returns it.
 
