@@ -18,7 +18,7 @@ enumerate it, both through ``ocycles._word_codes``, which owns the word
 coding.  Each word travels as one int, its digits in fields of
 (m-1).bit_length() bits, kept in read-only machine words when the word
 fits 64 bits, through the transition digraph, the Euler tour and the
-tour's self-check to the text written, and is spelled out only there.
+tour's self-check to the text, spelled only there by ``ocycles._spelled``.
 
 Handlers import from ``graycode`` and ``ocycles`` when they run, so ``gray``
 and ``count`` load only ``words``.
@@ -179,7 +179,7 @@ def _word_set(args: argparse.Namespace) -> _Codes:
 
 
 def _cmd_ocycle(args: argparse.Namespace) -> int:
-    from .ocycles import NotEulerianError, _compressed, _lines, construct_ocycle
+    from .ocycles import NotEulerianError, _compressed, _spelled, construct_ocycle
     words = _word_set(args)
     if not words:
         print("error: the word set is empty", file=sys.stderr)
@@ -192,7 +192,7 @@ def _cmd_ocycle(args: argparse.Namespace) -> int:
     if args.compressed:  # checked before its first block, so a fault writes nothing
         blocks = chain(_compressed(solution, args.n), ("\n",))
     else:
-        blocks = _lines(solution.cycle, args.m, _CHUNK)
+        blocks = _spelled(solution.cycle, args.n, "\n", args.m)
     write = sys.stdout.write
     for text in blocks:
         write(text)

@@ -13,14 +13,14 @@ numeric order is word order and prefixes and suffixes are shifts and masks.
 Codes of up to 64 bits sit in one read-only array of machine words, wider
 ones in a tuple of ints.  CLI ``ocycle`` and ``digraph`` enumerate their sets
 straight into codes (``_word_codes``); tuple words given to the library are
-coded once on entry (``_encode``) and decoded once on exit.  In between, the
-digraph and its queries, the Hierholzer walk, the self-check
-``_cycle_fault``, compression and the CLI writer work on the codes only.
-Words are decoded through tables of chunk codes of at most ``_TAIL_LINES``
-entries.  Where fields have at most 4 bits or 8, the self-check's overlap
-test and the text read digits from the array's memory a position at a time
-(``_columns``); the CLI writes its lines and compressed text a block at a
-time, spelled so where every digit lies in 0..9, else by ``format_word``.
+coded once on entry, by the one coder ``_code``, and decoded once on exit.  In
+between, the digraph and its queries, the Hierholzer walk, the self-check
+``_cycle_fault``, compression and the CLI writer work on the codes only.  Words
+are decoded through tables of chunk codes of at most ``_TAIL_LINES`` entries.
+Where fields have at most 4 bits or 8, the self-check and the text read digits
+from the array's memory a position at a time (``_columns``).  One speller,
+``_spelled``, writes a cycle's text a block at a time: from that memory where
+every digit lies in 0..9, else decoded through ``format_word``.
 The tests check the engine against the tuple-based Hierholzer kept in
 ``tests/ocycle_oracles.py`` and against networkx.
 """
@@ -32,9 +32,9 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain, compress, count, islice, product, repeat
-from operator import add, ge, ne
+from operator import add, ge, itemgetter, ne
 
 from . import _LAZY
 from .words import (
@@ -84,9 +84,6 @@ class NotEulerianError(ValueError):
 _ARRAY_TYPE = [next(code for code in "BHIQ" if array(code).itemsize * 8 >= b) for b in range(65)]
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
-
-# Digits of base 2**width for width <= 5, as ``int`` reads them.
-_BASE32 = b"0123456789abcdefghijklmnopqrstuv"
 
 # A chunk table spells at most this many bits of digit fields: _TAIL_LINES entries.
 _CHUNK_BITS = _TAIL_LINES.bit_length() - 1
@@ -255,8 +252,21 @@ def _ascii(block: memoryview, n: int, lead: int, width: int, low: int, end: byte
     return text
 
 
+@lru_cache(maxsize=32)
+def _base_table(width: int, low: int) -> bytes:
+    """``bytes.translate`` table: byte low + f to digit f of base 2**width, as ``int`` reads it."""
+    digits = b"0123456789abcdefghijklmnopqrstuv"[:1 << width]  # width <= 5
+    return bytes(low) + digits + bytes(256 - low - len(digits))
+
+
 def _code(word: Sequence[int], width: int, low: int = 0) -> int:
-    """The code of one word whose digits less ``low`` fit in ``width`` bits."""
+    """The code of one word whose digits less ``low`` fit in ``width`` bits.
+
+    Fields of at most 5 bits over digits in 0..255 are read in C: ``bytes``,
+    ``_base_table``, ``int``.  Others, and the empty word, go digit by digit.
+    """
+    if word and width <= 5 and 0 <= low <= 256 - (1 << width):
+        return int(bytes(word).translate(_base_table(width, low)), 1 << width)
     code = 0
     for d in word:
         code = code << width | d - low
@@ -266,24 +276,14 @@ def _code(word: Sequence[int], width: int, low: int = 0) -> int:
 def _encode(words: Sequence[Sequence[int]], n: int) -> _Codes:
     """The codes of words of length n, in their order, marked as tuple words.
 
-    Each digit less the smallest one fills just enough bits for the largest,
-    and at least one.  Fields of at most 5 bits over digits in 0..255 are
-    read in C, one word at a time: each byte of ``bytes(word)`` becomes its
-    field's digit in base 2**width, and ``int`` parses the text.
+    Each digit less the smallest fills just enough bits for the largest, and at least one.
     """
     low = top = 0
     if n and words:  # words of length 0 have no digits
         digits = set(chain.from_iterable(words))
         low, top = min(digits), max(digits)
     width = (top - low).bit_length() or 1
-    if 0 <= low and top <= 255 and width <= 5:
-        table = bytearray(256)
-        table[low:top + 1] = _BASE32[:top + 1 - low]
-        fields = map(bytes.translate, map(bytes, words), repeat(table))
-        codes = map(int, fields, repeat(1 << width))
-    else:
-        codes = map(_code, words, repeat(width), repeat(low))
-    return _Codes(codes, n, width, low, True)
+    return _Codes(map(_code, words, repeat(width), repeat(low)), n, width, low, True)
 
 
 def _misfit(words: Sequence[Sequence[int]], n: int) -> int | None:
@@ -453,9 +453,8 @@ def is_balanced(digraph: TransitionDigraph) -> bool:
     return outs == ins
 
 
-def _imbalance(digraph: TransitionDigraph) -> str:
-    """The smallest vertex whose in- and out-degree differ, with both, as text."""
-    outs, ins = _degree_counts(digraph)
+def _imbalance(digraph: TransitionDigraph, outs: Counter[int], ins: Counter[int]) -> str:
+    """The smallest vertex whose counted in- and out-degree differ, with both, as text."""
     u = min(v for v in outs.keys() | ins.keys() if outs[v] != ins[v])
     vertex = digraph._vertex_words[u]
     return f"vertex {format_word(vertex)} has in-degree {ins[u]} and out-degree {outs[u]}"
@@ -551,13 +550,14 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
     if len(tour) != len(raw):
         covered = f"the walk covered {len(tour)} of {len(raw)} edges"
         del tour  # freed before the degree count
-        if is_balanced(digraph):
+        outs, ins = _degree_counts(digraph)
+        if outs == ins:
             raise NotEulerianError(
                 REASON_DISCONNECTED, "no Euler tour: digraph is not weakly connected", covered
             )
         raise NotEulerianError(
             REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex",
-            _imbalance(digraph),
+            _imbalance(digraph, outs, ins),
         )
     coded = codes.like(tour)
     return list(coded.digits()) if codes.tuples else coded
@@ -770,10 +770,10 @@ def compress_cycle(solution: OcycleSolution, n: int) -> str:
 
 
 def _compressed(solution: OcycleSolution, n: int) -> Iterator[str]:
-    """``compress_cycle``'s text in blocks of ``_TAIL_LINES`` heads, checked before the first.
+    """``compress_cycle``'s text in blocks (``_spelled``), checked before the first.
 
-    Words are coded once their lengths pass; codes that ``in_bytes`` with
-    digits 0..9 are spelled by ``_ascii``, others in one block by ``format_word``.
+    Words are coded once their lengths pass.  As in ``format_word``, commas
+    join the digits iff one is over 9; a verified cycle's heads hold them all.
     """
     cycle, s = solution.cycle, solution.s
     if not cycle:
@@ -782,34 +782,34 @@ def _compressed(solution: OcycleSolution, n: int) -> Iterator[str]:
         cycle = _encode(cycle, n)  # a length fault is left to _cycle_fault
     if not 1 <= s < n or _cycle_fault(cycle, n, s) is not None:
         raise ValueError("refusing to compress an unverified cycle")
-    raw, width, low, step = cycle.raw, cycle.width, cycle.low, n - s
-    blocks = [raw[i:i + _TAIL_LINES] for i in range(0, len(raw), _TAIL_LINES)]
-    spell = partial(_ascii, n=n, lead=step, width=width, low=low, end=b"")
-    # Digits join without a separator unless one of them is over 9, as in
-    # format_word; a verified cycle's heads hold every digit of its words.
-    if cycle.in_bytes() and low <= 9 and (
-            low + (1 << width) <= 10 or all(spell(block).isdigit() for block in blocks)):
-        for block in blocks:
-            yield spell(block).decode("ascii")
-        return
-    yield format_word([d for w in cycle.digits() for d in w[:step]])
+    raw, width, low = cycle.raw, cycle.width, cycle.low
+    top = low + (1 << width) - 1
+    if top > 9 and cycle.in_bytes():  # a digit over 9 reads 0xFF in its column
+        blocks = (raw[i:i + _TAIL_LINES] for i in range(0, len(raw), _TAIL_LINES))
+        columns = map(_columns, blocks, repeat(n), repeat(width), repeat(low))
+        top = 9 + any(b"\xff" in column(p) for column in columns for p in range(n))
+    elif top > 9:
+        top = max(map(max, cycle.digits()))
+    yield from _spelled(cycle, n - s, "", top + 1)
 
 
-def _lines(cycle: _Codes, m: int, block: int) -> Iterator[str]:
-    """The words of a cycle over {0..m-1} as text lines, ``block`` lines per string.
+def _spelled(cycle: _Codes, lead: int, end: str, m: int) -> Iterator[str]:
+    """The first ``lead`` digits of each code, then ``end``, a block of ``_TAIL_LINES`` at a time.
 
-    Over m <= 10, codes that ``in_bytes`` are spelled from the array's
-    memory (``_ascii``); other words are decoded and go through
-    ``format_word``.
+    Digits are spelled as ``format_word`` spells them over m; with no ``end``
+    the heads join into one word.  Over m <= 10, codes that ``in_bytes`` are
+    spelled from the array's memory (``_ascii``), others decoded a block at a time.
     """
     raw, n, width, low = cycle.raw, cycle.n, cycle.width, cycle.low
+    starts = range(0, len(raw), _TAIL_LINES)
     if m <= 10 and cycle.in_bytes():
-        for i in range(0, len(raw), block):
-            yield _ascii(raw[i:i + block], n, n, width, low, b"\n").decode("ascii")
+        for i in starts:
+            yield _ascii(raw[i:i + _TAIL_LINES], n, lead, width, low, end.encode()).decode("ascii")
         return
-    words = cycle.digits()
-    while chunk := list(islice(words, block)):
-        yield "".join([format_word(w, m) + "\n" for w in chunk])
+    glue = end or ("," if m > 10 else "")
+    heads = map(format_word, map(itemgetter(slice(lead)), cycle.digits()), repeat(m))
+    for i in starts:
+        yield glue.join(islice(heads, _TAIL_LINES)) + (glue if i + _TAIL_LINES < len(raw) else end)
 
 
 def decompress_cycle(text: str, n: int, s: int) -> tuple[Word, ...]:

@@ -582,6 +582,14 @@ def test_ocycle_output_is_pinned(capsys, flags, digest):
     ("ocycle fixed 3 40 2 3", "7994c3d0a4c4c6ab8dd2e252cdd16d06f931f1454ee4a69c22228a5c5a2f5cc9"),
     ("ocycle range 2 1200 0 1 1 --compressed",
      "166c24f82c0f50cba59b7a5b88f5dfc2098f18916346d9ccf6fb38b16bea5b3a"),
+    # Each spans more than one block of text: digits over 9 (commas),
+    # 300-bit codes, and m = 11 with no digit over 9 (no commas).
+    ("ocycle fixed 12 6 30 2 --compressed",
+     "c0f481ad5659f6aced64f0a46036d8c477fe58cdceb2c3f1b4d379b9a520db8c"),
+    ("ocycle range 2 300 0 2 1 --compressed",
+     "862e682b2664b0dfafc736cba22bb3fc0f4668a67bc1fd44c9ff77bd2f5dcb72"),
+    ("ocycle fixed 11 8 9 3 --compressed",
+     "1d21fb62b08633a89f6e76061622fca9e3256492c16721b7ced088ad199b8b84"),
 ])
 def test_larger_and_wider_ocycles_are_pinned(capsys, argv, digest):
     # Digests taken while every word was still a byte code.
@@ -591,13 +599,13 @@ def test_larger_and_wider_ocycles_are_pinned(capsys, argv, digest):
 
 
 def traced_ocycle(monkeypatch, *args):
-    """Exit code, stdout lines and traced peak of ``ocycle fixed 3 12 12`` with args."""
+    """Exit code, stdout lines and traced peak of ``ocycle`` with args."""
     sink = LineSink(10**9)
     monkeypatch.setattr("sys.stdout", sink)
     build_parser()  # built once per process, outside the measurement
     tracemalloc.start()
     try:
-        code = main(["ocycle", "fixed", "3", "12", "12", *args])
+        code = main(["ocycle", *args])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -612,9 +620,24 @@ def test_ocycle_peak_memory_per_word(monkeypatch, flags, bound):
     # self-check sorts its codes a byte-keyed group at a time and the line
     # is written a block at a time, so the walk sets both peaks; a sorted
     # copy of all the codes took the compressed one to 48.
-    code, lines, peak = traced_ocycle(monkeypatch, "5", *flags)
+    code, lines, peak = traced_ocycle(monkeypatch, "fixed", "3", "12", "12", "5", *flags)
     assert code == 0 and lines == (1 if flags else 73_789)
     assert peak < bound * 73_789, peak / 73_789
+
+
+@pytest.mark.parametrize("argv, words, bound", [
+    ("fixed 12 6 30 2 --compressed", 129_668, 20),
+    ("range 2 300 0 2 1 --compressed", 45_151, 200),
+])
+def test_decoded_compressed_ocycle_peak_memory_per_word(monkeypatch, argv, words, bound):
+    # Codes that _ascii cannot spell (digits over 9; 300-bit codes in a tuple
+    # of ints) are decoded and written a block at a time, so the compressed
+    # line peaks about where the plain lines do: about 16 and 173 bytes a
+    # word, against 12 and 160 plain.  A list of every digit of the cycle
+    # took them to 284 and 2,890.
+    code, lines, peak = traced_ocycle(monkeypatch, *argv.split())
+    assert (code, lines) == (0, 1)
+    assert peak < bound * words, peak / words
 
 
 def test_disconnected_ocycle_peak_memory_per_word(monkeypatch, capsys):
@@ -622,7 +645,7 @@ def test_disconnected_ocycle_peak_memory_per_word(monkeypatch, capsys):
     # stops short of the edge count.  Its traced peak is about 168 bytes a
     # word; a degree table kept on the digraph through the walk makes it 303,
     # and counting degrees after the walk but before its arrays are freed, 307.
-    code, lines, peak = traced_ocycle(monkeypatch, "11")
+    code, lines, peak = traced_ocycle(monkeypatch, "fixed", "3", "12", "12", "11")
     assert (code, lines) == (1, 0)
     assert "digraph-disconnected" in capsys.readouterr().err
     assert peak < 200 * 73_789, peak / 73_789

@@ -98,6 +98,11 @@ def test_build_digraph_rejects_bad_input():
     for s in (0, 4, 5):
         with pytest.raises(ValueError):
             build_transition_digraph(B24_2, s)
+    # the empty word: n = 0 leaves no room for any overlap
+    with pytest.raises(ValueError, match="overlap length s=1 out of range for n=0"):
+        build_transition_digraph([()], 1)
+    with pytest.raises(ValueError, match="overlap length s=1 out of range for n=0"):
+        construct_ocycle([()], 1)
 
 
 def test_build_digraph_empty_set():
@@ -630,7 +635,14 @@ def test_walk_counts_degrees_only_when_it_fails(monkeypatch):
         construct_ocycle(B24_2, 2)
     assert (info.value.reason, info.value.detail) == (
         REASON_DISCONNECTED, "the walk covered 2 of 6 edges")
-    assert calls
+    assert len(calls) == 1
+    # One count names the reason and the unbalanced vertex.
+    calls.clear()
+    with pytest.raises(NotEulerianError) as info:
+        construct_ocycle(B24_2[:-1], 1)
+    assert (info.value.reason, info.value.detail) == (
+        REASON_UNBALANCED, "vertex 0 has in-degree 2 and out-degree 3")
+    assert len(calls) == 1
 
 
 @st.composite
@@ -791,6 +803,8 @@ def test_compress_rejects_invalid_solution():
         compress_cycle(OcycleSolution(s=1, cycle=(W("0110"), W("01100"))), 4)
     with pytest.raises(ValueError):
         compress_cycle(OcycleSolution(s=1, cycle=(W("01100"), W("0110"))), 4)
+    with pytest.raises(ValueError, match="refusing to compress an unverified cycle"):
+        compress_cycle(OcycleSolution(s=1, cycle=((),)), 0)
     # only the wrap-around pair, last word to first, fails to overlap
     order = list(sol.cycle)
     order[-1] = W("0111")
