@@ -7,11 +7,15 @@ digits are the next word's first s) for fixed-weight and weight-range word
 sets, built as Euler tours of transition digraphs, with existence
 predicates, a compressed text form, and DOT export.
 
-Each public name is defined in one module (``words``, ``graycode`` or
-``ocycles``), listed in its ``__all__`` and re-exported here.  Importing the
-package loads only ``words``; the other two load on first access to them or
-to a name of theirs (PEP 562).  So that the package knows those names before
-it imports the modules, their ``__all__`` lists are kept here, in ``_LAZY``.
+Each public name is defined in one module (``words``, ``graycode``,
+``ocycles`` or ``existence``), listed in its ``__all__`` and re-exported
+here.  ``existence`` holds the paper's existence theory: the gcd rule, the
+weight-range theorem and the block-profile witness behind them; it builds a
+cycle with ``ocycles`` only at the degenerate weights.  Importing the package
+loads only ``words``; the other three load on first access to them or to a
+name of theirs (PEP 562), and ``records``, the base of the result records,
+with the first of them.  So that the package knows those names before it
+imports the modules, their ``__all__`` lists are kept here, in ``_LAZY``.
 """
 
 from importlib import import_module
@@ -24,16 +28,18 @@ __version__ = "0.1.0"
 _LAZY = {
     "graycode": """GrayList GrayReport gray_list gray_stream first_word last_word
         hamming_distance verify_gray""".split(),
-    "ocycles": """REASON_GCD REASON_WEIGHT_RANGE REASON_CONSTRUCTED REASON_DISCONNECTED
-        REASON_UNBALANCED REASON_EMPTY REASON_DEGENERATE REASON_SINGLETON NotEulerianError
-        TransitionDigraph OcycleSolution OcycleReport ExistenceVerdict build_transition_digraph
-        is_balanced is_weakly_connected weak_components euler_tour construct_ocycle
-        verify_ocycle exists_fixed_weight_ocycle exists_weight_range_ocycle compress_cycle
-        decompress_cycle export_dot""".split(),
+    "ocycles": """REASON_DISCONNECTED REASON_UNBALANCED REASON_SINGLETON NotEulerianError
+        TransitionDigraph OcycleSolution OcycleReport build_transition_digraph is_balanced
+        is_weakly_connected weak_components euler_tour construct_ocycle verify_ocycle
+        compress_cycle decompress_cycle export_dot""".split(),
+    "existence": """REASON_GCD REASON_WEIGHT_RANGE REASON_CONSTRUCTED REASON_EMPTY
+        REASON_DEGENERATE WeightDecomposition BlockProfile ExistenceVerdict s_prefix s_suffix
+        weight_decomposition block_profile is_cyclic_rotation witness_non_rotation
+        exists_fixed_weight_ocycle exists_weight_range_ocycle""".split(),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = [*words.__all__, *_LAZY["graycode"], *_LAZY["ocycles"]]
+__all__ = [*words.__all__, *(name for names in _LAZY.values() for name in names)]
 
 
 def __getattr__(name: str) -> object:

@@ -20,8 +20,9 @@ coding.  Each word travels as one int, its digits in fields of
 fits 64 bits, through the transition digraph, the Euler tour and the
 tour's self-check to the text, spelled only there by ``ocycles._spelled``.
 
-Handlers import from ``graycode`` and ``ocycles`` when they run, so ``gray``
-and ``count`` load only ``words``.
+Handlers import from ``graycode``, ``ocycles`` and ``existence`` when they
+run, so ``gray`` and ``count`` load only ``words``, and ``exists`` loads the
+engine only for the degenerate weights that it decides by construction.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_exists(args: argparse.Namespace) -> int:
-    from .ocycles import REASON_GCD, exists_fixed_weight_ocycle
+    from .existence import REASON_GCD, exists_fixed_weight_ocycle
     verdict = exists_fixed_weight_ocycle(args.m, args.n, args.k, args.s)
     if verdict.reason == REASON_GCD:
         phrase = "n-s > gcd(n,s)" if verdict.exists else "n-s = gcd(n,s)"

@@ -13,25 +13,27 @@ a time in O(n) memory) come from the iterative walker in ``words``.  The
 tests check them against an independent recursive builder kept in
 ``tests/word_oracles.py``.  CLI ``gray`` calls neither: it writes the same
 order as text from ``words._gray_blocks``, which spells each list of short
-tails once and shares it, reversed for odd weights, among the heads.
+tails once and shares it, reversed for odd weights, among the heads.  The
+endpoint formulas import the weight decomposition from ``existence`` when
+they run, so CLI ``verify gray`` loads only ``words``, ``records`` and this
+module.
 """
 
 from __future__ import annotations
 
 from . import _LAZY
+from .records import _Record
 from .words import (
     DEFAULT_MATERIALIZATION_CAP,
     _ORDERING_HEAD,
     Word,
     _check_cap,
     _check_params,
-    _Record,
     _walk,
     count_fixed_weight,
     format_word,
     is_word,
     weight,
-    weight_decomposition,
 )
 
 TYPE_CHECKING = False  # typing serves type checkers only; see words
@@ -104,6 +106,8 @@ def first_word(m: int, n: int, k: int) -> Word:
     maximal digits plus one remainder digit.  This is the lexicographic
     minimum of the set.
     """
+    from .existence import weight_decomposition
+
     _require_nonempty(m, n, k)
     dec = weight_decomposition(k, m)
     if dec.q == n:  # k == (m-1)*n, no room for a remainder digit
@@ -122,6 +126,8 @@ def last_word(m: int, n: int, k: int) -> Word:
         u (m-1)...(m-1) r' 0...0    (u even)
         u 0...0 r' (m-1)...(m-1)    (u odd)
     """
+    from .existence import weight_decomposition
+
     _require_nonempty(m, n, k)
     if n == 1:
         return (k,)

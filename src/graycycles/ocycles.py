@@ -23,11 +23,14 @@ from the array's memory a position at a time (``_columns``).  One speller,
 every digit lies in 0..9, else decoded through ``format_word``.
 The tests check the engine against the tuple-based Hierholzer kept in
 ``tests/ocycle_oracles.py`` and against networkx.
+
+The paper's existence theorems, which decide most verdicts with no digraph,
+live in ``existence``; this module keeps only the engine and its
+``NotEulerianError`` reasons.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from bisect import bisect_left
@@ -37,16 +40,14 @@ from itertools import chain, compress, count, islice, product, repeat
 from operator import add, ge, itemgetter, ne
 
 from . import _LAZY
+from .records import _Record
 from .words import (
     _TAIL_LINES,
     DEFAULT_MATERIALIZATION_CAP,
     Word,
     _check_overlap,
-    _check_params,
     _check_set,
-    _Record,
     _split,
-    enumerate_fixed_weight,
     format_word,
     parse_word,
 )
@@ -57,13 +58,8 @@ if TYPE_CHECKING:
 
 __all__ = _LAZY["ocycles"]  # listed in the package, which loads this module lazily
 
-REASON_GCD = "gcd-condition"
-REASON_WEIGHT_RANGE = "theorem-weight-range"
-REASON_CONSTRUCTED = "constructed"
 REASON_DISCONNECTED = "digraph-disconnected"
 REASON_UNBALANCED = "digraph-unbalanced"
-REASON_EMPTY = "empty-set"
-REASON_DEGENERATE = "degenerate-checked"
 REASON_SINGLETON = "singleton-mismatch"
 
 
@@ -704,54 +700,6 @@ def verify_ocycle(
         )
     fault = _cycle_fault(claimed, n, s)  # by now only an overlap can fail
     return OcycleReport(fault is None, fault)
-
-
-class ExistenceVerdict(_Record):
-    """Outcome of an existence check, with the rule that decided it."""
-
-    exists: bool
-    reason: str
-    detail: str | None = None
-
-
-def exists_fixed_weight_ocycle(m: int, n: int, k: int, s: int) -> ExistenceVerdict:
-    """Does the set of weight-k words of length n admit an s-overlap cycle?
-
-    For weights strictly between 1 and (m-1)*n - 1 the answer is the gcd
-    rule: a cycle exists iff n - s > gcd(n, s).  Outside that window the
-    sets are tiny (at most n words) and rotation-degenerate, and the gcd
-    rule is not reliable there, so the verdict is decided by actually
-    constructing a cycle.  An empty set never has a cycle.
-    """
-    _check_params(m, n, s=s)
-    if k < 0 or k > (m - 1) * n:
-        return ExistenceVerdict(False, REASON_EMPTY, detail=f"no weight-{k} words exist")
-    if 1 < k < (m - 1) * n - 1:
-        d = math.gcd(n, s)
-        return ExistenceVerdict(
-            n - s > d, REASON_GCD, detail=f"n-s={n - s}, gcd(n,s)={d}"
-        )
-    word_set = enumerate_fixed_weight(m, n, k)
-    try:
-        solution = construct_ocycle(word_set, s)
-    except NotEulerianError as exc:
-        return ExistenceVerdict(False, REASON_DEGENERATE, detail=exc.reason)
-    return ExistenceVerdict(
-        True, REASON_DEGENERATE, detail=f"constructed a {len(solution.cycle)}-word cycle"
-    )
-
-
-def exists_weight_range_ocycle(
-    m: int, n: int, p: int, q: int, s: int
-) -> ExistenceVerdict:
-    """Does the set of words with weight in [p, q] admit an s-overlap cycle?
-
-    Always yes for valid parameters (1 <= s < n, 0 <= p < q <= (m-1)*n):
-    the slack of even a single extra weight level keeps the transition
-    digraph connected.  Parameter violations raise.
-    """
-    _check_params(m, n, s=s, p=p, q=q)
-    return ExistenceVerdict(True, REASON_WEIGHT_RANGE)
 
 
 def compress_cycle(solution: OcycleSolution, n: int) -> str:

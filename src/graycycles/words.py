@@ -1,4 +1,4 @@
-"""Words over {0, ..., m-1}: enumeration, counting, slicing, block machinery.
+"""Words over {0, ..., m-1}: enumeration, counting, parameter checks, text forms.
 
 A word is a plain tuple of ints, leftmost digit first, so lexicographic
 order is just tuple order.  Every word order in the package comes from one
@@ -12,6 +12,11 @@ recursive and dynamic-programming oracles kept in ``tests/``.
 uses it to give CLI ``gray`` the reflected order as text blocks, each tail
 spelled once, and ``ocycles`` to enumerate a set straight into the integer
 codes of its overlap-cycle engine.
+
+Every command imports this module, and without a bytecode cache compiles it
+on each start, so it holds only the word-set core that ``gray`` and ``count``
+run.  The block and rotation lemmas behind the existence theorems live in
+``existence``, and the result records' base in ``records``.
 """
 
 from __future__ import annotations
@@ -36,8 +41,6 @@ __all__ = [
     "Word",
     "DEFAULT_MATERIALIZATION_CAP",
     "MaterializationLimitError",
-    "WeightDecomposition",
-    "BlockProfile",
     "weight",
     "is_word",
     "iter_fixed_weight",
@@ -46,12 +49,6 @@ __all__ = [
     "iter_weight_range",
     "enumerate_weight_range",
     "count_weight_range",
-    "s_prefix",
-    "s_suffix",
-    "weight_decomposition",
-    "block_profile",
-    "is_cyclic_rotation",
-    "witness_non_rotation",
     "format_word",
     "parse_word",
 ]
@@ -63,48 +60,6 @@ _ORDERING_HEAD = "ordering holds {} words"
 
 class MaterializationLimitError(Exception):
     """A full-list operation would exceed the configured word cap."""
-
-
-class _Record:
-    """Base of the immutable result records: fields are the annotated names.
-
-    A class attribute named like a field is its default.  Records are equal
-    only within one class, field for field; hash and repr skip ``_hidden``.
-    """
-
-    _hidden: tuple[str, ...] = ()
-    _fields = _shown = _hidden  # set for each subclass
-
-    def __init_subclass__(cls) -> None:
-        cls._fields = cls.__match_args__ = tuple(vars(cls).get("__annotations__", ()))
-        cls._shown = tuple(name for name in cls._fields if name not in cls._hidden)
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        cls, fields = type(self), self._fields
-        given = {**dict(zip(fields, args)), **kwargs}
-        defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
-        # Too many, repeated, unknown or missing arguments.
-        if len(given) < len(args) + len(kwargs) or {*given, *defaults} != set(fields):
-            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
-        self.__dict__.update({name: given.get(name, defaults.get(name)) for name in fields})
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(vars(self)[name] == vars(other)[name] for name in self._fields)
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self)[name] for name in self._shown))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={vars(self)[name]!r}" for name in self._shown)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_params(
@@ -359,102 +314,6 @@ def _gray_blocks(m: int, n: int, k: int, chunk: int) -> Iterator[tuple[str, int]
     for head, tails in _split(m, n, t, k, k, True, lambda w: format_word(w, m)):
         text = format_word(head, m) + sep
         yield text + ("\n" + text).join(tails) + "\n", len(tails)
-
-
-def s_prefix(word: Sequence[int], s: int) -> Word:
-    """First s digits of the word; s may run from 0 to the full length."""
-    if not 0 <= s <= len(word):
-        raise ValueError(f"prefix length {s} out of range for word of length {len(word)}")
-    return tuple(word[:s])
-
-
-def s_suffix(word: Sequence[int], s: int) -> Word:
-    """Last s digits of the word; s may run from 0 to the full length."""
-    if not 0 <= s <= len(word):
-        raise ValueError(f"suffix length {s} out of range for word of length {len(word)}")
-    return tuple(word[len(word) - s:])
-
-
-class WeightDecomposition(_Record):
-    """k written as q*(m-1) + r with 0 <= r < m-1."""
-
-    q: int
-    r: int
-
-
-def weight_decomposition(k: int, m: int) -> WeightDecomposition:
-    """Split k as q*(m-1) + r with 0 <= r < m-1.
-
-    For m == 1 there is no remainder range; only k == 0 decomposes, as (0, 0).
-    """
-    _check_params(m, 0)
-    if k < 0:
-        raise ValueError(f"weight must be nonnegative, got {k}")
-    if m == 1:
-        if k != 0:
-            raise ValueError(f"weight {k} impossible over a one-letter alphabet")
-        return WeightDecomposition(0, 0)
-    return WeightDecomposition(k // (m - 1), k % (m - 1))
-
-
-class BlockProfile(_Record):
-    """Block weights of a word cut into consecutive blocks of length d."""
-
-    d: int
-    weights: tuple[int, ...]
-
-
-def block_profile(word: Sequence[int], s: int) -> BlockProfile:
-    """Cut the word into n/gcd(n,s) blocks of length gcd(n,s) and sum each.
-
-    Rotating a word by s steps permutes digits only within this block
-    structure, so the multiset of block weights (up to rotation of the block
-    sequence) is invariant under s-rotations.  That invariant is what the
-    non-existence witness below exploits.
-    """
-    n = len(word)
-    _check_overlap(n, s)
-    d = math.gcd(n, s)
-    weights = tuple(sum(word[i:i + d]) for i in range(0, n, d))
-    return BlockProfile(d, weights)
-
-
-def is_cyclic_rotation(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True iff b equals a rotated by some offset.
-
-    Sequences of different lengths are never rotations; two empty sequences
-    are rotations of each other.
-    """
-    ta, tb = tuple(a), tuple(b)
-    if len(ta) != len(tb):
-        return False
-    if not ta:
-        return True
-    return any(tb == ta[i:] + ta[:i] for i in range(len(ta)))
-
-
-def witness_non_rotation(m: int, n: int, k: int, s: int) -> tuple[Word, Word]:
-    """Two weight-k words whose block profiles are not rotations of each other.
-
-    Defined when n - s = gcd(n, s) and 1 < k < (m-1)*n - 1.  The first word
-    packs its weight to the right (zeros, the remainder digit, then maximal
-    digits); the second moves one unit of weight from the last digit to the
-    first.  That shifts the first and last block weights by +1/-1, and within
-    the stated weight window the two profiles can never be aligned by a
-    rotation.  Since s-rotations preserve the profile up to rotation, the two
-    words can never reach each other in the transition digraph.
-    """
-    _check_overlap(n, s)
-    if n - s != math.gcd(n, s):
-        raise ValueError(f"witness requires n-s = gcd(n,s); got n={n}, s={s}")
-    if not 1 < k < (m - 1) * n - 1:
-        raise ValueError(f"witness requires 1 < k < (m-1)*n - 1; got k={k}")
-    dec = weight_decomposition(k, m)
-    first = [0] * (n - dec.q - 1) + [dec.r] + [m - 1] * dec.q
-    second = list(first)
-    second[0] += 1
-    second[-1] -= 1
-    return tuple(first), tuple(second)
 
 
 # Byte d in 0..9 becomes ASCII digit d and byte 10 stays the newline that

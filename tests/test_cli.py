@@ -26,7 +26,7 @@ from graycycles import (
     parse_word,
     verify_ocycle,
 )
-from graycycles import graycode, ocycles
+from graycycles import existence, graycode, ocycles
 from graycycles.cli import _CHUNK, build_parser, main
 from graycycles.words import _split
 from ocycle_oracles import oracle_cycle, oracle_self_check
@@ -665,8 +665,8 @@ def test_compressed_ocycle_keeps_its_self_check(capsys, monkeypatch):
 
 
 def test_handlers_call_the_module_functions_they_find(capsys, monkeypatch):
-    # The handlers import from graycode and ocycles when they run, so they
-    # call what those modules hold at that moment.
+    # The handlers import from graycode, ocycles and existence when they run,
+    # so they call what those modules hold at that moment.
     called = []
 
     def spy(module, name):
@@ -679,7 +679,7 @@ def test_handlers_call_the_module_functions_they_find(capsys, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in [
-        (ocycles, "exists_fixed_weight_ocycle"), (ocycles, "construct_ocycle"),
+        (existence, "exists_fixed_weight_ocycle"), (ocycles, "construct_ocycle"),
         (ocycles, "build_transition_digraph"), (ocycles, "_compressed"),
         (ocycles, "_cycle_fault"), (ocycles, "export_dot"), (graycode, "verify_gray"),
     ]:

@@ -32,12 +32,12 @@ def test_library_imports_only_the_standard_library():
 
 def test_package_reexports_each_module_name_once():
     import graycycles
-    from graycycles import graycode, ocycles, words
+    from graycycles import existence, graycode, ocycles, words
 
-    modules = (words, graycode, ocycles)
+    modules = (words, graycode, ocycles, existence)
     names = graycycles.__all__
     assert len(names) == len(set(names))
-    assert names == [*words.__all__, *graycode.__all__, *ocycles.__all__]
+    assert names == [*words.__all__, *graycode.__all__, *ocycles.__all__, *existence.__all__]
     for module in modules:
         for name in module.__all__:
             assert getattr(graycycles, name) is getattr(module, name), name
@@ -50,7 +50,8 @@ def test_star_import_and_dir_give_every_public_name():
     namespace = {}
     exec("from graycycles import *", namespace)
     assert set(graycycles.__all__) <= set(namespace)
-    assert set(graycycles.__all__) | {"words", "graycode", "ocycles"} <= set(dir(graycycles))
+    modules = {"words", "graycode", "ocycles", "existence"}
+    assert set(graycycles.__all__) | modules <= set(dir(graycycles))
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -69,10 +70,11 @@ def fresh(code):
     return done.stdout.splitlines()
 
 
-# Modules that CLI gray and count leave unloaded: graycode and ocycles (with
-# its array) are not needed there, and the others cost start-up time.
-UNNEEDED = ["array", "dataclasses", "graycycles.graycode", "graycycles.ocycles", "inspect",
-            "typing"]
+# Modules that CLI gray and count leave unloaded: graycode, ocycles (with its
+# array), existence and the records' base are not needed there, and the others
+# cost start-up time.
+UNNEEDED = ["array", "dataclasses", "graycycles.existence", "graycycles.graycode",
+            "graycycles.ocycles", "graycycles.records", "inspect", "typing"]
 
 
 @pytest.mark.parametrize("argv", [["gray", "3", "4", "5"], ["count", "3", "4", "5"]])
@@ -86,10 +88,33 @@ def test_gray_and_count_load_only_what_they_use(argv):
 
 
 def test_lazy_names_load_on_first_access():
+    loaded = "[m in sys.modules for m in ('graycycles.existence', 'graycycles.ocycles')]"
     lines = fresh(
         "import sys, graycycles; "
-        "print('graycycles.ocycles' in sys.modules); "
-        "print(graycycles.ocycles.REASON_GCD, graycycles.gray_list(3, 2, 2).words); "
+        f"print({loaded}); "
+        "print(graycycles.witness_non_rotation(3, 4, 3, 2)); "
+        f"print({loaded}); "
+        "print(graycycles.ocycles.REASON_SINGLETON, graycycles.gray_list(3, 2, 2).words); "
         "print(graycycles.construct_ocycle is graycycles.ocycles.construct_ocycle)"
     )
-    assert lines == ["False", "gcd-condition ((0, 2), (1, 1), (2, 0))", "True"]
+    assert lines == [
+        "[False, False]",
+        "((0, 0, 1, 2), (1, 0, 1, 1))",
+        "[True, False]",
+        "singleton-mismatch ((0, 2), (1, 1), (2, 0))",
+        "True",
+    ]
+
+
+def test_exists_decides_the_gcd_rule_without_the_engine():
+    probe = "[m for m in ('array', 'graycycles.ocycles') if m in sys.modules]"
+    lines = fresh(
+        "import sys; from graycycles.cli import main; "
+        "code = main(['exists', '3', '6', '6', '2']); "
+        f"print(code, {probe}); "
+        "code = main(['exists', '2', '3', '0', '1']); "
+        f"print(code, {probe})"
+    )
+    # The degenerate weight 0 is still decided by building the cycle.
+    assert lines == ["yes (n-s > gcd(n,s))", "0 []", "yes (degenerate-checked)",
+                     "0 ['array', 'graycycles.ocycles']"]
