@@ -7,15 +7,19 @@ digits are the next word's first s) for fixed-weight and weight-range word
 sets, built as Euler tours of transition digraphs, with existence
 predicates, a compressed text form, and DOT export.
 
-Each public name is defined in one module (``words``, ``graycode``,
-``ocycles`` or ``existence``), listed in its ``__all__`` and re-exported
-here.  ``existence`` holds the paper's existence theory: the gcd rule, the
+Each public name is listed in the ``__all__`` of one module (``words``,
+``graycode``, ``ocycles`` or ``existence``) and re-exported here.
+``existence`` holds the paper's existence theory: the gcd rule, the
 weight-range theorem and the block-profile witness behind them; it builds a
-cycle with ``ocycles`` only at the degenerate weights.  Importing the package
-loads only ``words``; the other three load on first access to them or to a
-name of theirs (PEP 562), and ``records``, the base of the result records,
-with the first of them.  So that the package knows those names before it
-imports the modules, their ``__all__`` lists are kept here, in ``_LAZY``.
+cycle with ``ocycles`` only at the degenerate weights.  ``ocycles`` holds
+the overlap-cycle engine and takes its word coding and text from the
+private ``codes``; the engine's library-only names live in ``views``, which
+``ocycles`` serves on first access (PEP 562), so that CLI ``ocycle``
+compiles neither.  Importing the package loads only ``words``; the other
+three load on first access to them or to a name of theirs (PEP 562), and
+``records``, the base of the result records, with the first of them.  So
+that the package knows those names before it imports the modules, their
+``__all__`` lists are kept here, in ``_LAZY``.
 """
 
 from importlib import import_module

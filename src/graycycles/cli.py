@@ -14,15 +14,17 @@ every m; without ``--stream`` it first refuses, from the count, sets over
 the 10^6-word cap.
 
 ``ocycle`` and ``digraph`` refuse a set over the cap the same way, then
-enumerate it, both through ``ocycles._word_codes``, which owns the word
+enumerate it, both through ``codes._word_codes``; ``codes`` owns the word
 coding.  Each word travels as one int, its digits in fields of
 (m-1).bit_length() bits, kept in read-only machine words when the word
 fits 64 bits, through the transition digraph, the Euler tour and the
-tour's self-check to the text, spelled only there by ``ocycles._spelled``.
+tour's self-check to the text, spelled only there by ``codes._spelled``.
+``ocycle`` lets go of the ascending codes once the cycle is built.
 
-Handlers import from ``graycode``, ``ocycles`` and ``existence`` when they
-run, so ``gray`` and ``count`` load only ``words``, and ``exists`` loads the
-engine only for the degenerate weights that it decides by construction.
+Handlers import from ``graycode``, ``codes``, ``ocycles`` and ``existence``
+when they run, so ``gray`` and ``count`` load only ``words``, ``exists``
+loads the engine only for the degenerate weights that it decides by
+construction, and only ``digraph`` loads ``views``, for ``export_dot``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
     from typing import Sequence
 
-    from .ocycles import _Codes
+    from .codes import _Codes
 
 # Words per stdout write.
 _CHUNK = 1024
@@ -173,14 +175,15 @@ def _cmd_exists(args: argparse.Namespace) -> int:
 
 
 def _word_set(args: argparse.Namespace) -> _Codes:
-    from .ocycles import _word_codes
+    from .codes import _word_codes
     if args.mode == "fixed":
         return _word_codes(args.m, args.n, args.k, None)
     return _word_codes(args.m, args.n, args.p, args.q)
 
 
 def _cmd_ocycle(args: argparse.Namespace) -> int:
-    from .ocycles import NotEulerianError, _compressed, _spelled, construct_ocycle
+    from .codes import _spelled
+    from .ocycles import NotEulerianError, _compressed, construct_ocycle
     words = _word_set(args)
     if not words:
         print("error: the word set is empty", file=sys.stderr)
@@ -190,6 +193,7 @@ def _cmd_ocycle(args: argparse.Namespace) -> int:
     except NotEulerianError as exc:
         print(f"no {args.s}-overlap cycle: {exc.reason}", file=sys.stderr)
         return 1
+    del words  # the cycle alone is checked and written
     if args.compressed:  # checked before its first block, so a fault writes nothing
         blocks = chain(_compressed(solution, args.n), ("\n",))
     else:

@@ -7,23 +7,19 @@ s-suffix turns these cycles into exactly the Euler tours of the resulting
 multigraph, so existence reduces to the classic criterion: balanced and
 weakly connected, which the Hierholzer walk checks as it goes.
 
-This module owns the engine's one word coding, ``_Codes``: each word is an
-int whose fixed-width bit fields hold its digits less the smallest one, so
-numeric order is word order and prefixes and suffixes are shifts and masks.
-Codes of up to 64 bits sit in one read-only array of machine words, wider
-ones in a tuple of ints.  CLI ``ocycle`` and ``digraph`` enumerate their sets
-straight into codes (``_word_codes``); tuple words given to the library are
-coded once on entry, by the one coder ``_code``, and decoded once on exit.  In
-between, the digraph and its queries, the Hierholzer walk, the self-check
-``_cycle_fault``, compression and the CLI writer work on the codes only.  Words
-are decoded through tables of chunk codes of at most ``_TAIL_LINES`` entries.
-Where fields have at most 4 bits or 8, the self-check and the text read digits
-from the array's memory a position at a time (``_columns``).  One speller,
-``_spelled``, writes a cycle's text a block at a time: from that memory where
-every digit lies in 0..9, else decoded through ``format_word``.
-The tests check the engine against the tuple-based Hierholzer kept in
-``tests/ocycle_oracles.py`` and against networkx.
+This module holds the engine that CLI ``ocycle`` and ``verify ocycle`` run:
+the digraph, the Hierholzer walk, the self-check ``_cycle_fault`` and
+compression.  They work on the word codes (``_Codes``) of ``codes``, which
+owns the one word coding, its decoding and the cycle's text; tuple words
+given to the library are coded once on entry and decoded once on exit.
+The self-check's overlap test reads digit columns a block of codes at a
+time, so it holds no copy of the whole cycle.  The tests check the engine
+against the tuple-based Hierholzer kept in ``tests/ocycle_oracles.py`` and
+against networkx.
 
+The library-only names (``verify_ocycle`` and its report,
+``decompress_cycle``, ``export_dot``, ``is_balanced`` and the component
+queries) live in ``views``, served from here on first access (PEP 562).
 The paper's existence theorems, which decide most verdicts with no digraph,
 live in ``existence``; this module keeps only the engine and its
 ``NotEulerianError`` reasons.
@@ -31,36 +27,47 @@ live in ``existence``; this module keeps only the engine and its
 
 from __future__ import annotations
 
-import sys
-from array import array
 from bisect import bisect_left
 from collections import Counter
-from functools import cached_property, lru_cache
-from itertools import chain, compress, count, islice, product, repeat
-from operator import add, ge, itemgetter, ne
+from functools import cached_property
+from itertools import chain, compress, count, islice, repeat
+from operator import ge, ne
 
 from . import _LAZY
-from .records import _Record
-from .words import (
-    _TAIL_LINES,
-    DEFAULT_MATERIALIZATION_CAP,
-    Word,
-    _check_overlap,
-    _check_set,
-    _split,
-    format_word,
-    parse_word,
+from .codes import (  # _codes and _word_codes only pass through, for the tests
+    _Codes,
+    _code,
+    _codes,
+    _columns,
+    _encode,
+    _misfit,
+    _repeats,
+    _spelled,
+    _word_codes,
 )
+from .records import _Record
+from .words import _TAIL_LINES, Word, _check_overlap, format_word
 
 TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, Iterator, Sequence
+    from typing import Iterator, Sequence
 
 __all__ = _LAZY["ocycles"]  # listed in the package, which loads this module lazily
+
+# Names of ``__all__`` defined in ``views``.
+_VIEWS = """OcycleReport is_balanced is_weakly_connected weak_components verify_ocycle
+    decompress_cycle export_dot""".split()
 
 REASON_DISCONNECTED = "digraph-disconnected"
 REASON_UNBALANCED = "digraph-unbalanced"
 REASON_SINGLETON = "singleton-mismatch"
+
+
+def __getattr__(name: str) -> object:
+    if name in _VIEWS:
+        from . import views
+        return getattr(views, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NotEulerianError(ValueError):
@@ -74,246 +81,6 @@ class NotEulerianError(ValueError):
         super().__init__(message)
         self.reason = reason
         self.detail = detail
-
-
-# The smallest unsigned array type that holds b bits, for b in 0..64.
-_ARRAY_TYPE = [next(code for code in "BHIQ" if array(code).itemsize * 8 >= b) for b in range(65)]
-
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
-# A chunk table spells at most this many bits of digit fields: _TAIL_LINES entries.
-_CHUNK_BITS = _TAIL_LINES.bit_length() - 1
-
-
-class _Codes:
-    """Codes of words of one length ``n``, in ascending or cycle order.
-
-    Digit d of a word fills a ``width``-bit field with d - ``low``, first
-    digit highest, so numeric order is word order, the first j digits of
-    code c are ``c >> width*(n-j)`` and the last j are
-    ``c & ((1 << width*j) - 1)``.  ``raw`` holds the codes: when n*width is
-    at most 64, a ``memoryview`` of machine words of the smallest unsigned
-    type that fits, over ``bytes`` of their own, else a tuple of ints.
-    ``tuples`` marks codes made from tuple words, which the engine hands
-    back as tuples.  Immutable and hashable, like a tuple of words.
-    """
-
-    __slots__ = ("raw", "n", "width", "low", "tuples")
-    __setattr__ = _Record.__setattr__
-    __delattr__ = _Record.__delattr__
-
-    def __init__(
-        self, codes: Iterable[int], n: int, width: int, low: int = 0, tuples: bool = False
-    ):
-        if n * width > 64:
-            raw = tuple(codes)
-        else:
-            kind = _ARRAY_TYPE[n * width]
-            if type(codes) is not array or codes.typecode != kind:
-                codes = array(kind, codes)
-            raw = memoryview(codes.tobytes()).cast(kind)
-        for name, value in zip(self.__slots__, (raw, n, width, low, tuples)):
-            object.__setattr__(self, name, value)
-
-    def __len__(self) -> int:
-        return len(self.raw)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.raw)
-
-    def __getitem__(self, index: int) -> int:
-        return self.raw[index]
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not _Codes:
-            return NotImplemented
-        return self._coding() == other._coding() and self.raw == other.raw
-
-    def __hash__(self) -> int:
-        raw = self.raw
-        return hash((self._coding(), raw if type(raw) is tuple else raw.tobytes()))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self.raw))
-
-    def _coding(self) -> tuple[int, int, int]:
-        return self.n, self.width, self.low
-
-    def like(self, codes: Iterable[int]) -> _Codes:
-        """Other codes in this coding, marked like these."""
-        return _Codes(codes, self.n, self.width, self.low, self.tuples)
-
-    def empty(self) -> array | list[int]:
-        """A new growable sequence for these codes: an array of their type, or a list."""
-        raw = self.raw
-        return [] if type(raw) is tuple else array(raw.format)
-
-    def in_bytes(self) -> bool:
-        """Whether ``_columns`` can read these codes: an array whose digits fit bytes."""
-        width = self.width
-        return (type(self.raw) is not tuple and (width <= 4 or width == 8)
-                and 0 <= self.low <= 256 - (1 << width))
-
-    def digits(self) -> Iterator[Word]:
-        """Each word's digits as a tuple, in order, spelled chunk by chunk (``_table``)."""
-        raw, width, low = self.raw, self.width, self.low
-        chunks = _fields(raw, self.n, width)
-        if not chunks:  # words of length 0
-            return repeat((), len(raw))
-        columns = [map(_table(t, width, low), fields) for t, fields in chunks]
-        if len(columns) > 3:  # long words: one flat call per word, not nested adds
-            return map(tuple, map(chain, *columns))
-        words = columns[0]
-        for column in columns[1:]:
-            words = map(add, words, column)
-        return words
-
-
-@lru_cache(maxsize=32)
-def _table(size: int, width: int, low: int) -> Callable[[int], Word]:
-    """The digits of each code of ``size`` digit fields, as a lookup function.
-
-    A table holds one tuple per code, at most 2**_CHUNK_BITS; a digit wider
-    than that has no table and is decoded one code at a time.
-    """
-    if size * width > _CHUNK_BITS:  # size is 1
-        return lambda v: (v + low,)
-    return list(product(range(low, low + (1 << width)), repeat=size)).__getitem__
-
-
-def _fields(codes: Sequence[int], n: int, width: int) -> list[tuple[int, Iterator[int]]]:
-    """Each code's n digit fields, cut into chunks.
-
-    (t, fields) per chunk of t digits, first digits first: ``fields`` gives
-    the chunk's t fields of every code in ``codes``, in order, as one code.
-    A chunk takes as many digits as a table of ``_CHUNK_BITS`` bits allows,
-    and at least one.
-    """
-    size = max(1, _CHUNK_BITS // width)
-    chunks = []
-    for start in range(0, n, size):
-        t = min(size, n - start)
-        shift = width * (n - start - t)
-        fields = map(shift.__rrshift__, codes) if shift else iter(codes)
-        if start:
-            fields = map(((1 << width * t) - 1).__and__, fields)
-        chunks.append((t, fields))
-    return chunks
-
-
-@lru_cache(maxsize=128)
-def _byte_table(shift: int, width: int, low: int | None) -> bytes:
-    """``bytes.translate`` table: byte b to its field at ``shift`` (``low`` None) or its digit.
-
-    The digit, in ASCII, is the field plus ``low``; one over 9 becomes 0xFF.
-    """
-    fields = (b >> shift & (1 << width) - 1 for b in range(256))
-    if low is None:
-        return bytes(fields)
-    return bytes(48 + low + f if low + f <= 9 else 0xFF for f in fields)
-
-
-def _columns(block: memoryview, n: int, width: int, low: int | None) -> Callable[[int], bytes]:
-    """A reader of digit p of every code in ``block``: a strided slice of its bytes, translated.
-
-    See ``_Codes.in_bytes`` and ``_byte_table``.  A 3-bit field that crosses
-    a byte boundary lies inside a byte of the codes shifted right by 4.
-    """
-    size, memory = block.itemsize, [block.tobytes()]
-
-    def column(p: int) -> bytes:
-        low_bit, view = width * (n - 1 - p), 0
-        if low_bit % 8 + width > 8:
-            if len(memory) == 1:
-                memory.append(array(block.format, map((4).__rrshift__, block)).tobytes())
-            low_bit, view = low_bit - 4, 1
-        byte = low_bit // 8 if _LITTLE_ENDIAN else size - 1 - low_bit // 8
-        return memory[view][byte::size].translate(_byte_table(low_bit % 8, width, low))
-
-    return column
-
-
-def _ascii(block: memoryview, n: int, lead: int, width: int, low: int, end: bytes) -> bytearray:
-    """The first ``lead`` digits of each code in ``block`` as ASCII, then ``end``.
-
-    Each digit position is one column (``_columns``) and one strided slice
-    assignment.  A digit outside 0..9 gives byte 0xFF, not an ASCII digit.
-    """
-    step, column = lead + len(end), _columns(block, n, width, low)
-    text = bytearray(step * len(block))
-    for p in range(lead):
-        text[p::step] = column(p)
-    if end:
-        text[lead::step] = end * len(block)
-    return text
-
-
-@lru_cache(maxsize=32)
-def _base_table(width: int, low: int) -> bytes:
-    """``bytes.translate`` table: byte low + f to digit f of base 2**width, as ``int`` reads it."""
-    digits = b"0123456789abcdefghijklmnopqrstuv"[:1 << width]  # width <= 5
-    return bytes(low) + digits + bytes(256 - low - len(digits))
-
-
-def _code(word: Sequence[int], width: int, low: int = 0) -> int:
-    """The code of one word whose digits less ``low`` fit in ``width`` bits.
-
-    Fields of at most 5 bits over digits in 0..255 are read in C: ``bytes``,
-    ``_base_table``, ``int``.  Others, and the empty word, go digit by digit.
-    """
-    if word and width <= 5 and 0 <= low <= 256 - (1 << width):
-        return int(bytes(word).translate(_base_table(width, low)), 1 << width)
-    code = 0
-    for d in word:
-        code = code << width | d - low
-    return code
-
-
-def _encode(words: Sequence[Sequence[int]], n: int) -> _Codes:
-    """The codes of words of length n, in their order, marked as tuple words.
-
-    Each digit less the smallest fills just enough bits for the largest, and at least one.
-    """
-    low = top = 0
-    if n and words:  # words of length 0 have no digits
-        digits = set(chain.from_iterable(words))
-        low, top = min(digits), max(digits)
-    width = (top - low).bit_length() or 1
-    return _Codes(map(_code, words, repeat(width), repeat(low)), n, width, low, True)
-
-
-def _misfit(words: Sequence[Sequence[int]], n: int) -> int | None:
-    """Index of the first word whose length is not n, or None."""
-    return next(compress(count(), map(ne, map(len, words), repeat(n))), None)
-
-
-def _codes(m: int, n: int, p: int, q: int) -> _Codes:
-    """Codes of the length-n words over {0..m-1} with weight in [p, q], ascending.
-
-    Each digit fills (m-1).bit_length() bits, and at least one.  Needs
-    m >= 1 and n >= 0; an empty window gives no codes.  Each word is cut
-    after n//2 digits by ``_split``, and each word costs one addition: head
-    code shifted past the tail, plus tail code.
-    """
-    width = (m - 1).bit_length() or 1
-    t = n - n // 2
-    heads = _split(m, n, t, p, q, False, lambda w: _code(w, width))
-    return _Codes(chain.from_iterable(
-        map((_code(head, width) << width * t).__add__, lasts) for head, lasts in heads
-    ), n, width)
-
-
-def _word_codes(
-    m: int, n: int, p: int, q: int | None, *, cap: int = DEFAULT_MATERIALIZATION_CAP
-) -> _Codes:
-    """The codes (``_codes``) of the words of weight p (q is None) or in [p, q].
-
-    Checked and capped as ``enumerate_fixed_weight`` and
-    ``enumerate_weight_range`` do; this is the CLI's one source of word sets
-    for ``ocycle`` and ``digraph``.
-    """
-    _check_set(m, n, p, q, cap)
-    return _codes(m, n, p, p if q is None else q)
 
 
 class TransitionDigraph(_Record):
@@ -443,51 +210,11 @@ def _degree_counts(digraph: TransitionDigraph) -> tuple[Counter[int], Counter[in
     return outs, Counter(map(mask.__and__, raw))
 
 
-def is_balanced(digraph: TransitionDigraph) -> bool:
-    """True iff in-degree equals out-degree at every vertex, counted on the codes."""
-    outs, ins = _degree_counts(digraph)
-    return outs == ins
-
-
 def _imbalance(digraph: TransitionDigraph, outs: Counter[int], ins: Counter[int]) -> str:
     """The smallest vertex whose counted in- and out-degree differ, with both, as text."""
     u = min(v for v in outs.keys() | ins.keys() if outs[v] != ins[v])
     vertex = digraph._vertex_words[u]
     return f"vertex {format_word(vertex)} has in-degree {ins[u]} and out-degree {outs[u]}"
-
-
-def weak_components(digraph: TransitionDigraph) -> list[frozenset[Word]]:
-    """Connected components of the underlying undirected multigraph.
-
-    Deterministic: components are sorted by their smallest vertex.  Found by
-    union-find on vertex codes, one union per distinct (prefix, suffix) pair.
-    """
-    raw, (shift, mask), vertex = digraph.by_code.raw, digraph._ends(), digraph._vertex_words
-    parent = {v: v for v in vertex}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in set(zip(map(shift.__rrshift__, raw), map(mask.__and__, raw))):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, list[Word]] = {}
-    for v, word in vertex.items():
-        groups.setdefault(find(v), []).append(word)
-    return [frozenset(group) for group in groups.values()]
-
-
-def is_weakly_connected(digraph: TransitionDigraph) -> bool:
-    """True iff every vertex sits in one undirected component.
-
-    Vertices only ever arise as edge endpoints, so no isolated-vertex
-    special case is needed; an empty digraph counts as connected.
-    """
-    return len(weak_components(digraph)) <= 1
 
 
 def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
@@ -542,7 +269,7 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
             ready = out[start]
     except KeyError:
         pass
-    del out, ready, stack  # popped arrays keep their memory: freed before the copy
+    del out, ready, stack  # popped arrays keep their memory: freed here
     if len(tour) != len(raw):
         covered = f"the walk covered {len(tour)} of {len(raw)} edges"
         del tour  # freed before the degree count
@@ -555,7 +282,7 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
             REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex",
             _imbalance(digraph, outs, ins),
         )
-    coded = codes.like(tour)
+    coded = codes.like(tour)  # the tour's array becomes the cycle's, uncopied
     return list(coded.digits()) if codes.tuples else coded
 
 
@@ -572,30 +299,6 @@ class OcycleSolution(_Record):
     cycle: tuple[Word, ...] | _Codes
 
 
-class OcycleReport(_Record):
-    """Verifier verdict; index -1 marks a whole-cycle violation."""
-
-    ok: bool
-    first_violation: tuple[int, str] | None = None
-
-
-def _repeats(raw: Sequence[int], bits: int) -> bool:
-    """Whether the codes ``raw``, of ``bits`` bits each, hold some code twice.
-
-    Found on sorted copies.  An array of ``_TAIL_LINES`` codes or more is split
-    by their highest whole byte, one array per value, as equal codes share it.
-    """
-    groups = [raw]
-    if type(raw) is not tuple and len(raw) >= _TAIL_LINES:
-        size, byte = raw.itemsize, max(0, bits - 8) // 8
-        keys = raw.tobytes()[byte if _LITTLE_ENDIAN else size - 1 - byte::size]
-        if keys.count(keys[0]) < len(keys):  # else the codes are their own group
-            groups = [array(raw.format) for _ in range(256)]
-            any(map(array.append, map(groups.__getitem__, keys), raw))
-    # One group's sorted copy is alive at a time; a repeat stops its ascent.
-    return any(any(map(ge, ordered, islice(ordered, 1, None))) for ordered in map(sorted, groups))
-
-
 def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, str] | None:
     """First fault of a claimed s-overlap cycle, checked against itself only.
 
@@ -603,8 +306,10 @@ def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, s
     then the first word whose last s digits differ from the next word's
     first s digits, wrapping around.  Returns (index, description) or None.
     Takes words, coded once their lengths pass, or codes (``_Codes``), and
-    1 <= s < n.  Codes that ``in_bytes`` pass if each suffix column n-s+j
-    equals prefix column j rotated by one word; the rest are scanned by word.
+    1 <= s < n.  Codes that ``in_bytes`` pass if the last code's suffix is
+    the first one's prefix and, in each run of ``_TAIL_LINES`` + 1 codes
+    (one block and the next code), suffix column n-s+j less its last code
+    equals prefix column j less its first; the rest are scanned by word.
     """
     if not isinstance(cycle, _Codes):
         i = _misfit(cycle, n)
@@ -616,13 +321,15 @@ def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, s
     raw, width = cycle.raw, cycle.width
     if _repeats(raw, n * width):
         return -1, "input word set contains duplicates"
-    if cycle.in_bytes():
-        column = _columns(raw, n, width, None)
-        if all(column(n - s + j) == (head := column(j))[1:] + head[:1] for j in range(s)):
+    mask, shift = (1 << width * s) - 1, width * (n - s)
+    if cycle.in_bytes() and (not raw or raw[-1] & mask == raw[0] >> shift):
+        starts = range(0, len(raw) - 1, _TAIL_LINES)
+        blocks = (_columns(raw[i:i + _TAIL_LINES + 1], n, width, None) for i in starts)
+        if all(column(n - s + j)[:-1] == column(j)[1:] for column in blocks for j in range(s)):
             return None
-    suffixes = map(((1 << width * s) - 1).__and__, raw)
+    suffixes = map(mask.__and__, raw)
     following = chain(islice(raw, 1, None), raw[:1])
-    next_prefixes = map((width * (n - s)).__rrshift__, following)
+    next_prefixes = map(shift.__rrshift__, following)
     i = next(compress(count(), map(ne, suffixes, next_prefixes)), None)
     if i is None:
         return None
@@ -655,51 +362,6 @@ def construct_ocycle(words: Sequence[Word], s: int) -> OcycleSolution:
             exc.detail,
         ) from None
     return OcycleSolution(s=s, cycle=tuple(tour) if codes.tuples else tour)
-
-
-def verify_ocycle(
-    cycle: Sequence[Word], words: Sequence[Word], s: int
-) -> OcycleReport:
-    """Check that ``cycle`` is an s-overlap cycle for the set ``words``.
-
-    Passes iff the cycle lists each word of the set exactly once and every
-    cyclically consecutive pair overlaps in s digits.  Never raises; all
-    problems (including an out-of-range s) come back in the report.
-    """
-    claimed = [tuple(w) for w in cycle]
-    expected = [tuple(w) for w in words]
-    if not claimed and not expected:
-        return OcycleReport(True)
-    if not claimed:
-        return OcycleReport(False, (-1, "cycle is empty but the word set is not"))
-    n = len(claimed[0])
-    for i, w in enumerate(claimed):
-        if len(w) != n:
-            return OcycleReport(
-                False, (i, f"word {format_word(w)} has length {len(w)}, expected {n}")
-            )
-    try:
-        _check_overlap(n, s)
-    except ValueError as exc:
-        return OcycleReport(False, (-1, str(exc)))
-    remaining = set(expected)
-    if len(remaining) != len(expected):
-        return OcycleReport(False, (-1, "input word set contains duplicates"))
-    for i, w in enumerate(claimed):
-        if w not in remaining:
-            if w in set(expected):
-                return OcycleReport(False, (i, f"duplicate word {format_word(w)}"))
-            return OcycleReport(
-                False, (i, f"word {format_word(w)} is not in the input set")
-            )
-        remaining.remove(w)
-    if remaining:
-        missing = format_word(min(remaining))
-        return OcycleReport(
-            False, (-1, f"cycle misses {len(remaining)} word(s), e.g. {missing}")
-        )
-    fault = _cycle_fault(claimed, n, s)  # by now only an overlap can fail
-    return OcycleReport(fault is None, fault)
 
 
 def compress_cycle(solution: OcycleSolution, n: int) -> str:
@@ -741,58 +403,3 @@ def _compressed(solution: OcycleSolution, n: int) -> Iterator[str]:
     yield from _spelled(cycle, n - s, "", top + 1)
 
 
-def _spelled(cycle: _Codes, lead: int, end: str, m: int) -> Iterator[str]:
-    """The first ``lead`` digits of each code, then ``end``, a block of ``_TAIL_LINES`` at a time.
-
-    Digits are spelled as ``format_word`` spells them over m; with no ``end``
-    the heads join into one word.  Over m <= 10, codes that ``in_bytes`` are
-    spelled from the array's memory (``_ascii``), others decoded a block at a time.
-    """
-    raw, n, width, low = cycle.raw, cycle.n, cycle.width, cycle.low
-    starts = range(0, len(raw), _TAIL_LINES)
-    if m <= 10 and cycle.in_bytes():
-        for i in starts:
-            yield _ascii(raw[i:i + _TAIL_LINES], n, lead, width, low, end.encode()).decode("ascii")
-        return
-    glue = end or ("," if m > 10 else "")
-    heads = map(format_word, map(itemgetter(slice(lead)), cycle.digits()), repeat(m))
-    for i in starts:
-        yield glue.join(islice(heads, _TAIL_LINES)) + (glue if i + _TAIL_LINES < len(raw) else end)
-
-
-def decompress_cycle(text: str, n: int, s: int) -> tuple[Word, ...]:
-    """Read the words back out of a compressed cycle string.
-
-    Inverse of compress_cycle: takes len(text)/(n-s) windows of length n at
-    stride n-s, wrapping cyclically.
-    """
-    symbols = parse_word(text)
-    _check_overlap(n, s)
-    step = n - s
-    total = len(symbols)
-    if total == 0:
-        raise ValueError("cannot decompress an empty cycle")
-    if total % step != 0:
-        raise ValueError(f"compressed text length {total} is not a multiple of n-s={step}")
-    return tuple(
-        tuple(symbols[(i * step + j) % total] for j in range(n))
-        for i in range(total // step)
-    )
-
-
-def export_dot(digraph: TransitionDigraph, m: int | None = None) -> str:
-    """Graphviz DOT text for the digraph, with deterministic ordering.
-
-    Vertices are labeled by their s-strings and edges by their full words;
-    both are emitted in the digraph's own ascending order, so identical
-    digraphs always render to identical text.
-    """
-    edges = digraph.edges  # first: the labels then reuse the memory its build frees
-    label = {vertex: format_word(vertex, m) for vertex in digraph._vertex_words.values()}
-    lines = ["digraph transitions {"]
-    lines.extend(f'    "{text}";' for text in label.values())
-    for (u, v), words in edges.items():
-        arrow = f'    "{label[u]}" -> "{label[v]}" [label="'
-        lines.extend(f'{arrow}{format_word(word, m)}"];' for word in words)
-    lines.append("}\n")
-    return "\n".join(lines)

@@ -1,8 +1,9 @@
 """The base of the package's immutable result records.
 
 Records are plain classes, not dataclasses, so that no command imports
-``dataclasses`` or ``inspect``.  ``graycode``, ``ocycles`` and ``existence``
-build their records on ``_Record``; ``words`` and the CLI need none.
+``dataclasses`` or ``inspect``.  ``graycode``, ``ocycles``, ``views`` and
+``existence`` build their records on ``_Record``, and ``codes`` borrows its
+refusal to assign; ``words`` and the CLI need none.
 """
 
 

@@ -10,8 +10,8 @@ recursive and dynamic-programming oracles kept in ``tests/``.
 
 ``_split`` cuts a word order into heads and shared tails.  ``_gray_blocks``
 uses it to give CLI ``gray`` the reflected order as text blocks, each tail
-spelled once, and ``ocycles`` to enumerate a set straight into the integer
-codes of its overlap-cycle engine.
+spelled once, and ``codes`` to enumerate a set straight into the integer
+codes of the overlap-cycle engine.
 
 Every command imports this module, and without a bytecode cache compiles it
 on each start, so it holds only the word-set core that ``gray`` and ``count``

@@ -612,14 +612,15 @@ def traced_ocycle(monkeypatch, *args):
     return code, sink.lines, peak
 
 
-@pytest.mark.parametrize("flags, bound", [((), 20), (("--compressed",), 20)])
+@pytest.mark.parametrize("flags, bound", [((), 20), (("--compressed",), 14)])
 def test_ocycle_peak_memory_per_word(monkeypatch, flags, bound):
-    # The traced peak of the 73,789-word cycle, in bytes per word: about 17
+    # The traced peak of the 73,789-word cycle, in bytes per word: about 12.9
     # plain and compressed with codes in arrays of machine words, where a
     # tuple of 96-bit byte codes took 73 and 77.  The compressed line's
-    # self-check sorts its codes a byte-keyed group at a time and the line
-    # is written a block at a time, so the walk sets both peaks; a sorted
-    # copy of all the codes took the compressed one to 48.
+    # self-check sorts its codes a byte-keyed group at a time, reads its
+    # digit columns a block at a time and the line is written a block at a
+    # time, so the walk sets both peaks.  A sorted copy of all the codes took
+    # the compressed one to 48, and a copy of all their bytes to 16.1.
     code, lines, peak = traced_ocycle(monkeypatch, "fixed", "3", "12", "12", "5", *flags)
     assert code == 0 and lines == (1 if flags else 73_789)
     assert peak < bound * 73_789, peak / 73_789
@@ -632,12 +633,25 @@ def test_ocycle_peak_memory_per_word(monkeypatch, flags, bound):
 def test_decoded_compressed_ocycle_peak_memory_per_word(monkeypatch, argv, words, bound):
     # Codes that _ascii cannot spell (digits over 9; 300-bit codes in a tuple
     # of ints) are decoded and written a block at a time, so the compressed
-    # line peaks about where the plain lines do: about 16 and 173 bytes a
-    # word, against 12 and 160 plain.  A list of every digit of the cycle
+    # line peaks about where the plain lines do: about 12.3 and 165 bytes a
+    # word, against 12.3 and 160 plain.  A list of every digit of the cycle
     # took them to 284 and 2,890.
     code, lines, peak = traced_ocycle(monkeypatch, *argv.split())
     assert (code, lines) == (0, 1)
     assert peak < bound * words, peak / words
+
+
+def test_compressed_ocycle_peaks_where_the_plain_one_does(monkeypatch):
+    # The self-check of the 129,668-word cycle holds no copy of all its
+    # codes or their bytes, so the walk sets the peak of both commands:
+    # about 12.3 bytes a word each.  Reading the check's digit columns from
+    # one copy of all the codes' bytes took the compressed one to 16.0.
+    argv = ("fixed", "12", "6", "30", "2")
+    code, lines, plain = traced_ocycle(monkeypatch, *argv)
+    assert (code, lines) == (0, 129_668)
+    code, lines, compressed = traced_ocycle(monkeypatch, *argv, "--compressed")
+    assert (code, lines) == (0, 1)
+    assert compressed <= plain + 129_668, (compressed - plain) / 129_668
 
 
 def test_disconnected_ocycle_peak_memory_per_word(monkeypatch, capsys):

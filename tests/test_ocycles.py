@@ -36,6 +36,7 @@ from graycycles import (
     witness_non_rotation,
 )
 from graycycles import ocycles
+from graycycles.codes import _TAIL_LINES
 from graycycles.ocycles import (
     REASON_DISCONNECTED,
     REASON_SINGLETON,
@@ -957,11 +958,15 @@ def test_coded_solutions_are_immutable_and_hashable():
     assert hash(solution) == hash(OcycleSolution(2, single))
     with pytest.raises(TypeError):
         solution.cycle[0] = 0
-    # Neither the codes, nor the memory under them, nor the coding can change.
+    # Neither the codes nor the coding can change.  The memory under the
+    # read-only view is an array of the codes' own, which cannot be resized
+    # while it is viewed.
     raw = solution.cycle.raw
-    for memory in (raw, raw.obj):
-        with pytest.raises(TypeError):
-            memory[0] = 0
+    with pytest.raises(TypeError):
+        raw[0] = 0
+    assert type(raw.obj) is array
+    with pytest.raises(BufferError):
+        raw.obj.append(0)
     with pytest.raises(AttributeError):
         solution.cycle.n = 2
     with pytest.raises(AttributeError):
@@ -971,6 +976,23 @@ def test_coded_solutions_are_immutable_and_hashable():
     codes = _Codes(given, 4, 8)
     given[0] = 3
     assert list(codes) == [1, 2] and hash(codes) == hash(_Codes([1, 2], 4, 8))
+
+
+def test_codes_hold_one_array_and_take_over_the_engines():
+    # _Codes builds one array of its own from what it is given and views it,
+    # with no bytes copy beside it; ``like`` takes over an array the engine
+    # hands on, as the walk hands on its tour.
+    codes = _Codes(iter([5, 1, 4]), 3, 2)
+    assert codes.raw.readonly and type(codes.raw.obj) is array
+    assert codes.raw.obj.typecode == codes.raw.format == "B"
+    handed = array("B", [1, 4, 5])
+    taken = codes.like(handed)
+    assert taken.raw.obj is handed and taken.raw.readonly
+    assert _Codes(taken.raw, 3, 2).raw is taken.raw
+    assert taken == _Codes([1, 4, 5], 3, 2) and hash(taken) == hash(_Codes([1, 4, 5], 3, 2))
+    assert codes.like([1, 4, 5]).raw.obj is not handed
+    tour = construct_ocycle(_codes(3, 6, 6, 6), 2).cycle
+    assert type(tour.raw.obj) is array and tour.raw.obj.typecode == tour.raw.format
 
 
 @settings(max_examples=300, deadline=None)
@@ -1048,6 +1070,55 @@ def test_cycle_fault_on_large_cycles_matches_oracle(m, n, k, s, storage, width):
         assert (text, int(fault is not None)) == oracle_self_check(claimed, n, s), name
         seen.add(fault and ("wrap" if fault[0] == len(claimed) - 1 else fault[0]))
     assert {None, -1, 0, middle - 1, "wrap"} <= seen
+
+
+# (m, n, k, s): cycles of at least two blocks of _TAIL_LINES codes, whose
+# digit columns the self-check reads a block at a time: 2-bit fields, and
+# 3-bit fields of which some cross a byte (bits 15-17 and 6-8 for m = 5,
+# bits 6-8 for m = 8).
+BLOCK_CASES = [(3, 10, 10, 4), (5, 8, 10, 3), (8, 6, 15, 2)]
+
+
+@pytest.mark.parametrize("m, n, k, s", BLOCK_CASES)
+def test_cycle_fault_at_block_edges_matches_oracle(m, n, k, s):
+    # The overlap test at the edges of its blocks against CLI ``verify
+    # ocycle`` on the tuple words: pairs swapped across the first edge,
+    # overlaps broken at the last pair of a block, at the first pair of the
+    # next and at the wrap-around, cycles cut to lengths that leave one or two
+    # codes in the last block, and whole cycles, as built and rotated.
+    edge = _TAIL_LINES
+    codes = construct_ocycle(_codes(m, n, k, k), s).cycle
+    words = construct_ocycle(enumerate_fixed_weight(m, n, k), s).cycle
+    assert codes.in_bytes() and codes.width == (m - 1).bit_length()
+    assert list(codes.digits()) == list(words) and len(words) > 2 * edge
+    edits = {
+        "cycle": lambda c: c,
+        "rotated by a block": lambda c: c[edge:] + c[:edge],
+        "swapped at 4095/4096": lambda c: c[:edge - 1] + [c[edge], c[edge - 1]] + c[edge + 1:],
+        "swapped at 4096/4097": lambda c: c[:edge] + [c[edge + 1], c[edge]] + c[edge + 2:],
+        "cut to 4097": lambda c: c[:edge + 1],
+        "cut to 4098": lambda c: c[:edge + 2],
+        "cut to 8193": lambda c: c[:2 * edge + 1],
+    }
+    drops = {  # the first broken pair, and where its words are dropped
+        edge - 1: lambda c, cut: c[:edge] + c[edge + cut:],
+        edge: lambda c, cut: c[:edge + 1] + c[edge + 1 + cut:],
+        "wrap": lambda c, cut: c[:-cut],
+    }
+    for gap, drop in drops.items():
+        # Drop the fewest words that break an overlap: one may still hold.
+        cut = next(i for i in count(1) if oracle_first_gap(drop(list(words), i), s) is not None)
+        where = oracle_first_gap(drop(list(words), cut), s)
+        assert where == (len(words) - cut - 1 if gap == "wrap" else gap)
+        edits[f"gap at {gap}"] = lambda c, drop=drop, cut=cut: drop(c, cut)
+    seen = set()
+    for name, edit in edits.items():
+        broken, claimed = codes.like(edit(list(codes.raw))), edit(list(words))
+        fault = _cycle_fault(broken, n, s)
+        text = "ok\n" if fault is None else "violation at index {}: {}\n".format(*fault)
+        assert (text, int(fault is not None)) == oracle_self_check(claimed, n, s), name
+        seen.add(fault and ("wrap" if fault[0] == len(claimed) - 1 else fault[0]))
+    assert {None, edge - 1, edge, "wrap"} <= seen
 
 
 def test_compress_shifted_digits_below_ten():

@@ -6,6 +6,7 @@ import ast
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -70,11 +71,12 @@ def fresh(code):
     return done.stdout.splitlines()
 
 
-# Modules that CLI gray and count leave unloaded: graycode, ocycles (with its
-# array), existence and the records' base are not needed there, and the others
-# cost start-up time.
-UNNEEDED = ["array", "dataclasses", "graycycles.existence", "graycycles.graycode",
-            "graycycles.ocycles", "graycycles.records", "inspect", "typing"]
+# Modules that CLI gray and count leave unloaded: graycode, the engine
+# (ocycles, codes and views, with the array module), existence and the
+# records' base are not needed there, and the others cost start-up time.
+UNNEEDED = ["array", "dataclasses", "graycycles.codes", "graycycles.existence",
+            "graycycles.graycode", "graycycles.ocycles", "graycycles.records",
+            "graycycles.views", "inspect", "typing"]
 
 
 @pytest.mark.parametrize("argv", [["gray", "3", "4", "5"], ["count", "3", "4", "5"]])
@@ -118,3 +120,61 @@ def test_exists_decides_the_gcd_rule_without_the_engine():
     # The degenerate weight 0 is still decided by building the cycle.
     assert lines == ["yes (n-s > gcd(n,s))", "0 []", "yes (degenerate-checked)",
                      "0 ['array', 'graycycles.ocycles']"]
+
+
+# Tokens that do not count towards a module's size: comments and layout.
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENCODING, tokenize.ENDMARKER}
+
+# Without a bytecode cache every start compiles the modules it loads, and
+# compiling peaks at about 450 traced bytes a token, so no module that CLI
+# ocycle loads may be much larger than words (1,808 tokens).
+TOKEN_BUDGET = 2300
+
+
+def code_tokens(path):
+    with path.open("rb") as fh:
+        return sum(token.type not in LAYOUT for token in tokenize.tokenize(fh.readline))
+
+
+def test_ocycle_and_verify_ocycle_load_only_the_engine():
+    # The plain cycle is checked by verify ocycle; views (verify_ocycle,
+    # decompress_cycle, DOT export) and existence stay unloaded.
+    lines = fresh(
+        "import io, sys; from graycycles.cli import main; "
+        "out = sys.stdout; "
+        "sys.stdout = io.StringIO(); "
+        "codes = [main(['ocycle', 'fixed', '3', '6', '6', '2', '--compressed'])]; "
+        "sys.stdout = io.StringIO(); "
+        "codes.append(main(['ocycle', 'fixed', '3', '6', '6', '2'])); "
+        "sys.stdin, sys.stdout = io.StringIO(sys.stdout.getvalue()), io.StringIO(); "
+        "codes.append(main(['verify', 'ocycle', '6', '2'])); "
+        "text, sys.stdout = sys.stdout.getvalue(), out; "
+        "print(codes, repr(text)); "
+        "print(sorted(m for m in sys.modules if m.startswith('graycycles')))"
+    )
+    assert lines == [
+        "[0, 0, 0] 'ok\\n'",
+        "['graycycles', 'graycycles.cli', 'graycycles.codes', 'graycycles.ocycles', "
+        "'graycycles.records', 'graycycles.words']",
+    ]
+    for name in ast.literal_eval(lines[1]):
+        path = SRC.joinpath(*name.split("."))
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        assert code_tokens(path) <= TOKEN_BUDGET, (name, code_tokens(path))
+
+
+def test_library_only_names_load_from_ocycles_on_first_access():
+    # ocycles serves the names that live in views (PEP 562), through the
+    # package too, and loads views only when one is asked for.
+    lines = fresh(
+        "import sys; import graycycles.ocycles as ocycles; "
+        "print('graycycles.views' in sys.modules); "
+        "from graycycles.ocycles import verify_ocycle; "
+        "import graycycles, graycycles.views as views; "
+        "print([getattr(ocycles, name) is getattr(views, name) is getattr(graycycles, name) "
+        "for name in views.__all__]); "
+        "print(set(views.__all__) <= set(ocycles.__all__), verify_ocycle is views.verify_ocycle); "
+        "print(hasattr(ocycles, 'nothing_here'))"
+    )
+    assert lines == ["False", "[True, True, True, True, True, True, True]", "True True", "False"]
