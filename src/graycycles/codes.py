@@ -2,13 +2,14 @@
 
 Each word is an int whose fixed-width bit fields hold its digits less the
 smallest one, so numeric order is word order and prefixes and suffixes are
-shifts and masks.  Codes of up to 64 bits sit in a read-only view of one
-array of machine words, wider ones in a tuple of ints (``_Codes``).  CLI
+shifts and masks.  Codes of up to 64 bits sit in machine words, in bytes
+of their own seen through a read-only view, wider ones in a tuple of ints
+(``_Codes``).  CLI
 ``ocycle`` and ``digraph`` enumerate their sets straight into codes
 (``_word_codes``); tuple words given to the library are coded once on entry,
 by the one coder ``_code``, and decoded once on exit.  Words are decoded
 through tables of chunk codes of at most ``_TAIL_LINES`` entries.  Where
-fields have at most 4 bits or 8, digits are read from the array's memory a
+fields have at most 4 bits or 8, digits are read from the codes' memory a
 position at a time, one block of codes at a time (``_columns``).  One
 speller, ``_spelled``, writes a cycle's text a block at a time: from that
 memory where every digit lies in 0..9, else decoded through ``format_word``.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
+from io import BytesIO
 from itertools import chain, compress, count, islice, product, repeat
 from operator import add, ge, itemgetter, ne
 
@@ -42,6 +44,25 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 _CHUNK_BITS = _TAIL_LINES.bit_length() - 1
 
 
+def _frozen(blocks: Iterable[array], kind: str) -> memoryview:
+    """The blocks' codes, in order, as a read-only view of ``bytes`` of their own.
+
+    The bytes grow a block at a time, so no whole array of the codes need be
+    held beside them.
+    """
+    out = BytesIO()
+    out.writelines(blocks)
+    return memoryview(out.getvalue()).cast(kind)
+
+
+def _popped(codes: array) -> Iterator[array]:
+    """The array's codes a block at a time, first to last, as it shrinks to empty."""
+    codes.reverse()
+    while codes:
+        yield codes[:-_TAIL_LINES - 1:-1]
+        del codes[-_TAIL_LINES:]
+
+
 class _Codes:
     """Codes of words of one length ``n``, in ascending or cycle order.
 
@@ -49,12 +70,12 @@ class _Codes:
     digit highest, so numeric order is word order, the first j digits of
     code c are ``c >> width*(n-j)`` and the last j are
     ``c & ((1 << width*j) - 1)``.  ``raw`` holds the codes: when n*width is
-    at most 64, a read-only ``memoryview`` of an array of machine words of
-    the smallest unsigned type that fits, else a tuple of ints.  The array
-    is the codes' own: built here from what is given, or taken over from
-    the engine by ``like``.  ``tuples`` marks codes made from tuple words,
-    which the engine hands back as tuples.  Immutable and hashable, like a
-    tuple of words.
+    at most 64, a ``memoryview`` of machine words of the smallest unsigned
+    type that fits, over ``bytes`` of their own, else a tuple of ints.
+    The bytes are filled a block at a time (``_frozen``): from what is
+    given, or from an array the engine hands to ``taken``.  ``tuples`` marks
+    codes made from tuple words, which the engine hands back as tuples.
+    Immutable and hashable, like a tuple of words.
     """
 
     __slots__ = ("raw", "n", "width", "low", "tuples")
@@ -68,11 +89,11 @@ class _Codes:
             raw = tuple(codes)
         else:
             kind = _ARRAY_TYPE[n * width]
-            if type(codes) is memoryview and codes.readonly and codes.format == kind:
-                raw = codes  # made by ``like``
-            else:
-                raw = memoryview(array(kind, codes)).toreadonly()
-        for name, value in zip(self.__slots__, (raw, n, width, low, tuples)):
+            raw = _frozen(_popped(array(kind, codes)), kind)
+        self._set(raw, n, width, low, tuples)
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
@@ -91,7 +112,7 @@ class _Codes:
 
     def __hash__(self) -> int:
         raw = self.raw
-        return hash((self._coding(), raw if type(raw) is tuple else raw.tobytes()))
+        return hash((self._coding(), raw if type(raw) is tuple else raw.obj))
 
     def __repr__(self) -> str:
         return repr(tuple(self.raw))
@@ -100,14 +121,20 @@ class _Codes:
         return self.n, self.width, self.low
 
     def like(self, codes: Iterable[int]) -> _Codes:
-        """Other codes in this coding, marked like these.
-
-        An array is taken over, not copied: the engine hands on the arrays
-        it builds (``empty``) and keeps no other hold on them.
-        """
-        if type(codes) is array:
-            codes = memoryview(codes).toreadonly()
+        """Other codes in this coding, marked like these."""
         return _Codes(codes, self.n, self.width, self.low, self.tuples)
+
+    def taken(self, codes: array | list[int]) -> _Codes:
+        """``like``, for a sequence the engine builds (``empty``) and hands on.
+
+        An array's codes move into the new codes' bytes and it is left empty,
+        so the two never both hold all of them.
+        """
+        if type(codes) is not array:
+            return self.like(codes)
+        taken = object.__new__(_Codes)
+        taken._set(_frozen(_popped(codes), codes.typecode), *self._coding(), self.tuples)
+        return taken
 
     def empty(self) -> array | list[int]:
         """A new growable sequence for these codes: an array of their type, or a list."""

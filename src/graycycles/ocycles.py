@@ -282,7 +282,7 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
             REASON_UNBALANCED, "no Euler tour: in/out degrees differ at some vertex",
             _imbalance(digraph, outs, ins),
         )
-    coded = codes.like(tour)  # the tour's array becomes the cycle's, uncopied
+    coded = codes.taken(tour)  # the tour's codes become the cycle's, uncopied
     return list(coded.digits()) if codes.tuples else coded
 
 

@@ -958,15 +958,11 @@ def test_coded_solutions_are_immutable_and_hashable():
     assert hash(solution) == hash(OcycleSolution(2, single))
     with pytest.raises(TypeError):
         solution.cycle[0] = 0
-    # Neither the codes nor the coding can change.  The memory under the
-    # read-only view is an array of the codes' own, which cannot be resized
-    # while it is viewed.
+    # Neither the codes, nor the memory under them, nor the coding can change.
     raw = solution.cycle.raw
-    with pytest.raises(TypeError):
-        raw[0] = 0
-    assert type(raw.obj) is array
-    with pytest.raises(BufferError):
-        raw.obj.append(0)
+    for memory in (raw, raw.obj):
+        with pytest.raises(TypeError):
+            memory[0] = 0
     with pytest.raises(AttributeError):
         solution.cycle.n = 2
     with pytest.raises(AttributeError):
@@ -978,21 +974,28 @@ def test_coded_solutions_are_immutable_and_hashable():
     assert list(codes) == [1, 2] and hash(codes) == hash(_Codes([1, 2], 4, 8))
 
 
-def test_codes_hold_one_array_and_take_over_the_engines():
-    # _Codes builds one array of its own from what it is given and views it,
-    # with no bytes copy beside it; ``like`` takes over an array the engine
-    # hands on, as the walk hands on its tour.
+def test_codes_own_their_bytes_and_take_over_the_engines_arrays():
+    # _Codes fills bytes of its own from what it is given, so a caller's
+    # array, or a read-only view of it, is copied and stays as it was;
+    # ``taken`` moves the codes of an array the engine hands on, as the walk
+    # hands on its tour, and leaves it empty.
     codes = _Codes(iter([5, 1, 4]), 3, 2)
-    assert codes.raw.readonly and type(codes.raw.obj) is array
-    assert codes.raw.obj.typecode == codes.raw.format == "B"
+    assert codes.raw.readonly and type(codes.raw.obj) is bytes and codes.raw.format == "B"
+    given = array("B", [1, 4, 5])
+    held = [_Codes(given, 3, 2), _Codes(memoryview(given).toreadonly(), 3, 2)]
+    given[0] = 0
+    assert [list(h) for h in held] == [[1, 4, 5]] * 2 and list(given) == [0, 4, 5]
+    assert all(type(h.raw.obj) is bytes for h in held)
     handed = array("B", [1, 4, 5])
-    taken = codes.like(handed)
-    assert taken.raw.obj is handed and taken.raw.readonly
-    assert _Codes(taken.raw, 3, 2).raw is taken.raw
+    taken = codes.taken(handed)
+    assert not handed and type(taken.raw.obj) is bytes
     assert taken == _Codes([1, 4, 5], 3, 2) and hash(taken) == hash(_Codes([1, 4, 5], 3, 2))
-    assert codes.like([1, 4, 5]).raw.obj is not handed
+    other = array("H", [1, 4, 5])
+    assert codes.taken([1, 4, 5]) == taken == codes.like(other) and list(other) == [1, 4, 5]
+    wide = _Codes([], 12, 2).taken(array("I", range(3 * _TAIL_LINES + 5)))
+    assert list(wide) == list(range(3 * _TAIL_LINES + 5)) and wide.raw.format == "I"
     tour = construct_ocycle(_codes(3, 6, 6, 6), 2).cycle
-    assert type(tour.raw.obj) is array and tour.raw.obj.typecode == tour.raw.format
+    assert type(tour.raw.obj) is bytes and tour.raw.format == "H"
 
 
 @settings(max_examples=300, deadline=None)
