@@ -2,17 +2,17 @@
 
 Each word is an int whose fixed-width bit fields hold its digits less the
 smallest one, so numeric order is word order and prefixes and suffixes are
-shifts and masks.  Codes of up to 64 bits sit in machine words, in bytes
-of their own seen through a read-only view, wider ones in a tuple of ints
-(``_Codes``).  CLI
-``ocycle`` and ``digraph`` enumerate their sets straight into codes
-(``_word_codes``); tuple words given to the library are coded once on entry,
-by the one coder ``_code``, and decoded once on exit.  Words are decoded
-through tables of chunk codes of at most ``_TAIL_LINES`` entries.  Where
-fields have at most 4 bits or 8, digits are read from the codes' memory a
-position at a time, one block of codes at a time (``_columns``).  One
-speller, ``_spelled``, writes a cycle's text a block at a time: from that
-memory where every digit lies in 0..9, else decoded through ``format_word``.
+shifts and masks.  Codes of up to 64 bits sit in machine words, in bytes of
+their own seen through a read-only view, wider ones in a tuple of ints
+(``_Codes``).  CLI ``ocycle`` and ``digraph`` enumerate their sets straight
+into codes (``_word_codes``); tuple words given to the library are coded
+once on entry, by the one coder ``_code``, and decoded once on exit.  Words
+are decoded through tables of chunk codes of at most ``_TAIL_LINES``
+entries.  Where fields have at most 4 bits or 8, digits are read from the
+codes' memory a position at a time, one block of codes at a time
+(``_columns``).  One speller, ``_spelled``, writes a cycle's text a block at
+a time: from that memory where every digit lies in 0..9, else decoded
+through ``format_word``.
 
 This module is private: ``ocycles`` holds the engine and imports what it
 needs from here.  Without a bytecode cache every ``ocycle`` start compiles
