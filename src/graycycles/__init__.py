@@ -10,10 +10,10 @@ predicates, a compressed text form, and DOT export.
 Each public name is listed in the ``__all__`` of one module (``words``,
 ``graycode``, ``ocycles`` or ``existence``) and re-exported here.
 ``existence`` holds the paper's existence theory: the gcd rule, the
-weight-range theorem and the block-profile witness behind them; it builds a
-cycle with ``ocycles`` only at the degenerate weights.  ``ocycles`` holds
-the overlap-cycle engine and takes its word coding and text from the
-private ``codes``; the engine's library-only names live in ``views``, which
+weight-range theorem and the block-profile witness behind them; it decides
+every verdict by theorem, with no engine.  ``ocycles`` holds the
+overlap-cycle engine and takes its word coding and text from the private
+``codes``; the engine's library-only names live in ``views``, which
 ``ocycles`` serves on first access (PEP 562), so that CLI ``ocycle``
 compiles neither.  Importing the package loads only ``words``; the other
 three load on first access to them or to a name of theirs (PEP 562), and
@@ -36,8 +36,8 @@ _LAZY = {
         TransitionDigraph OcycleSolution OcycleReport build_transition_digraph is_balanced
         is_weakly_connected weak_components euler_tour construct_ocycle verify_ocycle
         compress_cycle decompress_cycle export_dot""".split(),
-    "existence": """REASON_GCD REASON_WEIGHT_RANGE REASON_CONSTRUCTED REASON_EMPTY
-        REASON_DEGENERATE WeightDecomposition BlockProfile ExistenceVerdict s_prefix s_suffix
+    "existence": """REASON_GCD REASON_WEIGHT_RANGE REASON_EMPTY REASON_DEGENERATE
+        WeightDecomposition BlockProfile ExistenceVerdict s_prefix s_suffix
         weight_decomposition block_profile is_cyclic_rotation witness_non_rotation
         exists_fixed_weight_ocycle exists_weight_range_ocycle""".split(),
 }

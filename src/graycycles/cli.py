@@ -6,12 +6,12 @@ codes: 0 success / exists / valid, 1 not-exists / invalid input list,
 2 usage or parameter error.  A reader that closes the pipe early (``| head``)
 ends the command with exit 1 and nothing on stderr.
 
-Word lists are written in chunks of at least ``_CHUNK`` words, one ``write``
-call per chunk, so the cost does not depend on whether stdout is buffered.
-``gray`` always streams the text blocks of ``words._gray_blocks``, in O(n)
-memory plus a tail table of at most ``words._TAIL_LINES`` short lines for
-every m; without ``--stream`` it first refuses, from the count, sets over
-the 10^6-word cap.
+Word lists are written in chunks of at least ``words._CHUNK`` words, one
+``write`` call per chunk, so the cost does not depend on whether stdout is
+buffered.  ``gray`` always streams the text blocks of ``words._gray_blocks``,
+in O(n) memory plus a tail table of at most ``words._TAIL_LINES`` short
+lines for every m; without ``--stream`` it first refuses, from the count,
+sets over the 10^6-word cap.
 
 ``ocycle`` and ``digraph`` refuse a set over the cap the same way, then
 enumerate it, both through ``codes._word_codes``; ``codes`` owns the word
@@ -23,8 +23,8 @@ tour's self-check to the text, spelled only there by ``codes._spelled``.
 
 Handlers import from ``graycode``, ``codes``, ``ocycles`` and ``existence``
 when they run, so ``gray`` and ``count`` load only ``words``, ``exists``
-loads the engine only for the degenerate weights that it decides by
-construction, and only ``digraph`` loads ``views``, for ``export_dot``.
+loads only ``existence`` and ``records``, which decide every verdict by
+theorem, and only ``digraph`` loads ``views``, for ``export_dot``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import sys
 from itertools import chain
 
 from .words import (
+    _CHUNK,
     DEFAULT_MATERIALIZATION_CAP,
     _ORDERING_HEAD,
     MaterializationLimitError,
@@ -51,9 +52,6 @@ if TYPE_CHECKING:
     from typing import Sequence
 
     from .codes import _Codes
-
-# Words per stdout write.
-_CHUNK = 1024
 
 
 @functools.cache  # built once per process: each build costs about 3 ms
@@ -147,7 +145,7 @@ def _cmd_gray(args: argparse.Namespace) -> int:
     # One write per run of blocks that reaches _CHUNK lines.
     write = sys.stdout.write
     pending, lines = [], 0
-    for text, count in _gray_blocks(args.m, args.n, args.k, _CHUNK):
+    for text, count in _gray_blocks(args.m, args.n, args.k):
         pending.append(text)
         lines += count
         if lines >= _CHUNK:

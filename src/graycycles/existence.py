@@ -8,10 +8,9 @@ k = q*(m-1) + r, block profiles (an s-rotation keeps a word's block weights
 up to rotation) and the two words ``witness_non_rotation`` gives when
 n - s = gcd(n, s), which no run of s-overlaps can join.
 
-Deciding a verdict needs no overlap-cycle engine, except at the degenerate
-weights, where ``exists_fixed_weight_ocycle`` imports ``ocycles`` to build a
-cycle.  The tests check the rule against that construction for m in {2, 3}
-and n up to 6.
+Every verdict is decided by theorem, with no overlap-cycle engine: at the
+degenerate weights 0, 1, (m-1)*n - 1 and (m-1)*n a cycle always exists.
+The tests check each theorem against the engine's construction.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 
 from . import _LAZY
 from .records import _Record
-from .words import Word, _check_overlap, _check_params, enumerate_fixed_weight
+from .words import Word, _check_overlap, _check_params
 
 TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
@@ -30,7 +29,6 @@ __all__ = _LAZY["existence"]  # listed in the package, which loads this module l
 
 REASON_GCD = "gcd-condition"
 REASON_WEIGHT_RANGE = "theorem-weight-range"
-REASON_CONSTRUCTED = "constructed"
 REASON_EMPTY = "empty-set"
 REASON_DEGENERATE = "degenerate-checked"
 
@@ -143,10 +141,14 @@ def exists_fixed_weight_ocycle(m: int, n: int, k: int, s: int) -> ExistenceVerdi
     """Does the set of weight-k words of length n admit an s-overlap cycle?
 
     For weights strictly between 1 and (m-1)*n - 1 the answer is the gcd
-    rule: a cycle exists iff n - s > gcd(n, s).  Outside that window the
-    sets are tiny (at most n words) and rotation-degenerate, and the gcd
-    rule is not reliable there, so the verdict is decided by actually
-    constructing a cycle.  An empty set never has a cycle.
+    rule: a cycle exists iff n - s > gcd(n, s).  An empty set never has a
+    cycle.  At the degenerate weights the answer is always yes:
+    - k = 0 or (m-1)*n: the set is one constant word, which overlaps itself.
+    - k = 1: the set is the n words with a single 1.  In the transition
+      digraph every vertex is balanced, and following out-edges shifts a
+      vertex's 1 left by n - s until it leaves, at 0^s: an Euler tour exists.
+    - k = (m-1)*n - 1: the digit complement d -> m-1-d maps these words onto
+      the weight-1 words and keeps every overlap.
     """
     _check_params(m, n, s=s)
     if k < 0 or k > (m - 1) * n:
@@ -156,16 +158,13 @@ def exists_fixed_weight_ocycle(m: int, n: int, k: int, s: int) -> ExistenceVerdi
         return ExistenceVerdict(
             n - s > d, REASON_GCD, detail=f"n-s={n - s}, gcd(n,s)={d}"
         )
-    from .ocycles import NotEulerianError, construct_ocycle  # the engine, on this branch only
-
-    word_set = enumerate_fixed_weight(m, n, k)
-    try:
-        solution = construct_ocycle(word_set, s)
-    except NotEulerianError as exc:
-        return ExistenceVerdict(False, REASON_DEGENERATE, detail=exc.reason)
-    return ExistenceVerdict(
-        True, REASON_DEGENERATE, detail=f"constructed a {len(solution.cycle)}-word cycle"
-    )
+    if k in (0, (m - 1) * n):
+        case = "1 constant word"
+    elif k == 1:
+        case = f"{n} words with a single 1"
+    else:
+        case = f"{n} words, the digit complements of the weight-1 words"
+    return ExistenceVerdict(True, REASON_DEGENERATE, detail=f"k={k}: {case}")
 
 
 def exists_weight_range_ocycle(

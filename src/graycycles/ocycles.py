@@ -34,17 +34,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import ge, ne
 
 from . import _LAZY
-from .codes import (  # _codes and _word_codes only pass through, for the tests
-    _Codes,
-    _code,
-    _codes,
-    _columns,
-    _encode,
-    _misfit,
-    _repeats,
-    _spelled,
-    _word_codes,
-)
+from .codes import _Codes, _code, _columns, _encode, _misfit, _repeats, _spelled
 from .records import _Record
 from .words import _TAIL_LINES, Word, _check_overlap, format_word
 

@@ -286,9 +286,11 @@ def _split(
 
 # The tail table of ``_gray_blocks`` holds at most this many lines.
 _TAIL_LINES = 4096
+# Words per block of ``_gray_blocks`` when nothing is shared, and per stdout write of CLI ``gray``.
+_CHUNK = 1024
 
 
-def _gray_blocks(m: int, n: int, k: int, chunk: int) -> Iterator[tuple[str, int]]:
+def _gray_blocks(m: int, n: int, k: int) -> Iterator[tuple[str, int]]:
     """The reflected Gray order of the weight-k words as text blocks.
 
     Yields (text, lines): words in their text form, each line ending in a
@@ -298,7 +300,7 @@ def _gray_blocks(m: int, n: int, k: int, chunk: int) -> Iterator[tuple[str, int]
     most that many lines of t digits.  Each head's block is its text joined
     to its tails in one pass.  A one-digit tail is forced by its head, so
     below t = 2 (n <= 1, or m**2 over ``_TAIL_LINES``) nothing is shared and
-    the walker's words are formatted one by one, ``chunk`` per block.
+    the walker's words are formatted one by one, ``_CHUNK`` per block.
     m < 1 or n < 0 raise on the first next(); out-of-range k yields nothing.
     """
     _check_params(m, n)
@@ -307,7 +309,7 @@ def _gray_blocks(m: int, n: int, k: int, chunk: int) -> Iterator[tuple[str, int]
         t -= 1
     if t < 2:
         walk = _walk(m, n, k, k, True)
-        while words := list(islice(walk, chunk)):
+        while words := list(islice(walk, _CHUNK)):
             yield "".join([format_word(w, m) + "\n" for w in words]), len(words)
         return
     sep = "," if m > 10 and t < n else ""  # between head and tail digits
@@ -316,10 +318,9 @@ def _gray_blocks(m: int, n: int, k: int, chunk: int) -> Iterator[tuple[str, int]
         yield text + ("\n" + text).join(tails) + "\n", len(tails)
 
 
-# Byte d in 0..9 becomes ASCII digit d and byte 10 stays the newline that
-# joins words in a chunk; every other byte becomes 0xFF.  A translated word is
-# all digits iff every digit lies in 0..9.
-_DIGIT_TABLE = b"0123456789\n".ljust(256, b"\xff")
+# Byte d in 0..9 becomes ASCII digit d; every other byte becomes 0xFF.  A
+# translated word is all digits iff every digit lies in 0..9.
+_DIGIT_TABLE = b"0123456789".ljust(256, b"\xff")
 
 
 def format_word(word: Sequence[int], m: int | None = None) -> str:

@@ -36,12 +36,11 @@ from graycycles import (
     witness_non_rotation,
 )
 from graycycles import ocycles
-from graycycles.codes import _TAIL_LINES
+from graycycles.codes import _TAIL_LINES, _codes
 from graycycles.ocycles import (
     REASON_DISCONNECTED,
     REASON_SINGLETON,
     REASON_UNBALANCED,
-    _codes,
     _Codes,
     _cycle_fault,
     _encode,
@@ -286,15 +285,40 @@ def test_exists_fixed_weight_gcd_cases():
 
 
 def test_exists_fixed_weight_degenerate_cases():
-    # weight-1 words are all rotations of one another; decided by construction
+    # decided by theorem; test_degenerate_weights_admit_a_constructed_cycle
+    # checks the theorem by construction
     v = exists_fixed_weight_ocycle(2, 4, 1, 2)
     assert (v.exists, v.reason) == (True, "degenerate-checked")
+    assert v.detail == "k=1: 4 words with a single 1"
     v = exists_fixed_weight_ocycle(2, 2, 2, 1)  # single word 11
     assert (v.exists, v.reason) == (True, "degenerate-checked")
     v = exists_fixed_weight_ocycle(3, 3, 0, 1)  # single word 000
     assert (v.exists, v.reason) == (True, "degenerate-checked")
     v = exists_fixed_weight_ocycle(3, 4, 8, 2)  # single word 2222
     assert (v.exists, v.reason) == (True, "degenerate-checked")
+    assert v.detail == "k=8: 1 constant word"
+    v = exists_fixed_weight_ocycle(3, 4, 7, 2)  # 1222 and its rotations
+    assert (v.exists, v.reason) == (True, "degenerate-checked")
+    assert v.detail == "k=7: 4 words, the digit complements of the weight-1 words"
+
+
+def test_degenerate_weights_admit_a_constructed_cycle():
+    # The theorem behind the degenerate verdicts, checked by the engine: at
+    # k in {0, 1, (m-1)n - 1, (m-1)n} every s admits a cycle, of 1 or n words.
+    cases = 0
+    for m in range(1, 8):
+        for n in range(2, 13):
+            top = (m - 1) * n
+            for k in sorted({0, 1, top - 1, top} & set(range(top + 1))):
+                words = enumerate_fixed_weight(m, n, k)
+                for s in range(1, n):
+                    cycle = construct_ocycle(words, s).cycle
+                    assert verify_ocycle(cycle, words, s).ok, (m, n, k, s)
+                    verdict = exists_fixed_weight_ocycle(m, n, k, s)
+                    assert verdict.exists and verdict.reason == "degenerate-checked"
+                    assert verdict.detail.startswith(f"k={k}: {len(words)} "), verdict
+                    cases += 1
+    assert cases == 1649
 
 
 def test_exists_fixed_weight_empty_set():

@@ -109,7 +109,7 @@ def test_lazy_names_load_on_first_access():
 
 
 def test_exists_decides_the_gcd_rule_without_the_engine():
-    probe = "[m for m in ('array', 'graycycles.ocycles') if m in sys.modules]"
+    probe = "[m for m in ('array', 'graycycles.codes', 'graycycles.ocycles') if m in sys.modules]"
     lines = fresh(
         "import sys; from graycycles.cli import main; "
         "code = main(['exists', '3', '6', '6', '2']); "
@@ -117,9 +117,8 @@ def test_exists_decides_the_gcd_rule_without_the_engine():
         "code = main(['exists', '2', '3', '0', '1']); "
         f"print(code, {probe})"
     )
-    # The degenerate weight 0 is still decided by building the cycle.
-    assert lines == ["yes (n-s > gcd(n,s))", "0 []", "yes (degenerate-checked)",
-                     "0 ['array', 'graycycles.ocycles']"]
+    # The degenerate weight 0 is decided by theorem too, with no engine.
+    assert lines == ["yes (n-s > gcd(n,s))", "0 []", "yes (degenerate-checked)", "0 []"]
 
 
 # Tokens that do not count towards a module's size: comments and layout.

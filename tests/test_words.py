@@ -29,7 +29,7 @@ from graycycles import (
     weight_decomposition,
     witness_non_rotation,
 )
-from graycycles.ocycles import _codes, _Codes, _word_codes
+from graycycles.codes import _codes, _Codes, _word_codes
 from graycycles.words import _walk
 from word_oracles import brute_fixed_weight, brute_weight_range, count_oracle, gray_oracle
 
