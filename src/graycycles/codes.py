@@ -6,13 +6,13 @@ shifts and masks.  Codes of up to 64 bits sit in machine words, in bytes of
 their own seen through a read-only view, wider ones in a tuple of ints
 (``_Codes``).  CLI ``ocycle`` and ``digraph`` enumerate their sets straight
 into codes (``_word_codes``); tuple words given to the library are coded
-once on entry, by the one coder ``_code``, and decoded once on exit.  Words
-are decoded through tables of chunk codes of at most ``_TAIL_LINES``
-entries.  Where fields have at most 4 bits or 8, digits are read from the
-codes' memory a position at a time, one block of codes at a time
-(``_columns``).  One speller, ``_spelled``, writes a cycle's text a block at
-a time: from that memory where every digit lies in 0..9, else decoded
-through ``format_word``.
+once on entry, by the one coder ``_code``, and decoded once on exit.  One
+digit reader, ``_columns``, reads digit position p of a block of codes at a
+time: a strided slice of the codes' bytes, translated, where digits lie in
+0..255, else a list of ints.  It decodes words, and the self-check compares
+its columns.  One speller, ``_spelled``, writes a cycle's text a block at a
+time: from the reader's ASCII columns where every digit lies in 0..9, else
+decoded through ``format_word``.
 
 This module is private: ``ocycles`` holds the engine and imports what it
 needs from here.  Without a bytecode cache every ``ocycle`` start compiles
@@ -25,11 +25,13 @@ import sys
 from array import array
 from functools import lru_cache
 from io import BytesIO
-from itertools import chain, compress, count, islice, product, repeat
-from operator import add, ge, itemgetter, ne
+from itertools import chain, compress, count, islice, repeat
+from operator import ge, itemgetter, ne
 
 from .records import _Record
-from .words import _TAIL_LINES, DEFAULT_MATERIALIZATION_CAP, Word, _check_set, _split, format_word
+from .words import (
+    _DIGIT_TABLE, _TAIL_LINES, DEFAULT_MATERIALIZATION_CAP, Word, _check_set, _split, format_word,
+)
 
 TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
@@ -38,10 +40,7 @@ if TYPE_CHECKING:
 # The smallest unsigned array type that holds b bits, for b in 0..64.
 _ARRAY_TYPE = [next(code for code in "BHIQ" if array(code).itemsize * 8 >= b) for b in range(65)]
 
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
-# A chunk table spells at most this many bits of digit fields: _TAIL_LINES entries.
-_CHUNK_BITS = _TAIL_LINES.bit_length() - 1
+_LITTLE_ENDIAN = sys.byteorder == "little"  # of an array's memory
 
 
 def _frozen(blocks: Iterable[array], kind: str) -> memoryview:
@@ -74,7 +73,8 @@ class _Codes:
     type that fits, over ``bytes`` of their own, else a tuple of ints.
     The bytes are filled a block at a time (``_frozen``): from what is
     given, or from an array the engine hands to ``taken``.  ``tuples`` marks
-    codes made from tuple words, which the engine hands back as tuples.
+    codes made from tuple words, which the engine hands back as tuples,
+    decoded by ``digits`` through the one digit reader, ``_columns``.
     Immutable and hashable, like a tuple of words.
     """
 
@@ -141,100 +141,78 @@ class _Codes:
         raw = self.raw
         return [] if type(raw) is tuple else array(raw.format)
 
-    def in_bytes(self) -> bool:
-        """Whether ``_columns`` can read these codes: an array whose digits fit bytes."""
-        width = self.width
-        return (type(self.raw) is not tuple and (width <= 4 or width == 8)
-                and 0 <= self.low <= 256 - (1 << width))
-
     def digits(self) -> Iterator[Word]:
-        """Each word's digits as a tuple, in order, spelled chunk by chunk (``_table``)."""
-        raw, width, low = self.raw, self.width, self.low
-        chunks = _fields(raw, self.n, width)
-        if not chunks:  # words of length 0
+        """Each word's digits as a tuple, in order, read a block at a time (``_columns``)."""
+        raw, n = self.raw, self.n
+        if not n:  # words of length 0
             return repeat((), len(raw))
-        columns = [map(_table(t, width, low), fields) for t, fields in chunks]
-        if len(columns) > 3:  # long words: one flat call per word, not nested adds
-            return map(tuple, map(chain, *columns))
-        words = columns[0]
-        for column in columns[1:]:
-            words = map(add, words, column)
-        return words
-
-
-@lru_cache(maxsize=32)
-def _table(size: int, width: int, low: int) -> Callable[[int], Word]:
-    """The digits of each code of ``size`` digit fields, as a lookup function.
-
-    A table holds one tuple per code, at most 2**_CHUNK_BITS; a digit wider
-    than that has no table and is decoded one code at a time.
-    """
-    if size * width > _CHUNK_BITS:  # size is 1
-        return lambda v: (v + low,)
-    return list(product(range(low, low + (1 << width)), repeat=size)).__getitem__
-
-
-def _fields(codes: Sequence[int], n: int, width: int) -> list[tuple[int, Iterator[int]]]:
-    """Each code's n digit fields, cut into chunks.
-
-    (t, fields) per chunk of t digits, first digits first: ``fields`` gives
-    the chunk's t fields of every code in ``codes``, in order, as one code.
-    A chunk takes as many digits as a table of ``_CHUNK_BITS`` bits allows,
-    and at least one.
-    """
-    size = max(1, _CHUNK_BITS // width)
-    chunks = []
-    for start in range(0, n, size):
-        t = min(size, n - start)
-        shift = width * (n - start - t)
-        fields = map(shift.__rrshift__, codes) if shift else iter(codes)
-        if start:
-            fields = map(((1 << width * t) - 1).__and__, fields)
-        chunks.append((t, fields))
-    return chunks
+        blocks = (raw[i:i + _TAIL_LINES] for i in range(0, len(raw), _TAIL_LINES))
+        readers = map(_columns, blocks, repeat(n), repeat(self.width), repeat(self.low))
+        return chain.from_iterable(zip(*map(column, range(n))) for column in readers)
 
 
 @lru_cache(maxsize=128)
-def _byte_table(shift: int, width: int, low: int | None) -> bytes:
-    """``bytes.translate`` table: byte b to its field at ``shift`` (``low`` None) or its digit.
+def _byte_table(shift: int, width: int, low: int, spell: bool) -> bytes:
+    """``bytes.translate`` table: byte b to the digit of its field at ``shift``.
 
-    The digit, in ASCII, is the field plus ``low``; one over 9 becomes 0xFF.
+    The digit is the field plus ``low``, at most 255; ``spell`` gives it in
+    ASCII through ``format_word``'s table, where a digit over 9 is 0xFF.
     """
-    fields = (b >> shift & (1 << width) - 1 for b in range(256))
-    if low is None:
-        return bytes(fields)
-    return bytes(48 + low + f if low + f <= 9 else 0xFF for f in fields)
+    table = bytes(low + (b >> shift & (1 << width) - 1) for b in range(256))
+    return table.translate(_DIGIT_TABLE) if spell else table
 
 
-def _columns(block: memoryview, n: int, width: int, low: int | None) -> Callable[[int], bytes]:
-    """A reader of digit p of every code in ``block``: a strided slice of its bytes, translated.
+def _columns(
+    block: Sequence[int], n: int, width: int, low: int, spell: bool = False
+) -> Callable[[int], bytes | list[int]]:
+    """A reader of digit p of every code in ``block``, as one column.
 
-    See ``_Codes.in_bytes`` and ``_byte_table``.  A 3-bit field that crosses
-    a byte boundary lies inside a byte of the codes shifted right by 4.
+    Where digits lie in 0..255 a column is a strided slice of the codes'
+    bytes, translated (``_byte_table``): an array's as in memory, a tuple's
+    as ``int.to_bytes`` gives them, little-endian.  A field that crosses a
+    byte is read from a copy of the codes shifted right by its offset in
+    that byte, one copy per offset.  Other digits give a list of ints.
+    ``spell`` gives the digits in ASCII, which only digits in 0..9 have.
     Callers pass blocks of at most ``_TAIL_LINES`` codes and one more, as the
     reader copies its block's bytes.
     """
-    size, memory = block.itemsize, [block.tobytes()]
+    if low < 0 or low + (1 << width) > 256:
+        mask = (1 << width) - 1
+
+        def listed(p: int) -> bytes | list[int]:
+            shift = width * (n - 1 - p)
+            digits = [low + (c >> shift & mask) for c in block]
+            return bytes(digits).translate(_DIGIT_TABLE) if spell else digits
+
+        return listed
+    wide = type(block) is tuple
+    size = (n * width + 7) // 8 if wide else block.itemsize
+    memory: dict[int, bytes] = {}
+
+    def shifted(moved: int) -> bytes:
+        if wide:
+            return b"".join([(c >> moved).to_bytes(size, "little") for c in block])
+        return (array(block.format, map(moved.__rrshift__, block)) if moved else block).tobytes()
 
     def column(p: int) -> bytes:
-        low_bit, view = width * (n - 1 - p), 0
-        if low_bit % 8 + width > 8:
-            if len(memory) == 1:
-                memory.append(array(block.format, map((4).__rrshift__, block)).tobytes())
-            low_bit, view = low_bit - 4, 1
-        byte = low_bit // 8 if _LITTLE_ENDIAN else size - 1 - low_bit // 8
-        return memory[view][byte::size].translate(_byte_table(low_bit % 8, width, low))
+        low_bit = width * (n - 1 - p)
+        offset = low_bit % 8
+        moved = offset if offset + width > 8 else 0  # the copy's shift
+        if moved not in memory:
+            memory[moved] = shifted(moved)
+        byte = low_bit // 8 if wide or _LITTLE_ENDIAN else size - 1 - low_bit // 8
+        return memory[moved][byte::size].translate(_byte_table(offset - moved, width, low, spell))
 
     return column
 
 
-def _ascii(block: memoryview, n: int, lead: int, width: int, low: int, end: bytes) -> bytearray:
+def _ascii(block: Sequence[int], n: int, lead: int, width: int, low: int, end: bytes) -> bytearray:
     """The first ``lead`` digits of each code in ``block`` as ASCII, then ``end``.
 
-    Each digit position is one column (``_columns``) and one strided slice
-    assignment.  A digit outside 0..9 gives byte 0xFF, not an ASCII digit.
+    Each digit position is one spelled column (``_columns``) and one strided
+    slice assignment.  Every digit must lie in 0..9.
     """
-    step, column = lead + len(end), _columns(block, n, width, low)
+    step, column = lead + len(end), _columns(block, n, width, low, True)
     text = bytearray(step * len(block))
     for p in range(lead):
         text[p::step] = column(p)
@@ -336,12 +314,13 @@ def _spelled(cycle: _Codes, lead: int, end: str, m: int) -> Iterator[str]:
     """The first ``lead`` digits of each code, then ``end``, a block of ``_TAIL_LINES`` at a time.
 
     Digits are spelled as ``format_word`` spells them over m; with no ``end``
-    the heads join into one word.  Over m <= 10, codes that ``in_bytes`` are
-    spelled from the array's memory (``_ascii``), others decoded a block at a time.
+    the heads join into one word.  Where every digit lies in 0..9 (m <= 10,
+    none below 0), the heads are spelled from their columns (``_ascii``),
+    others decoded a block at a time.
     """
     raw, n, width, low = cycle.raw, cycle.n, cycle.width, cycle.low
     starts = range(0, len(raw), _TAIL_LINES)
-    if m <= 10 and cycle.in_bytes():
+    if m <= 10 and low >= 0:
         for i in starts:
             yield _ascii(raw[i:i + _TAIL_LINES], n, lead, width, low, end.encode()).decode("ascii")
         return

@@ -296,10 +296,11 @@ def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, s
     then the first word whose last s digits differ from the next word's
     first s digits, wrapping around.  Returns (index, description) or None.
     Takes words, coded once their lengths pass, or codes (``_Codes``), and
-    1 <= s < n.  Codes that ``in_bytes`` pass if the last code's suffix is
-    the first one's prefix and, in each run of ``_TAIL_LINES`` + 1 codes
-    (one block and the next code), suffix column n-s+j less its last code
-    equals prefix column j less its first; the rest are scanned by word.
+    1 <= s < n.  The codes pass if the last code's suffix is the first one's
+    prefix and, in each run of ``_TAIL_LINES`` + 1 codes (one block and the
+    next code), digit column n-s+j (``_columns``) less its last code equals
+    column j less its first; only a cycle that fails is scanned by word, to
+    find the fault.
     """
     if not isinstance(cycle, _Codes):
         i = _misfit(cycle, n)
@@ -308,13 +309,13 @@ def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, s
         cycle = _encode(cycle, n)
     elif cycle and cycle.n != n:
         return 0, f"word has length {cycle.n}, expected {n}"
-    raw, width = cycle.raw, cycle.width
+    raw, width, low = cycle.raw, cycle.width, cycle.low
     if _repeats(raw, n * width):
         return -1, "input word set contains duplicates"
     mask, shift = (1 << width * s) - 1, width * (n - s)
-    if cycle.in_bytes() and (not raw or raw[-1] & mask == raw[0] >> shift):
+    if not raw or raw[-1] & mask == raw[0] >> shift:
         starts = range(0, len(raw) - 1, _TAIL_LINES)
-        blocks = (_columns(raw[i:i + _TAIL_LINES + 1], n, width, None) for i in starts)
+        blocks = (_columns(raw[i:i + _TAIL_LINES + 1], n, width, low) for i in starts)
         if all(column(n - s + j)[:-1] == column(j)[1:] for column in blocks for j in range(s)):
             return None
     suffixes = map(mask.__and__, raw)
@@ -373,7 +374,8 @@ def _compressed(solution: OcycleSolution, n: int) -> Iterator[str]:
     """``compress_cycle``'s text in blocks (``_spelled``), checked before the first.
 
     Words are coded once their lengths pass.  As in ``format_word``, commas
-    join the digits iff one is over 9; a verified cycle's heads hold them all.
+    join the digits iff one is over 9; a verified cycle's heads hold them
+    all, and their digit columns (``_columns``) give the largest.
     """
     cycle, s = solution.cycle, solution.s
     if not cycle:
@@ -384,12 +386,10 @@ def _compressed(solution: OcycleSolution, n: int) -> Iterator[str]:
         raise ValueError("refusing to compress an unverified cycle")
     raw, width, low = cycle.raw, cycle.width, cycle.low
     top = low + (1 << width) - 1
-    if top > 9 and cycle.in_bytes():  # a digit over 9 reads 0xFF in its column
+    if top > 9:
         blocks = (raw[i:i + _TAIL_LINES] for i in range(0, len(raw), _TAIL_LINES))
         columns = map(_columns, blocks, repeat(n), repeat(width), repeat(low))
-        top = 9 + any(b"\xff" in column(p) for column in columns for p in range(n))
-    elif top > 9:
-        top = max(map(max, cycle.digits()))
+        top = max(max(column(p)) for column in columns for p in range(n))
     yield from _spelled(cycle, n - s, "", top + 1)
 
 

@@ -319,7 +319,8 @@ def _gray_blocks(m: int, n: int, k: int) -> Iterator[tuple[str, int]]:
 
 
 # Byte d in 0..9 becomes ASCII digit d; every other byte becomes 0xFF.  A
-# translated word is all digits iff every digit lies in 0..9.
+# translated word is all digits iff every digit lies in 0..9.  It also spells
+# the overlap-cycle engine's digit columns (``codes._byte_table``).
 _DIGIT_TABLE = b"0123456789".ljust(256, b"\xff")
 
 

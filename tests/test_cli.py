@@ -590,6 +590,16 @@ def test_ocycle_output_is_pinned(capsys, flags, digest):
      "862e682b2664b0dfafc736cba22bb3fc0f4668a67bc1fd44c9ff77bd2f5dcb72"),
     ("ocycle fixed 11 8 9 3 --compressed",
      "1d21fb62b08633a89f6e76061622fca9e3256492c16721b7ced088ad199b8b84"),
+    # Fields of 5, 6 and 7 bits, some crossing a byte (the 5-bit one with
+    # commas), the digraph's vertex decoder on 5-bit fields, and 66-bit
+    # codes in a tuple of ints over 12 blocks of plain text.
+    ("ocycle fixed 20 5 40 2 --compressed",
+     "d035ebd1c1ee699828f6cb31a2e9022cbb180fad032cf707db204e461b88eafa"),
+    ("ocycle fixed 40 3 60 1 --compressed",
+     "e4e9176b8bf817d2b0b8b1b5e27f844935c16782bb58992ac55b9b9776b8f7f4"),
+    ("ocycle fixed 100 3 150 1", "913f4f223e98a5f387a7282e0736ea8d43d9bf5a148772e9ed6022ec82b56c92"),
+    ("digraph fixed 20 4 30 1", "b7af01a0257dc496e8c2e1f13eff217ee125d8dc070edda5185d963211db33d0"),
+    ("ocycle fixed 2 66 3 1", "a03b831cf34556948bb95c0ed0113983289ea46829a305f5c871dc6975ce3b26"),
 ])
 def test_larger_and_wider_ocycles_are_pinned(capsys, argv, digest):
     # Digests taken while every word was still a byte code.
@@ -631,11 +641,12 @@ def test_ocycle_peak_memory_per_word(monkeypatch, flags, bound):
     ("range 2 300 0 2 1 --compressed", 45_151, 200),
 ])
 def test_decoded_compressed_ocycle_peak_memory_per_word(monkeypatch, argv, words, bound):
-    # Codes that _ascii cannot spell (digits over 9; 300-bit codes in a tuple
-    # of ints) are decoded and written a block at a time, so the compressed
-    # line peaks about where the plain lines do: about 12.3 and 165 bytes a
-    # word, against 12.3 and 160 plain.  A list of every digit of the cycle
-    # took them to 284 and 2,890.
+    # Codes with digits over 9 are decoded and written a block at a time,
+    # and 300-bit codes in a tuple of ints are spelled from their digit
+    # columns a block at a time, so the compressed line peaks about where
+    # the plain lines do: about 12.3 and 146 bytes a word, against 12.3 and
+    # 147 plain.  A list of every digit of the cycle took them to 284 and
+    # 2,890.
     code, lines, peak = traced_ocycle(monkeypatch, *argv.split())
     assert (code, lines) == (0, 1)
     assert peak < bound * words, peak / words

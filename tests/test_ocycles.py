@@ -18,6 +18,7 @@ from graycycles import (
     build_transition_digraph,
     compress_cycle,
     construct_ocycle,
+    count_fixed_weight,
     decompress_cycle,
     enumerate_fixed_weight,
     enumerate_weight_range,
@@ -321,6 +322,59 @@ def test_degenerate_weights_admit_a_constructed_cycle():
     assert cases == 1649
 
 
+# The grid of the slow theorem checks: m 2-6, n 2-10, every s, and sets of
+# at most this many words.
+SLOW_GRID_CAP = 300_000
+
+
+def constructs(codes, s):
+    """Whether the engine builds an s-overlap cycle of the codes."""
+    try:
+        construct_ocycle(codes, s)
+    except NotEulerianError:
+        return False
+    return True
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m, cases", [(2, 196), (3, 525), (4, 855), (5, 1068), (6, 1178)])
+def test_gcd_rule_by_construction_on_a_wide_grid(m, cases):
+    # Every weight strictly inside the window: a cycle is built iff
+    # n-s > gcd(n,s), as the verdict says.  3,822 cases in all.
+    checked = 0
+    for n in range(2, 11):
+        for k in range(2, (m - 1) * n - 1):
+            if count_fixed_weight(m, n, k) > SLOW_GRID_CAP:
+                continue
+            codes = _codes(m, n, k, k)
+            for s in range(1, n):
+                expected = n - s > math.gcd(n, s)
+                assert constructs(codes, s) == expected, (m, n, k, s)
+                assert exists_fixed_weight_ocycle(m, n, k, s).exists == expected
+                checked += 1
+    assert checked == cases
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m, cases", [(2, 1485), (3, 5610), (4, 9702), (5, 10448), (6, 12342)])
+def test_weight_range_theorem_by_construction_on_a_wide_grid(m, cases):
+    # Every window [p, q] with p < q: a cycle is always built, as the
+    # verdict says.  39,587 cases in all.
+    checked = 0
+    for n in range(2, 11):
+        top = (m - 1) * n
+        for p in range(top):
+            for q in range(p + 1, top + 1):
+                if sum(count_fixed_weight(m, n, k) for k in range(p, q + 1)) > SLOW_GRID_CAP:
+                    break  # wider windows only grow
+                codes = _codes(m, n, p, q)
+                for s in range(1, n):
+                    assert constructs(codes, s), (m, n, p, q, s)
+                    assert exists_weight_range_ocycle(m, n, p, q, s).exists
+                    checked += 1
+    assert checked == cases
+
+
 def test_exists_fixed_weight_empty_set():
     v = exists_fixed_weight_ocycle(2, 4, 9, 1)
     assert (v.exists, v.reason) == (False, "empty-set")
@@ -560,6 +614,8 @@ def word_lists():
 @example([(250, 254, 250), (254, 250, 250), (251, 252, 253)])  # near 255, 3-bit fields
 @example([(7, 0, 5), (3, 6, 1)])  # the first 3-bit field crosses a byte
 @example([(240, 247, 243, 245), (241, 240, 246, 247)])  # read from bytes, above 0
+@example([(3, 34, 3, 20), (34, 3, 17, 4), (5, 6, 33, 34)])  # 5-bit fields from 3, crossing bytes
+@example([(2, 129, 64, 2), (129, 2, 2, 100), (70, 71, 3, 128)])  # 7-bit fields from 2, crossing bytes
 @example([(-1,), (0,), (-300,), (600,)])
 @example([tuple(7 * i % 901 - 300 for i in range(5000))])  # one word, n = 5000
 def test_one_coder_keeps_order_identity_and_digits(words):
@@ -1102,8 +1158,12 @@ def test_cycle_fault_on_large_cycles_matches_oracle(m, n, k, s, storage, width):
 # (m, n, k, s): cycles of at least two blocks of _TAIL_LINES codes, whose
 # digit columns the self-check reads a block at a time: 2-bit fields, and
 # 3-bit fields of which some cross a byte (bits 15-17 and 6-8 for m = 5,
-# bits 6-8 for m = 8).
-BLOCK_CASES = [(3, 10, 10, 4), (5, 8, 10, 3), (8, 6, 15, 2)]
+# bits 6-8 for m = 8); 5-, 6- and 7-bit fields, most of which cross a byte;
+# and 72-bit codes, held in a tuple of ints.
+BLOCK_CASES = [
+    (3, 10, 10, 4), (5, 8, 10, 3), (8, 6, 15, 2),
+    (17, 5, 19, 1), (33, 4, 35, 1), (65, 4, 35, 1), (3, 36, 3, 1),
+]
 
 
 @pytest.mark.parametrize("m, n, k, s", BLOCK_CASES)
@@ -1116,7 +1176,7 @@ def test_cycle_fault_at_block_edges_matches_oracle(m, n, k, s):
     edge = _TAIL_LINES
     codes = construct_ocycle(_codes(m, n, k, k), s).cycle
     words = construct_ocycle(enumerate_fixed_weight(m, n, k), s).cycle
-    assert codes.in_bytes() and codes.width == (m - 1).bit_length()
+    assert codes.width == (m - 1).bit_length()
     assert list(codes.digits()) == list(words) and len(words) > 2 * edge
     edits = {
         "cycle": lambda c: c,
