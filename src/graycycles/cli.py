@@ -175,8 +175,11 @@ def _cmd_exists(args: argparse.Namespace) -> int:
 def _word_set(args: argparse.Namespace) -> _Codes:
     from .codes import _word_codes
     if args.mode == "fixed":
-        return _word_codes(args.m, args.n, args.k, None)
-    return _word_codes(args.m, args.n, args.p, args.q)
+        words = _word_codes(args.m, args.n, args.k, None)
+    else:
+        words = _word_codes(args.m, args.n, args.p, args.q)
+    _check_overlap(args.n, args.s)  # after the set's own checks, on an empty set too
+    return words
 
 
 def _cmd_ocycle(args: argparse.Namespace) -> int:

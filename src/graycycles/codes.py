@@ -9,10 +9,11 @@ into codes (``_word_codes``); tuple words given to the library are coded
 once on entry, by the one coder ``_code``, and decoded once on exit.  One
 digit reader, ``_columns``, reads digit position p of a block of codes at a
 time: a strided slice of the codes' bytes, translated, where digits lie in
-0..255, else a list of ints.  It decodes words, and the self-check compares
-its columns.  One speller, ``_spelled``, writes a cycle's text a block at a
-time: from the reader's ASCII columns where every digit lies in 0..9, else
-decoded through ``format_word``.
+0..255, else a list of ints.  ``_Codes.readers`` alone cuts the codes into
+blocks and makes a reader for each.  The readers decode words, the
+self-check compares their columns, and one speller, ``_spelled``, writes a
+cycle's text from its head columns a block at a time: spelled in ASCII
+where every digit lies in 0..9, else through ``format_word``.
 
 This module is private: ``ocycles`` holds the engine and imports what it
 needs from here.  Without a bytecode cache every ``ocycle`` start compiles
@@ -26,7 +27,7 @@ from array import array
 from functools import lru_cache
 from io import BytesIO
 from itertools import chain, compress, count, islice, repeat
-from operator import ge, itemgetter, ne
+from operator import ge, ne
 
 from .records import _Record
 from .words import (
@@ -37,29 +38,26 @@ TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
     from typing import Callable, Iterable, Iterator, Sequence
 
+    _Reader = Callable[[int], bytes | list[int]]
+
 # The smallest unsigned array type that holds b bits, for b in 0..64.
 _ARRAY_TYPE = [next(code for code in "BHIQ" if array(code).itemsize * 8 >= b) for b in range(65)]
 
 _LITTLE_ENDIAN = sys.byteorder == "little"  # of an array's memory
 
 
-def _frozen(blocks: Iterable[array], kind: str) -> memoryview:
-    """The blocks' codes, in order, as a read-only view of ``bytes`` of their own.
+def _frozen(codes: array) -> memoryview:
+    """The array's codes, in order, as a read-only view of ``bytes`` of their own.
 
-    The bytes grow a block at a time, so no whole array of the codes need be
-    held beside them.
+    The bytes grow a block at a time as the array shrinks to empty, so no
+    whole copy of the codes is held beside them.
     """
     out = BytesIO()
-    out.writelines(blocks)
-    return memoryview(out.getvalue()).cast(kind)
-
-
-def _popped(codes: array) -> Iterator[array]:
-    """The array's codes a block at a time, first to last, as it shrinks to empty."""
     codes.reverse()
     while codes:
-        yield codes[:-_TAIL_LINES - 1:-1]
+        out.write(codes[:-_TAIL_LINES - 1:-1])
         del codes[-_TAIL_LINES:]
+    return memoryview(out.getvalue()).cast(codes.typecode)
 
 
 class _Codes:
@@ -74,7 +72,8 @@ class _Codes:
     The bytes are filled a block at a time (``_frozen``): from what is
     given, or from an array the engine hands to ``taken``.  ``tuples`` marks
     codes made from tuple words, which the engine hands back as tuples,
-    decoded by ``digits`` through the one digit reader, ``_columns``.
+    decoded by ``digits``.  ``readers`` reads the codes a block at a time,
+    through the one digit reader, ``_columns``.
     Immutable and hashable, like a tuple of words.
     """
 
@@ -88,8 +87,7 @@ class _Codes:
         if n * width > 64:
             raw = tuple(codes)
         else:
-            kind = _ARRAY_TYPE[n * width]
-            raw = _frozen(_popped(array(kind, codes)), kind)
+            raw = _frozen(array(_ARRAY_TYPE[n * width], codes))
         self._set(raw, n, width, low, tuples)
 
     def _set(self, *values: object) -> None:
@@ -133,7 +131,7 @@ class _Codes:
         if type(codes) is not array:
             return self.like(codes)
         taken = object.__new__(_Codes)
-        taken._set(_frozen(_popped(codes), codes.typecode), *self._coding(), self.tuples)
+        taken._set(_frozen(codes), *self._coding(), self.tuples)
         return taken
 
     def empty(self) -> array | list[int]:
@@ -141,14 +139,21 @@ class _Codes:
         raw = self.raw
         return [] if type(raw) is tuple else array(raw.format)
 
+    def readers(self, overlap: int = 0, spell: bool = False) -> Iterator[_Reader]:
+        """A digit reader (``_columns``) per block of ``_TAIL_LINES`` codes and ``overlap`` more.
+
+        This is the one place where codes are cut into blocks to be read.
+        """
+        raw, n, width, low = self.raw, *self._coding()
+        for i in range(0, len(raw), _TAIL_LINES):
+            yield _columns(raw[i:i + _TAIL_LINES + overlap], n, width, low, spell)
+
     def digits(self) -> Iterator[Word]:
-        """Each word's digits as a tuple, in order, read a block at a time (``_columns``)."""
-        raw, n = self.raw, self.n
+        """Each word's digits as a tuple, in order, read a block at a time (``readers``)."""
+        n = self.n
         if not n:  # words of length 0
-            return repeat((), len(raw))
-        blocks = (raw[i:i + _TAIL_LINES] for i in range(0, len(raw), _TAIL_LINES))
-        readers = map(_columns, blocks, repeat(n), repeat(self.width), repeat(self.low))
-        return chain.from_iterable(zip(*map(column, range(n))) for column in readers)
+            return repeat((), len(self.raw))
+        return chain.from_iterable(zip(*map(column, range(n))) for column in self.readers())
 
 
 @lru_cache(maxsize=128)
@@ -162,9 +167,7 @@ def _byte_table(shift: int, width: int, low: int, spell: bool) -> bytes:
     return table.translate(_DIGIT_TABLE) if spell else table
 
 
-def _columns(
-    block: Sequence[int], n: int, width: int, low: int, spell: bool = False
-) -> Callable[[int], bytes | list[int]]:
+def _columns(block: Sequence[int], n: int, width: int, low: int, spell: bool) -> _Reader:
     """A reader of digit p of every code in ``block``, as one column.
 
     Where digits lie in 0..255 a column is a strided slice of the codes'
@@ -173,8 +176,8 @@ def _columns(
     byte is read from a copy of the codes shifted right by its offset in
     that byte, one copy per offset.  Other digits give a list of ints.
     ``spell`` gives the digits in ASCII, which only digits in 0..9 have.
-    Callers pass blocks of at most ``_TAIL_LINES`` codes and one more, as the
-    reader copies its block's bytes.
+    Only ``_Codes.readers`` makes readers, one per block, as a reader copies
+    its block's bytes.
     """
     if low < 0 or low + (1 << width) > 256:
         mask = (1 << width) - 1
@@ -204,21 +207,6 @@ def _columns(
         return memory[moved][byte::size].translate(_byte_table(offset - moved, width, low, spell))
 
     return column
-
-
-def _ascii(block: Sequence[int], n: int, lead: int, width: int, low: int, end: bytes) -> bytearray:
-    """The first ``lead`` digits of each code in ``block`` as ASCII, then ``end``.
-
-    Each digit position is one spelled column (``_columns``) and one strided
-    slice assignment.  Every digit must lie in 0..9.
-    """
-    step, column = lead + len(end), _columns(block, n, width, low, True)
-    text = bytearray(step * len(block))
-    for p in range(lead):
-        text[p::step] = column(p)
-    if end:
-        text[lead::step] = end * len(block)
-    return text
 
 
 @lru_cache(maxsize=32)
@@ -314,17 +302,24 @@ def _spelled(cycle: _Codes, lead: int, end: str, m: int) -> Iterator[str]:
     """The first ``lead`` digits of each code, then ``end``, a block of ``_TAIL_LINES`` at a time.
 
     Digits are spelled as ``format_word`` spells them over m; with no ``end``
-    the heads join into one word.  Where every digit lies in 0..9 (m <= 10,
-    none below 0), the heads are spelled from their columns (``_ascii``),
-    others decoded a block at a time.
+    the heads join into one word.  Only the ``lead`` head columns are read
+    (``readers``).  Where every digit lies in 0..9 (m <= 10, none below 0)
+    each column is spelled in ASCII and lands in the text by one strided
+    slice assignment; other heads go through ``format_word``.  Every block
+    but the first starts with the glue between heads, and ``end`` comes last.
     """
-    raw, n, width, low = cycle.raw, cycle.n, cycle.width, cycle.low
-    starts = range(0, len(raw), _TAIL_LINES)
-    if m <= 10 and low >= 0:
-        for i in starts:
-            yield _ascii(raw[i:i + _TAIL_LINES], n, lead, width, low, end.encode()).decode("ascii")
-        return
+    spell = m <= 10 and cycle.low >= 0
     glue = end or ("," if m > 10 else "")
-    heads = map(format_word, map(itemgetter(slice(lead)), cycle.digits()), repeat(m))
-    for i in starts:
-        yield glue.join(islice(heads, _TAIL_LINES)) + (glue if i + _TAIL_LINES < len(raw) else end)
+    step, skip = len(glue) + lead, len(glue)  # the first block starts with no glue
+    for column in cycle.readers(spell=spell):
+        heads = [column(p) for p in range(lead)]
+        if spell:
+            out = bytearray(glue.encode() + bytes(lead)) * len(heads[0])
+            for p, digits in enumerate(heads, len(glue)):
+                out[p::step] = digits
+            text = out.decode("ascii")
+        else:
+            text = glue + glue.join(map(format_word, zip(*heads), repeat(m)))
+        yield text[skip:]
+        skip = 0
+    yield end

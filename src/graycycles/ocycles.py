@@ -30,13 +30,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice
 from operator import ge, ne
 
 from . import _LAZY
-from .codes import _Codes, _code, _columns, _encode, _misfit, _repeats, _spelled
+from .codes import _Codes, _code, _encode, _misfit, _repeats, _spelled
 from .records import _Record
-from .words import _TAIL_LINES, Word, _check_overlap, format_word
+from .words import Word, _check_overlap, format_word
 
 TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
@@ -203,7 +203,8 @@ def _degree_counts(digraph: TransitionDigraph) -> tuple[Counter[int], Counter[in
 def _imbalance(digraph: TransitionDigraph, outs: Counter[int], ins: Counter[int]) -> str:
     """The smallest vertex whose counted in- and out-degree differ, with both, as text."""
     u = min(v for v in outs.keys() | ins.keys() if outs[v] != ins[v])
-    vertex = digraph._vertex_words[u]
+    codes = digraph.by_code
+    (vertex,) = _Codes([u], digraph.s, codes.width, codes.low).digits()
     return f"vertex {format_word(vertex)} has in-degree {ins[u]} and out-degree {outs[u]}"
 
 
@@ -297,10 +298,9 @@ def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, s
     first s digits, wrapping around.  Returns (index, description) or None.
     Takes words, coded once their lengths pass, or codes (``_Codes``), and
     1 <= s < n.  The codes pass if the last code's suffix is the first one's
-    prefix and, in each run of ``_TAIL_LINES`` + 1 codes (one block and the
-    next code), digit column n-s+j (``_columns``) less its last code equals
-    column j less its first; only a cycle that fails is scanned by word, to
-    find the fault.
+    prefix and, in each block read with the next code (``readers(1)``), digit
+    column n-s+j less its last code equals column j less its first; only a
+    cycle that fails is scanned by word, to find the fault.
     """
     if not isinstance(cycle, _Codes):
         i = _misfit(cycle, n)
@@ -309,14 +309,13 @@ def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, s
         cycle = _encode(cycle, n)
     elif cycle and cycle.n != n:
         return 0, f"word has length {cycle.n}, expected {n}"
-    raw, width, low = cycle.raw, cycle.width, cycle.low
+    raw, width = cycle.raw, cycle.width
     if _repeats(raw, n * width):
         return -1, "input word set contains duplicates"
     mask, shift = (1 << width * s) - 1, width * (n - s)
     if not raw or raw[-1] & mask == raw[0] >> shift:
-        starts = range(0, len(raw) - 1, _TAIL_LINES)
-        blocks = (_columns(raw[i:i + _TAIL_LINES + 1], n, width, low) for i in starts)
-        if all(column(n - s + j)[:-1] == column(j)[1:] for column in blocks for j in range(s)):
+        columns = cycle.readers(1)
+        if all(column(n - s + j)[:-1] == column(j)[1:] for column in columns for j in range(s)):
             return None
     suffixes = map(mask.__and__, raw)
     following = chain(islice(raw, 1, None), raw[:1])
@@ -375,7 +374,7 @@ def _compressed(solution: OcycleSolution, n: int) -> Iterator[str]:
 
     Words are coded once their lengths pass.  As in ``format_word``, commas
     join the digits iff one is over 9; a verified cycle's heads hold them
-    all, and their digit columns (``_columns``) give the largest.
+    all, and their n-s digit columns (``readers``) give the largest.
     """
     cycle, s = solution.cycle, solution.s
     if not cycle:
@@ -384,12 +383,9 @@ def _compressed(solution: OcycleSolution, n: int) -> Iterator[str]:
         cycle = _encode(cycle, n)  # a length fault is left to _cycle_fault
     if not 1 <= s < n or _cycle_fault(cycle, n, s) is not None:
         raise ValueError("refusing to compress an unverified cycle")
-    raw, width, low = cycle.raw, cycle.width, cycle.low
-    top = low + (1 << width) - 1
+    top = cycle.low + (1 << cycle.width) - 1
     if top > 9:
-        blocks = (raw[i:i + _TAIL_LINES] for i in range(0, len(raw), _TAIL_LINES))
-        columns = map(_columns, blocks, repeat(n), repeat(width), repeat(low))
-        top = max(max(column(p)) for column in columns for p in range(n))
+        top = max(max(column(p)) for column in cycle.readers() for p in range(n - s))
     yield from _spelled(cycle, n - s, "", top + 1)
 
 

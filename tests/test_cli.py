@@ -368,6 +368,17 @@ def test_digraph_empty_set(capsys):
     assert out == "digraph transitions {\n}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "digraph fixed 3 4 100 9", "digraph fixed 3 4 100 0", "ocycle fixed 3 4 100 9",
+])
+def test_empty_set_with_bad_s_is_a_usage_error(capsys, argv):
+    # An out-of-range s is refused as ``exists`` refuses it, even when the
+    # word set is empty.
+    s = argv.split()[-1]
+    expected = 2, "", f"error: overlap length s={s} out of range for n=4\n"
+    assert run(capsys, *argv.split()) == expected
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "ocycle", "range", "2", "4", "0", "3", "2")
     second = run(capsys, "ocycle", "range", "2", "4", "0", "3", "2")
@@ -510,10 +521,10 @@ def tuple_path(mode, m, n, weights):
         return {(s, c): failed for s in range(n + 1) for c in (False, True)}
     line = {w: format_word(w, m) + "\n" for w in words}
     for s in range(n + 1):
-        if not words:
-            plain = compressed = 1, "", "error: the word set is empty\n"
-        elif not 1 <= s < n:
+        if not 1 <= s < n:
             plain = compressed = 2, "", f"error: overlap length s={s} out of range for n={n}\n"
+        elif not words:
+            plain = compressed = 1, "", "error: the word set is empty\n"
         else:
             try:
                 cycle = oracle_cycle(words, s)

@@ -110,6 +110,9 @@ def test_build_digraph_empty_set():
     d = build_transition_digraph([], 2)
     assert d.edge_count() == 0 and not d.vertices
     assert is_weakly_connected(d)
+    # with no word there is no n, so only s >= 1 is checked
+    with pytest.raises(ValueError, match="^overlap length s=0 out of range$"):
+        build_transition_digraph([], 0)
 
 
 def test_degrees():
@@ -271,6 +274,13 @@ def test_verify_ocycle_reports():
     report = verify_ocycle([W("0011")], [W("0011")], 9)
     assert report.first_violation == (-1, "overlap length s=9 out of range for n=4")
     assert verify_ocycle([], [], 1).ok
+    # an empty cycle, a word of another length, a word set with a repeat
+    report = verify_ocycle([], [(0, 1)], 1)
+    assert report.first_violation == (-1, "cycle is empty but the word set is not")
+    report = verify_ocycle([(0, 0, 1, 1), (0, 1, 1)], [(0, 0, 1, 1)], 1)
+    assert report.first_violation == (1, "word 011 has length 3, expected 4")
+    report = verify_ocycle([(0, 1)], [(0, 1), (0, 1)], 1)
+    assert report.first_violation == (-1, "input word set contains duplicates")
 
 
 # ---------------------------------------------------------------- existence
