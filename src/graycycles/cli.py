@@ -13,9 +13,10 @@ in O(n) memory plus a tail table of at most ``words._TAIL_LINES`` short
 lines for every m; without ``--stream`` it first refuses, from the count,
 sets over the 10^6-word cap.
 
-``ocycle`` and ``digraph`` refuse a set over the cap the same way, then
-enumerate it, both through ``codes._word_codes``; ``codes`` owns the word
-coding.  Each word travels as one int, its digits in fields of
+``ocycle`` and ``digraph`` check the set's parameters, its size against
+the same cap (``words._check_set``) and s, in that order, and only then
+enumerate the set (``codes._codes``); ``codes`` owns the word coding.
+Each word travels as one int, its digits in fields of
 (m-1).bit_length() bits, kept in read-only machine words when the word
 fits 64 bits, through the transition digraph, the Euler tour and the
 tour's self-check to the text, spelled only there by ``codes._spelled``.
@@ -42,6 +43,7 @@ from .words import (
     MaterializationLimitError,
     _check_cap,
     _check_overlap,
+    _check_set,
     _gray_blocks,
     count_fixed_weight,
     parse_word,
@@ -173,13 +175,11 @@ def _cmd_exists(args: argparse.Namespace) -> int:
 
 
 def _word_set(args: argparse.Namespace) -> _Codes:
-    from .codes import _word_codes
-    if args.mode == "fixed":
-        words = _word_codes(args.m, args.n, args.k, None)
-    else:
-        words = _word_codes(args.m, args.n, args.p, args.q)
+    from .codes import _codes
+    p, q = (args.k, None) if args.mode == "fixed" else (args.p, args.q)
+    _check_set(args.m, args.n, p, q, DEFAULT_MATERIALIZATION_CAP)
     _check_overlap(args.n, args.s)  # after the set's own checks, on an empty set too
-    return words
+    return _codes(args.m, args.n, p, p if q is None else q)
 
 
 def _cmd_ocycle(args: argparse.Namespace) -> int:

@@ -5,10 +5,12 @@ smallest one, so numeric order is word order and prefixes and suffixes are
 shifts and masks.  Codes of up to 64 bits sit in machine words, in bytes of
 their own seen through a read-only view, wider ones in a tuple of ints
 (``_Codes``).  CLI ``ocycle`` and ``digraph`` enumerate their sets straight
-into codes (``_word_codes``); tuple words given to the library are coded
-once on entry, by the one coder ``_code``, and decoded once on exit.  One
-digit reader, ``_columns``, reads digit position p of a block of codes at a
-time: a strided slice of the codes' bytes, translated, where digits lie in
+into codes (``_codes``) once the set and s are checked.  Words enter the
+engine through one entry coder, ``_coded``, which codes tuple words (each
+by ``_code``'s rule), passes codes through, and names a word of the wrong
+length; tuple words are decoded once on exit.  One digit reader,
+``_columns``, reads digit position p of a block of codes at a time: a
+strided slice of the codes' bytes, translated, where digits lie in
 0..255, else a list of ints.  ``_Codes.readers`` alone cuts the codes into
 blocks and makes a reader for each.  The readers decode words, the
 self-check compares their columns, and one speller, ``_spelled``, writes a
@@ -30,9 +32,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import ge, ne
 
 from .records import _Record
-from .words import (
-    _DIGIT_TABLE, _TAIL_LINES, DEFAULT_MATERIALIZATION_CAP, Word, _check_set, _split, format_word,
-)
+from .words import _DIGIT_TABLE, _TAIL_LINES, Word, _split, format_word
 
 TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
@@ -210,42 +210,54 @@ def _columns(block: Sequence[int], n: int, width: int, low: int, spell: bool) ->
 
 
 @lru_cache(maxsize=32)
-def _base_table(width: int, low: int) -> bytes:
-    """``bytes.translate`` table: byte low + f to digit f of base 2**width, as ``int`` reads it."""
-    digits = b"0123456789abcdefghijklmnopqrstuv"[:1 << width]  # width <= 5
+def _base_table(width: int, low: int) -> bytes | None:
+    """``translate`` table: byte low + f to digit f of base 2**width, as ``int`` reads it."""
+    if width > 5 or not 0 <= low <= 256 - (1 << width):
+        return None  # fields past 5 bits or digits outside 0..255
+    digits = b"0123456789abcdefghijklmnopqrstuv"[:1 << width]
     return bytes(low) + digits + bytes(256 - low - len(digits))
 
 
 def _code(word: Sequence[int], width: int, low: int = 0) -> int:
     """The code of one word whose digits less ``low`` fit in ``width`` bits.
 
-    Fields of at most 5 bits over digits in 0..255 are read in C: ``bytes``,
-    ``_base_table``, ``int``.  Others, and the empty word, go digit by digit.
+    Where ``_base_table`` has a table the word is read in C: ``bytes``, the
+    table, ``int``.  Others, and the empty word, go digit by digit.
     """
-    if word and width <= 5 and 0 <= low <= 256 - (1 << width):
-        return int(bytes(word).translate(_base_table(width, low)), 1 << width)
+    table = _base_table(width, low)
+    if word and table:
+        return int(bytes(word).translate(table), 1 << width)
     code = 0
     for d in word:
         code = code << width | d - low
     return code
 
 
-def _encode(words: Sequence[Sequence[int]], n: int) -> _Codes:
-    """The codes of words of length n, in their order, marked as tuple words.
+def _coded(words: Sequence[Word] | _Codes, n: int | None = None) -> _Codes | tuple[int, int]:
+    """The engine's one entry coder: words of length n (by default the first's) as codes.
 
-    Each digit less the smallest fills just enough bits for the largest, and at least one.
+    Codes pass as they are, or give (0, their n) if that is not n.  Words
+    give (index, length) of the first whose length is not n, else their
+    codes in order, marked as tuple words, each digit less the smallest in
+    just enough bits for the largest; the whole list is read as ``_code``
+    reads one word.
     """
-    low = top = 0
-    if n and words:  # words of length 0 have no digits
-        digits = set(chain.from_iterable(words))
-        low, top = min(digits), max(digits)
+    if type(words) is _Codes:
+        return words if not words or n in (None, words.n) else (0, words.n)
+    if n is None:
+        n = len(words[0]) if words else 0
+    i = next(compress(count(), map(ne, map(len, words), repeat(n))), None)
+    if i is not None:
+        return i, len(words[i])
+    digits = set(chain.from_iterable(words)) or {0}
+    low, top = min(digits), max(digits)
     width = (top - low).bit_length() or 1
-    return _Codes(map(_code, words, repeat(width), repeat(low)), n, width, low, True)
-
-
-def _misfit(words: Sequence[Sequence[int]], n: int) -> int | None:
-    """Index of the first word whose length is not n, or None."""
-    return next(compress(count(), map(ne, map(len, words), repeat(n))), None)
+    table = _base_table(width, low)
+    if n and table:
+        codes = map(int, map(bytes.translate, map(bytes, words), repeat(table)), repeat(1 << width))
+    else:
+        codes = map(_code, words, repeat(width), repeat(low))
+    return _Codes(codes, n, width, low, True)
 
 
 def _codes(m: int, n: int, p: int, q: int) -> _Codes:
@@ -262,19 +274,6 @@ def _codes(m: int, n: int, p: int, q: int) -> _Codes:
     return _Codes(chain.from_iterable(
         map((_code(head, width) << width * t).__add__, lasts) for head, lasts in heads
     ), n, width)
-
-
-def _word_codes(
-    m: int, n: int, p: int, q: int | None, *, cap: int = DEFAULT_MATERIALIZATION_CAP
-) -> _Codes:
-    """The codes (``_codes``) of the words of weight p (q is None) or in [p, q].
-
-    Checked and capped as ``enumerate_fixed_weight`` and
-    ``enumerate_weight_range`` do; this is the CLI's one source of word sets
-    for ``ocycle`` and ``digraph``.
-    """
-    _check_set(m, n, p, q, cap)
-    return _codes(m, n, p, p if q is None else q)
 
 
 def _repeats(raw: Sequence[int], bits: int) -> bool:

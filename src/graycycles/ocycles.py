@@ -10,8 +10,11 @@ weakly connected, which the Hierholzer walk checks as it goes.
 This module holds the engine that CLI ``ocycle`` and ``verify ocycle`` run:
 the digraph, the Hierholzer walk, the self-check ``_cycle_fault`` and
 compression.  They work on the word codes (``_Codes``) of ``codes``, which
-owns the one word coding, its decoding and the cycle's text; tuple words
-given to the library are coded once on entry and decoded once on exit.
+owns the one word coding, its decoding and the cycle's text.  Words enter
+through one entry coder, ``codes._coded``, which the digraph, the
+self-check and compression each call once: it passes codes through, and
+codes tuple words or names the first whose length is off.  Tuple words
+given to the library are decoded once on exit.
 The self-check's overlap test reads digit columns a block of codes at a
 time, so it holds no copy of the whole cycle.  The tests check the engine
 against the tuple-based Hierholzer kept in ``tests/ocycle_oracles.py`` and
@@ -34,7 +37,7 @@ from itertools import chain, compress, count, islice
 from operator import ge, ne
 
 from . import _LAZY
-from .codes import _Codes, _code, _encode, _misfit, _repeats, _spelled
+from .codes import _Codes, _code, _coded, _repeats, _spelled
 from .records import _Record
 from .words import Word, _check_overlap, format_word
 
@@ -160,22 +163,18 @@ def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph
 
     All words must share one length n with 1 <= s <= n-1 and be pairwise
     distinct; an empty list only needs s >= 1 and builds an empty digraph.
-    The words are coded once (``_encode``) and their codes sorted.  Codes
-    (``_Codes``) are kept as they are; they must be strictly ascending,
-    which also makes them distinct.
+    The entry coder (``_coded``) codes the words once, and their codes are
+    sorted; codes (``_Codes``) are kept as they are, and must be strictly
+    ascending, which also makes them distinct.
     """
-    if isinstance(words, _Codes):
-        codes = words
-    else:
-        words = list(words)
-        n = len(words[0]) if words else 0
-        i = _misfit(words, n)
-        if i is not None:
-            w = words[i]
-            raise ValueError(
-                f"mixed word lengths: {format_word(w)} has length {len(w)}, expected {n}"
-            )
-        codes = _encode(words, n)
+    codes = _coded(words)
+    if type(codes) is tuple:
+        i, length = codes
+        raise ValueError(
+            f"mixed word lengths: {format_word(words[i])} has length {length},"
+            f" expected {len(words[0])}"
+        )
+    if codes is not words:
         codes = codes.like(sorted(codes.raw))
     if codes:
         _check_overlap(codes.n, s)
@@ -296,19 +295,17 @@ def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, s
     In order: a word whose length is not n, any repeated word (index -1),
     then the first word whose last s digits differ from the next word's
     first s digits, wrapping around.  Returns (index, description) or None.
-    Takes words, coded once their lengths pass, or codes (``_Codes``), and
-    1 <= s < n.  The codes pass if the last code's suffix is the first one's
-    prefix and, in each block read with the next code (``readers(1)``), digit
-    column n-s+j less its last code equals column j less its first; only a
-    cycle that fails is scanned by word, to find the fault.
+    Takes words or codes (``_Codes``), through the entry coder (``_coded``),
+    and 1 <= s < n.  The codes pass if the last code's suffix is the first
+    one's prefix and, in each block read with the next code
+    (``readers(1)``), digit column n-s+j less its last code equals column j
+    less its first; only a cycle that fails is scanned by word, to find the
+    fault.
     """
-    if not isinstance(cycle, _Codes):
-        i = _misfit(cycle, n)
-        if i is not None:
-            return i, f"word has length {len(cycle[i])}, expected {n}"
-        cycle = _encode(cycle, n)
-    elif cycle and cycle.n != n:
-        return 0, f"word has length {cycle.n}, expected {n}"
+    cycle = _coded(cycle, n)
+    if type(cycle) is tuple:
+        i, length = cycle
+        return i, f"word has length {length}, expected {n}"
     raw, width = cycle.raw, cycle.width
     if _repeats(raw, n * width):
         return -1, "input word set contains duplicates"
@@ -372,16 +369,15 @@ def compress_cycle(solution: OcycleSolution, n: int) -> str:
 def _compressed(solution: OcycleSolution, n: int) -> Iterator[str]:
     """``compress_cycle``'s text in blocks (``_spelled``), checked before the first.
 
-    Words are coded once their lengths pass.  As in ``format_word``, commas
-    join the digits iff one is over 9; a verified cycle's heads hold them
-    all, and their n-s digit columns (``readers``) give the largest.
+    Words go through the entry coder (``_coded``).  As in ``format_word``,
+    commas join the digits iff one is over 9; a verified cycle's heads hold
+    them all, and their n-s digit columns (``readers``) give the largest.
     """
-    cycle, s = solution.cycle, solution.s
-    if not cycle:
+    s = solution.s
+    if not solution.cycle:
         raise ValueError("cannot compress an empty cycle")
-    if not isinstance(cycle, _Codes) and _misfit(cycle, n) is None:
-        cycle = _encode(cycle, n)  # a length fault is left to _cycle_fault
-    if not 1 <= s < n or _cycle_fault(cycle, n, s) is not None:
+    cycle = _coded(solution.cycle, n)
+    if type(cycle) is tuple or not 1 <= s < n or _cycle_fault(cycle, n, s) is not None:
         raise ValueError("refusing to compress an unverified cycle")
     top = cycle.low + (1 << cycle.width) - 1
     if top > 9:

@@ -379,6 +379,33 @@ def test_empty_set_with_bad_s_is_a_usage_error(capsys, argv):
     assert run(capsys, *argv.split()) == expected
 
 
+OVER_CAP = "set of weight-[10,12] words has 1161615 elements, cap is 1000000"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("ocycle fixed 3 14 14 99", "overlap length s=99 out of range for n=14"),
+    ("ocycle fixed 3 14 14 14 --compressed", "overlap length s=14 out of range for n=14"),
+    ("ocycle range 3 12 11 13 99", "overlap length s=99 out of range for n=12"),
+    ("digraph fixed 3 14 14 99", "overlap length s=99 out of range for n=14"),
+    ("digraph range 3 12 11 13 0", "overlap length s=0 out of range for n=12"),
+    # The set's own faults, its size over the cap among them, come first.
+    ("digraph range 3 14 10 12 99", OVER_CAP),
+    ("ocycle range 3 14 10 12 99", OVER_CAP),
+    ("ocycle range 3 4 5 2 99", "weight range requires 0 <= p < q <= (m-1)*n, got p=5, q=2"),
+    ("digraph range 3 4 5 5 0", "weight range requires 0 <= p < q <= (m-1)*n, got p=5, q=5"),
+    ("ocycle fixed 0 4 1 99", "alphabet size m must be >= 1, got 0"),
+    ("digraph fixed 3 -1 1 99", "word length n must be >= 0, got -1"),
+])
+def test_bad_s_is_refused_before_the_set_is_enumerated(capsys, monkeypatch, argv, message):
+    # s is checked after the set's parameters and size and before any word
+    # is made: the enumerator is never called.
+    def refuse(*args):
+        raise AssertionError("the word set was enumerated")
+
+    monkeypatch.setattr("graycycles.codes._codes", refuse)
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "ocycle", "range", "2", "4", "0", "3", "2")
     second = run(capsys, "ocycle", "range", "2", "4", "0", "3", "2")

@@ -37,14 +37,13 @@ from graycycles import (
     witness_non_rotation,
 )
 from graycycles import ocycles
-from graycycles.codes import _TAIL_LINES, _codes
+from graycycles.codes import _TAIL_LINES, _code, _coded, _codes
 from graycycles.ocycles import (
     REASON_DISCONNECTED,
     REASON_SINGLETON,
     REASON_UNBALANCED,
     _Codes,
     _cycle_fault,
-    _encode,
 )
 from ocycle_oracles import (
     oracle_cycle,
@@ -629,11 +628,27 @@ def word_lists():
 @example([(-1,), (0,), (-300,), (600,)])
 @example([tuple(7 * i % 901 - 300 for i in range(5000))])  # one word, n = 5000
 def test_one_coder_keeps_order_identity_and_digits(words):
-    codes = _encode(words, len(words[0]))
+    codes = _coded(words, len(words[0]))
+    assert list(codes) == [_code(w, codes.width, codes.low) for w in words]
     assert list(map(tuple, codes.digits())) == words
     for a, b in product(range(len(words)), repeat=2):
         assert (codes[a] < codes[b]) == (words[a] < words[b]), (words[a], words[b])
         assert (codes[a] == codes[b]) == (words[a] == words[b]), (words[a], words[b])
+
+
+def test_entry_coder_names_the_first_misfit():
+    # Tuple words give (index, length) of the first word whose length is
+    # not n, by default the first word's; codes pass through unless they
+    # have another length, and then give (0, that length).
+    assert _coded([(0, 1), (0, 1, 1), (1,)], 2) == (1, 3)
+    assert _coded([(0, 1), (0, 1, 1), (1,)]) == (1, 3)
+    assert _coded([(0, 1), (1, 0)], 3) == (0, 2)
+    assert _coded([], 0) == _Codes([], 0, 1)
+    codes = _Codes([1, 2], 2, 8)
+    assert _coded(codes) is codes and _coded(codes, 2) is codes
+    assert _coded(codes, 3) == (0, 2)
+    empty = _Codes([], 5, 8)
+    assert _coded(empty, 3) is empty
 
 
 SHIFT_CASES = [(2, 4, 2, 1), (3, 4, 4, 1), (3, 5, 5, 2), (2, 6, 3, 2)]
@@ -649,7 +664,7 @@ def test_coded_shifted_sets_keep_their_cycles(case, shift, rng):
     words = enumerate_fixed_weight(m, n, k)
     moved = [tuple(d + shift for d in w) for w in words]
     rng.shuffle(moved)
-    codes = _encode(moved, n)
+    codes = _coded(moved, n)
     assert (codes.low, codes.width) == (shift, (m - 1).bit_length())
     assert [moved[i] for i in sorted(range(len(moved)), key=codes.__getitem__)] == sorted(moved)
     expected = tuple(tuple(d + shift for d in w) for w in oracle_cycle(words, s))
@@ -798,10 +813,10 @@ def assert_view_matches_oracle(words, s, given=None):
         for probe in (v + (low,), v[1:], (low - 1,) + v[1:], (top,) + v[1:], list(v)):
             assert d.out_degree(probe) == d.in_degree(probe) == 0, (words, s, probe)
     assert is_balanced(d) == (outs == ins)
-    graph = nx.MultiDiGraph()
+    graph = nx.Graph()  # the weak components are the undirected graph's components
     graph.add_nodes_from(vertices)
     graph.add_edges_from(edges)
-    components = sorted(map(frozenset, nx.weakly_connected_components(graph)), key=min)
+    components = sorted(map(frozenset, nx.connected_components(graph)), key=min)
     assert weak_components(d) == components
     assert is_weakly_connected(d) == (len(components) <= 1)
     assert "edges" not in d.__dict__

@@ -29,8 +29,8 @@ from graycycles import (
     weight_decomposition,
     witness_non_rotation,
 )
-from graycycles.codes import _codes, _Codes, _word_codes
-from graycycles.words import _walk
+from graycycles.codes import _Codes, _codes
+from graycycles.words import _check_set, _walk
 from word_oracles import brute_fixed_weight, brute_weight_range, count_oracle, gray_oracle
 
 
@@ -255,6 +255,12 @@ def outcome(f, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def checked_codes(m, n, p, q, cap):
+    """The set's codes as CLI ``ocycle`` and ``digraph`` make them: checked, capped, enumerated."""
+    _check_set(m, n, p, q, cap)
+    return _codes(m, n, p, p if q is None else q)
+
+
 def test_word_codes_check_and_cap_like_the_enumerators():
     # Fields of (m-1).bit_length() bits for every m; the same error, word
     # for word, wherever an enumerator refuses.
@@ -268,7 +274,7 @@ def test_word_codes_check_and_cap_like_the_enumerators():
             expected = outcome(enumerate_fixed_weight, m, n, p, cap=cap)
         else:
             expected = outcome(enumerate_weight_range, m, n, p, q, cap=cap)
-        got = outcome(_word_codes, m, n, p, q, cap=cap)
+        got = outcome(checked_codes, m, n, p, q, cap)
         if type(got) is _Codes:
             assert got.width == ((m - 1).bit_length() or 1) and got.n == n
             got = list(map(tuple, got.digits()))
