@@ -15,8 +15,8 @@ sets over the 10^6-word cap.
 
 ``ocycle`` and ``digraph`` check the set's parameters, its size against
 the same cap (``words._check_set``) and s, in that order, and only then
-enumerate the set (``codes._codes``); ``codes`` owns the word coding.
-Each word travels as one int, its digits in fields of
+load the engine and enumerate the set (``codes._codes``); ``codes`` owns
+the word coding.  Each word travels as one int, its digits in fields of
 (m-1).bit_length() bits, kept in read-only machine words when the word
 fits 64 bits, through the transition digraph, the Euler tour and the
 tour's self-check to the text, spelled only there by ``codes._spelled``.
@@ -43,6 +43,7 @@ from .words import (
     MaterializationLimitError,
     _check_cap,
     _check_overlap,
+    _check_params,
     _check_set,
     _gray_blocks,
     count_fixed_weight,
@@ -52,8 +53,6 @@ from .words import (
 TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
     from typing import Sequence
-
-    from .codes import _Codes
 
 
 @functools.cache  # built once per process: each build costs about 3 ms
@@ -174,18 +173,18 @@ def _cmd_exists(args: argparse.Namespace) -> int:
     return 0 if verdict.exists else 1
 
 
-def _word_set(args: argparse.Namespace) -> _Codes:
-    from .codes import _codes
+def _checked_weights(args: argparse.Namespace) -> tuple[int, int]:
     p, q = (args.k, None) if args.mode == "fixed" else (args.p, args.q)
     _check_set(args.m, args.n, p, q, DEFAULT_MATERIALIZATION_CAP)
     _check_overlap(args.n, args.s)  # after the set's own checks, on an empty set too
-    return _codes(args.m, args.n, p, p if q is None else q)
+    return p, p if q is None else q
 
 
 def _cmd_ocycle(args: argparse.Namespace) -> int:
-    from .codes import _spelled
+    p, q = _checked_weights(args)  # the engine then compiles before any code is held
+    from .codes import _codes, _spelled
     from .ocycles import NotEulerianError, _compressed, construct_ocycle
-    words = _word_set(args)
+    words = _codes(args.m, args.n, p, q)
     if not words:
         print("error: the word set is empty", file=sys.stderr)
         return 1
@@ -217,12 +216,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: line {lineno}: {exc}", file=sys.stderr)
             return 1
-    if args.target == "gray":
+    if args.target == "gray":  # parameters checked once stdin is read, before the verifier loads
+        _check_params(args.m, args.n)
         from .graycode import verify_gray
         fault = verify_gray(words, args.m, args.n, args.k).first_violation
     else:
-        from .ocycles import _cycle_fault
         _check_overlap(args.n, args.s)
+        from .ocycles import _cycle_fault
         fault = _cycle_fault(words, args.n, args.s)
     if fault is None:
         print("ok")
@@ -233,8 +233,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_digraph(args: argparse.Namespace) -> int:
+    p, q = _checked_weights(args)
+    from .codes import _codes
     from .ocycles import build_transition_digraph, export_dot
-    text = export_dot(build_transition_digraph(_word_set(args), args.s), args.m)  # digraph freed
+    text = export_dot(build_transition_digraph(_codes(args.m, args.n, p, q), args.s), args.m)
     if args.dot:
         try:
             with open(args.dot, "w", encoding="ascii") as fh:

@@ -62,7 +62,7 @@ class GrayReport(_Record):
     """Verifier verdict; ``first_violation`` is (index, description).
 
     The index points at the offending word or adjacent pair; -1 marks a
-    whole-list violation such as a cardinality mismatch.
+    whole-list violation such as a cardinality mismatch or an invalid m or n.
     """
 
     ok: bool
@@ -157,6 +157,10 @@ def verify_gray(words: Sequence[Word], m: int, n: int, k: int) -> GrayReport:
     neighbours is impossible for distinct fixed-weight words, so "exactly
     two" is the right test.  Words may be tuples, lists or a mix of both.
     """
+    try:
+        _check_params(m, n)
+    except ValueError as exc:
+        return GrayReport(False, (-1, str(exc)))
     seen: set[Word] = set()
     for i, w in enumerate(map(tuple, words)):
         if not is_word(w, m, n):
@@ -172,15 +176,10 @@ def verify_gray(words: Sequence[Word], m: int, n: int, k: int) -> GrayReport:
         seen.add(w)
     expected = count_fixed_weight(m, n, k)
     if len(words) != expected:
-        return GrayReport(
-            False, (-1, f"{len(words)} words listed, but the set has {expected}")
-        )
+        return GrayReport(False, (-1, f"{len(words)} words listed, but the set has {expected}"))
     for i in range(len(words) - 1):
         dist = hamming_distance(words[i], words[i + 1])
         if dist != 2:
-            return GrayReport(
-                False,
-                (i, f"adjacent words {format_word(words[i], m)} and "
-                    f"{format_word(words[i + 1], m)} differ in {dist} positions, expected 2"),
-            )
+            pair = f"adjacent words {format_word(words[i], m)} and {format_word(words[i + 1], m)}"
+            return GrayReport(False, (i, f"{pair} differ in {dist} positions, expected 2"))
     return GrayReport(True)

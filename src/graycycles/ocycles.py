@@ -34,7 +34,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, count, islice
-from operator import ge, ne
+from operator import ge, length_hint, ne
 
 from . import _LAZY
 from .codes import _Codes, _code, _coded, _repeats, _spelled
@@ -212,7 +212,8 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
 
     Hierholzer's algorithm over the digraph's codes, made deterministic: the
     walk starts at the smallest vertex and always leaves on the smallest
-    unused out-edge, so the tour begins with the smallest word.  Each
+    unused out-edge, the one its vertex's cursor into the ascending codes
+    gives next, so the tour begins with the smallest word.  Each
     sub-walk must close where it began and the tour must hold every edge,
     which proves the Euler criterion; a failed walk counts degrees to tell
     unbalanced from disconnected (a balanced walk covers its component).
@@ -225,19 +226,16 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
     if not raw:
         raise ValueError("digraph has no edges")
     shift, mask = digraph._ends()
-    # Vertex u's unused out-edges, its run of the ascending codes reversed,
-    # so pop() takes the smallest.
-    out = {}
-    for u, lo, hi in _prefix_runs(raw, shift):
-        out[u] = run = codes.empty()
-        run.extend(reversed(raw[lo:hi]))
+    # Vertex u's unused out-edges: a cursor over its run of ``raw``, no copy.
+    out = {u: iter(range(lo, hi)) for u, lo, hi in _prefix_runs(raw, shift)}
     stack, tour = codes.empty(), codes.empty()
     start = raw[0] >> shift
     ready = out[start]
     try:
         while True:
-            if ready:
-                code = ready.pop()
+            i = next(ready, None)
+            if i is not None:
+                code = raw[i]
                 stack.append(code)
                 ready = out[code & mask]  # KeyError: a vertex with no out-edge
                 continue
@@ -251,15 +249,15 @@ def euler_tour(digraph: TransitionDigraph) -> list[Word] | _Codes:
             # Move the stack's top edges to the tour, down to and including the
             # first whose source vertex (its prefix) has an unused edge left.
             # Nothing named here may hold the stack or ``out`` past the walk.
-            depth = len(stack) - next(compress(count(1), map(
-                out.__getitem__, map(shift.__rrshift__, reversed(stack)))), len(stack))
+            depth = len(stack) - next(compress(count(1), map(length_hint, map(
+                out.__getitem__, map(shift.__rrshift__, reversed(stack))))), len(stack))
             tour += stack[depth:][::-1]
             del stack[depth:]
             start = tour[-1] >> shift
             ready = out[start]
     except KeyError:
         pass
-    del out, ready, stack  # popped arrays keep their memory: freed here
+    del out, ready, stack  # freed before the degree count or the cycle's bytes
     if len(tour) != len(raw):
         covered = f"the walk covered {len(tour)} of {len(raw)} edges"
         del tour  # freed before the degree count

@@ -230,6 +230,24 @@ def test_verify_gray_rejects_garbage(capsys, monkeypatch):
     assert code == 1 and "line 1" in err
 
 
+@pytest.mark.parametrize("stdin", ["", "01\n", "# c\n\n01\n10\n", "0122\n2210\n"],
+                         ids=["empty", "word", "comments", "other-set"])
+@pytest.mark.parametrize("argv, err", [
+    ("0 2 1", "error: alphabet size m must be >= 1, got 0\n"),
+    ("2 -1 0", "error: word length n must be >= 0, got -1\n"),
+], ids=["m", "n"])
+def test_verify_gray_bad_parameters_exit_2(capsys, monkeypatch, stdin, argv, err):
+    # Checked once stdin is read, whatever words it holds.
+    feed(monkeypatch, stdin)
+    assert run(capsys, "verify", "gray", *argv.split()) == (2, "", err)
+
+
+def test_verify_gray_parse_error_beats_bad_parameters(capsys, monkeypatch):
+    feed(monkeypatch, "01\n0x\n")
+    code, out, err = run(capsys, "verify", "gray", "0", "2", "1")
+    assert (code, out, err) == (1, "", "error: line 2: cannot parse word from '0x'\n")
+
+
 def test_verify_ocycle_roundtrip(capsys, monkeypatch):
     _, out, _ = run(capsys, "ocycle", "fixed", "2", "4", "2", "1")
     feed(monkeypatch, out)
@@ -662,13 +680,15 @@ def traced_ocycle(monkeypatch, *args):
 
 @pytest.mark.parametrize("flags, bound", [((), 20), (("--compressed",), 14)])
 def test_ocycle_peak_memory_per_word(monkeypatch, flags, bound):
-    # The traced peak of the 73,789-word cycle, in bytes per word: about 12.9
-    # plain and compressed with codes in arrays of machine words, where a
-    # tuple of 96-bit byte codes took 73 and 77.  The compressed line's
+    # The traced peak of the 73,789-word cycle, in bytes per word: about 9.0
+    # plain and 10.6 compressed with codes in arrays of machine words, where
+    # a tuple of 96-bit byte codes took 73 and 77, and a walk that copied
+    # each vertex's run of codes took both to 12.9.  The compressed line's
     # self-check sorts its codes a byte-keyed group at a time, reads its
     # digit columns a block at a time and the line is written a block at a
-    # time, so the walk sets both peaks.  A sorted copy of all the codes took
-    # the compressed one to 48, and a copy of all their bytes to 16.1.
+    # time, so its peak is the repeat test's groups beside the cycle.  A
+    # sorted copy of all the codes took it to 48, and a copy of all their
+    # bytes to 16.1.
     code, lines, peak = traced_ocycle(monkeypatch, "fixed", "3", "12", "12", "5", *flags)
     assert code == 0 and lines == (1 if flags else 73_789)
     assert peak < bound * 73_789, peak / 73_789
@@ -682,8 +702,8 @@ def test_decoded_compressed_ocycle_peak_memory_per_word(monkeypatch, argv, words
     # Codes with digits over 9 are decoded and written a block at a time,
     # and 300-bit codes in a tuple of ints are spelled from their digit
     # columns a block at a time, so the compressed line peaks about where
-    # the plain lines do: about 12.3 and 146 bytes a word, against 12.3 and
-    # 147 plain.  A list of every digit of the cycle took them to 284 and
+    # the plain lines do: about 10.0 and 178 bytes a word, against 8.8 and
+    # 206 plain.  A list of every digit of the cycle took them to 284 and
     # 2,890.
     code, lines, peak = traced_ocycle(monkeypatch, *argv.split())
     assert (code, lines) == (0, 1)
@@ -691,27 +711,33 @@ def test_decoded_compressed_ocycle_peak_memory_per_word(monkeypatch, argv, words
 
 
 def test_compressed_ocycle_peaks_where_the_plain_one_does(monkeypatch):
-    # The self-check of the 129,668-word cycle holds no copy of all its
-    # codes or their bytes, so the walk sets the peak of both commands:
-    # about 12.3 bytes a word each.  Reading the check's digit columns from
-    # one copy of all the codes' bytes took the compressed one to 16.0.
+    # The walk's cursors into the ascending codes hold no copy of them, so
+    # the plain command peaks at about 8.8 bytes a word; a reversed array of
+    # each vertex's run took it to 12.3.  The self-check of the 129,668-word
+    # cycle holds no copy of all its codes or their bytes either, and the
+    # compressed command peaks at about 10.0, within the 13.3 that held when
+    # the walk set both peaks.  Reading the check's digit columns from one
+    # copy of all the codes' bytes took it to 16.0.
     argv = ("fixed", "12", "6", "30", "2")
     code, lines, plain = traced_ocycle(monkeypatch, *argv)
     assert (code, lines) == (0, 129_668)
+    assert plain <= 10 * 129_668, plain / 129_668
     code, lines, compressed = traced_ocycle(monkeypatch, *argv, "--compressed")
     assert (code, lines) == (0, 1)
-    assert compressed <= plain + 129_668, (compressed - plain) / 129_668
+    assert compressed <= 13.3 * 129_668, compressed / 129_668
 
 
 def test_disconnected_ocycle_peak_memory_per_word(monkeypatch, capsys):
     # At s = 11 nearly every word has a vertex of its own, and the walk
-    # stops short of the edge count.  Its traced peak is about 168 bytes a
-    # word; a degree table kept on the digraph through the walk makes it 303,
-    # and counting degrees after the walk but before its arrays are freed, 307.
+    # stops short of the edge count.  Its traced peak is about 144 bytes a
+    # word with one cursor per vertex into the codes, and 168 with a copy of
+    # each vertex's run in an array of its own.  A degree table kept on the
+    # digraph through the walk made it 303, and counting degrees before the
+    # walk's cursors are freed makes it 259.
     code, lines, peak = traced_ocycle(monkeypatch, "fixed", "3", "12", "12", "11")
     assert (code, lines) == (1, 0)
     assert "digraph-disconnected" in capsys.readouterr().err
-    assert peak < 200 * 73_789, peak / 73_789
+    assert peak < 160 * 73_789, peak / 73_789
 
 
 def test_compressed_ocycle_keeps_its_self_check(capsys, monkeypatch):

@@ -235,6 +235,20 @@ def test_verify_trivial_lists():
     assert not verify_gray([], 2, 2, 1).ok
 
 
+@pytest.mark.parametrize("words, m, n, message", [
+    ([], 0, 3, "alphabet size m must be >= 1, got 0"),
+    ([(0, 1)], 0, 2, "alphabet size m must be >= 1, got 0"),
+    ([(0,)], 3, -1, "word length n must be >= 0, got -1"),
+    ([(0, 1, 2)], -2, -5, "alphabet size m must be >= 1, got -2"),
+], ids=["empty", "word", "negative-n", "both"])
+def test_verify_reports_invalid_parameters_first(words, m, n, message):
+    # Never raises: an invalid m or n comes back at index -1, before any
+    # word is read against it.
+    assert verify_gray(words, m, n, 1) == verify_gray(words, m, n, -1)
+    assert verify_gray(words, m, n, 1).first_violation == (-1, message)
+    assert not verify_gray(words, m, n, 1).ok
+
+
 def test_verify_reads_list_words_like_tuples():
     golden = [tuple(int(c) for c in row) for row in GOLDEN_345]
     swapped = list(golden)

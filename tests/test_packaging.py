@@ -121,6 +121,25 @@ def test_exists_decides_the_gcd_rule_without_the_engine():
     assert lines == ["yes (n-s > gcd(n,s))", "0 []", "yes (degenerate-checked)", "0 []"]
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["ocycle", "fixed", "3", "14", "14", "99"], "overlap length s=99 out of range for n=14"),
+    (["digraph", "range", "3", "6", "4", "2", "1"],
+     "weight range requires 0 <= p < q <= (m-1)*n, got p=4, q=2"),
+    (["verify", "gray", "0", "2", "1"], "alphabet size m must be >= 1, got 0"),
+], ids=["ocycle", "digraph", "verify-gray"])
+def test_rejected_parameters_load_no_engine(argv, err):
+    # The set, its cap and s are checked before the engine is imported.
+    lines = fresh(
+        "import io, sys; from graycycles.cli import main; "
+        "sys.stdin, sys.stderr = io.StringIO(''), io.StringIO(); "
+        f"code = main({argv!r}); "
+        "probe = ('array', 'graycycles.codes', 'graycycles.ocycles', 'graycycles.graycode'); "
+        "print(code, [m for m in probe if m in sys.modules]); "
+        "print(sys.stderr.getvalue(), end='')"
+    )
+    assert lines == ["2 []", f"error: {err}"]
+
+
 # Tokens that do not count towards a module's size: comments and layout.
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
           tokenize.ENCODING, tokenize.ENDMARKER}
