@@ -5,17 +5,14 @@ smallest one, so numeric order is word order and prefixes and suffixes are
 shifts and masks.  Codes of up to 64 bits sit in machine words, in bytes of
 their own seen through a read-only view, wider ones in a tuple of ints
 (``_Codes``).  CLI ``ocycle`` and ``digraph`` enumerate their sets straight
-into codes (``_codes``) once the set and s are checked.  Words enter the
-engine through one entry coder, ``_coded``, which codes tuple words (each
-by ``_code``'s rule), passes codes through, and names a word of the wrong
-length; tuple words are decoded once on exit.  One digit reader,
-``_columns``, reads digit position p of a block of codes at a time: a
-strided slice of the codes' bytes, translated, where digits lie in
-0..255, else a list of ints.  ``_Codes.readers`` alone cuts the codes into
-blocks and makes a reader for each.  The readers decode words, the
-self-check compares their columns, and one speller, ``_spelled``, writes a
-cycle's text from its head columns a block at a time: spelled in ASCII
-where every digit lies in 0..9, else through ``format_word``.
+into codes (``_codes``).  Words enter the engine through one entry coder,
+``_coded``; tuple words are decoded once on exit.  One lane helper,
+``_lanes``, the one place that reads byte order, lays a block (``_blocks``)
+of codes out as the little-endian lanes of one int, and ``_spread`` puts a
+value in every lane, so each bulk pass (``_codes``, the digraph's ascending
+test, the self-check) costs a few big-int operations per block.  The one
+digit reader, ``_columns``, slices digit columns out of the lanes, and one
+speller, ``_spelled``, writes a cycle's text from its head columns.
 
 This module is private: ``ocycles`` holds the engine and imports what it
 needs from here.  Without a bytecode cache every ``ocycle`` start compiles
@@ -28,8 +25,8 @@ import sys
 from array import array
 from functools import lru_cache
 from io import BytesIO
-from itertools import chain, compress, count, islice, repeat
-from operator import ge, ne
+from itertools import chain, compress, count, repeat
+from operator import ne
 
 from .records import _Record
 from .words import _DIGIT_TABLE, _TAIL_LINES, Word, _split, format_word
@@ -43,15 +40,9 @@ if TYPE_CHECKING:
 # The smallest unsigned array type that holds b bits, for b in 0..64.
 _ARRAY_TYPE = [next(code for code in "BHIQ" if array(code).itemsize * 8 >= b) for b in range(65)]
 
-_LITTLE_ENDIAN = sys.byteorder == "little"  # of an array's memory
-
 
 def _frozen(codes: array) -> memoryview:
-    """The array's codes, in order, as a read-only view of ``bytes`` of their own.
-
-    The bytes grow a block at a time as the array shrinks to empty, so no
-    whole copy of the codes is held beside them.
-    """
+    """The array's codes, in order, in a read-only view of ``bytes`` grown as the array empties."""
     out = BytesIO()
     codes.reverse()
     while codes:
@@ -69,12 +60,10 @@ class _Codes:
     ``c & ((1 << width*j) - 1)``.  ``raw`` holds the codes: when n*width is
     at most 64, a ``memoryview`` of machine words of the smallest unsigned
     type that fits, over ``bytes`` of their own, else a tuple of ints.
-    The bytes are filled a block at a time (``_frozen``): from what is
-    given, or from an array the engine hands to ``taken``.  ``tuples`` marks
-    codes made from tuple words, which the engine hands back as tuples,
-    decoded by ``digits``.  ``readers`` reads the codes a block at a time,
-    through the one digit reader, ``_columns``.
-    Immutable and hashable, like a tuple of words.
+    The bytes are filled a block at a time (``_frozen``, ``taken``).
+    ``tuples`` marks codes made from tuple words, which the engine hands
+    back as tuples (``digits``).  ``readers`` reads the codes a block at a
+    time.  Immutable and hashable, like a tuple of words.
     """
 
     __slots__ = ("raw", "n", "width", "low", "tuples")
@@ -84,15 +73,13 @@ class _Codes:
     def __init__(
         self, codes: Iterable[int], n: int, width: int, low: int = 0, tuples: bool = False
     ):
-        if n * width > 64:
-            raw = tuple(codes)
-        else:
-            raw = _frozen(array(_ARRAY_TYPE[n * width], codes))
+        raw = tuple(codes) if n * width > 64 else _frozen(array(_ARRAY_TYPE[n * width], codes))
         self._set(raw, n, width, low, tuples)
 
-    def _set(self, *values: object) -> None:
+    def _set(self, *values: object) -> _Codes:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+        return self
 
     def __len__(self) -> int:
         return len(self.raw)
@@ -109,8 +96,7 @@ class _Codes:
         return self._coding() == other._coding() and self.raw == other.raw
 
     def __hash__(self) -> int:
-        raw = self.raw
-        return hash((self._coding(), raw if type(raw) is tuple else raw.obj))
+        return hash((self._coding(), getattr(self.raw, "obj", self.raw)))  # a view hashes its bytes
 
     def __repr__(self) -> str:
         return repr(tuple(self.raw))
@@ -125,35 +111,30 @@ class _Codes:
     def taken(self, codes: array | list[int]) -> _Codes:
         """``like``, for a sequence the engine builds (``empty``) and hands on.
 
-        An array's codes move into the new codes' bytes and it is left empty,
-        so the two never both hold all of them.
+        An array's codes move into the new codes' bytes, leaving it empty.
         """
         if type(codes) is not array:
             return self.like(codes)
-        taken = object.__new__(_Codes)
-        taken._set(_frozen(codes), *self._coding(), self.tuples)
-        return taken
+        return object.__new__(_Codes)._set(_frozen(codes), *self._coding(), self.tuples)
 
     def empty(self) -> array | list[int]:
         """A new growable sequence for these codes: an array of their type, or a list."""
-        raw = self.raw
-        return [] if type(raw) is tuple else array(raw.format)
+        return [] if type(self.raw) is tuple else array(self.raw.format)
 
-    def readers(self, overlap: int = 0, spell: bool = False) -> Iterator[_Reader]:
-        """A digit reader (``_columns``) per block of ``_TAIL_LINES`` codes and ``overlap`` more.
+    def lane_size(self, guard: bool = False) -> int:
+        """Bytes per lane: the codes' bits, and a guard bit if asked; an item's at least."""
+        return max((self.n * self.width + 7 + guard) // 8, getattr(self.raw, "itemsize", 0))
 
-        This is the one place where codes are cut into blocks to be read.
-        """
-        raw, n, width, low = self.raw, *self._coding()
-        for i in range(0, len(raw), _TAIL_LINES):
-            yield _columns(raw[i:i + _TAIL_LINES + overlap], n, width, low, spell)
+    def readers(self, spell: bool = False) -> Iterator[_Reader]:
+        """A digit reader (``_columns``) per block of codes (``_blocks``)."""
+        size, n, width, low = self.lane_size(), *self._coding()
+        return (_columns(block, n, width, low, spell, size) for block in _blocks(self.raw, size))
 
     def digits(self) -> Iterator[Word]:
         """Each word's digits as a tuple, in order, read a block at a time (``readers``)."""
-        n = self.n
-        if not n:  # words of length 0
+        if not self.n:  # words of length 0
             return repeat((), len(self.raw))
-        return chain.from_iterable(zip(*map(column, range(n))) for column in self.readers())
+        return chain.from_iterable(zip(*map(column, range(self.n))) for column in self.readers())
 
 
 @lru_cache(maxsize=128)
@@ -167,17 +148,44 @@ def _byte_table(shift: int, width: int, low: int, spell: bool) -> bytes:
     return table.translate(_DIGIT_TABLE) if spell else table
 
 
-def _columns(block: Sequence[int], n: int, width: int, low: int, spell: bool) -> _Reader:
+def _lanes(block: Sequence[int], size: int) -> bytes:
+    """The codes as little-endian lanes of ``size`` bytes: read as one int, code i is lane i.
+
+    The one place that reads byte order: an array whose items are the lanes
+    on a little-endian host gives its bytes as they lie, other codes are laid
+    out one by one.  Lanes read back as items give the items' bytes again.
+    """
+    if getattr(block, "itemsize", 0) == size and sys.byteorder == "little":
+        return block.tobytes()
+    return b"".join(map(int.to_bytes, block, repeat(size), repeat("little")))
+
+
+@lru_cache(maxsize=2)  # a block's pairs' value, kept for the next block
+def _spread(value: int, count: int, size: int) -> int:
+    """``value`` in each of ``count`` lanes of ``size`` bytes, as one int."""
+    return int.from_bytes(value.to_bytes(size, "little") * count, "little")
+
+
+def _blocks(codes: Sequence[int], size: int, more: int = 0) -> Iterator[Sequence[int]]:
+    """The one cutter of codes into blocks of 32 KiB of lanes (8 bytes at least), ``more`` after."""
+    step = max(1, _TAIL_LINES * 8 // max(size, 8))
+    return (codes[i:i + step + more] for i in range(0, len(codes), step))
+
+
+def _paired(codes: Sequence[int], size: int, value: int) -> Iterator[tuple[int, int]]:
+    """Per block with the code after it: its lanes as one int, and ``value`` in all but the last."""
+    for block in _blocks(codes, size, 1):
+        yield int.from_bytes(_lanes(block, size), "little"), _spread(value, len(block) - 1, size)
+
+
+def _columns(block: Sequence[int], n: int, width: int, low: int, spell: bool, size: int) -> _Reader:
     """A reader of digit p of every code in ``block``, as one column.
 
-    Where digits lie in 0..255 a column is a strided slice of the codes'
-    bytes, translated (``_byte_table``): an array's as in memory, a tuple's
-    as ``int.to_bytes`` gives them, little-endian.  A field that crosses a
-    byte is read from a copy of the codes shifted right by its offset in
-    that byte, one copy per offset.  Other digits give a list of ints.
-    ``spell`` gives the digits in ASCII, which only digits in 0..9 have.
-    Only ``_Codes.readers`` makes readers, one per block, as a reader copies
-    its block's bytes.
+    Where digits lie in 0..255 a column is a strided slice of the block's
+    lanes (``_lanes``), translated (``_byte_table``); a field that crosses a
+    byte is read from the lanes shifted right by its offset in that byte,
+    one copy per offset.  Other digits give a list of ints.  ``spell`` gives
+    the digits in ASCII, which only digits in 0..9 have.
     """
     if low < 0 or low + (1 << width) > 256:
         mask = (1 << width) - 1
@@ -188,23 +196,14 @@ def _columns(block: Sequence[int], n: int, width: int, low: int, spell: bool) ->
             return bytes(digits).translate(_DIGIT_TABLE) if spell else digits
 
         return listed
-    wide = type(block) is tuple
-    size = (n * width + 7) // 8 if wide else block.itemsize
-    memory: dict[int, bytes] = {}
-
-    def shifted(moved: int) -> bytes:
-        if wide:
-            return b"".join([(c >> moved).to_bytes(size, "little") for c in block])
-        return (array(block.format, map(moved.__rrshift__, block)) if moved else block).tobytes()
+    laid = {0: _lanes(block, size)}  # the block's lanes, by the copy's shift
 
     def column(p: int) -> bytes:
-        low_bit = width * (n - 1 - p)
-        offset = low_bit % 8
-        moved = offset if offset + width > 8 else 0  # the copy's shift
-        if moved not in memory:
-            memory[moved] = shifted(moved)
-        byte = low_bit // 8 if wide or _LITTLE_ENDIAN else size - 1 - low_bit // 8
-        return memory[moved][byte::size].translate(_byte_table(offset - moved, width, low, spell))
+        byte, offset = divmod(width * (n - 1 - p), 8)
+        by = offset if offset + width > 8 else 0  # the copy's shift
+        if by not in laid:
+            laid[by] = (int.from_bytes(laid[0], "little") >> by).to_bytes(len(laid[0]), "little")
+        return laid[by][byte::size].translate(_byte_table(offset - by, width, low, spell))
 
     return column
 
@@ -265,47 +264,37 @@ def _codes(m: int, n: int, p: int, q: int) -> _Codes:
 
     Each digit fills (m-1).bit_length() bits, and at least one.  Needs
     m >= 1 and n >= 0; an empty window gives no codes.  Each word is cut
-    after n//2 digits by ``_split``, and each word costs one addition: head
-    code shifted past the tail, plus tail code.
+    after n//2 digits by ``_split``; each list of tails is laid out in lanes
+    once, and a head's codes are those lanes plus its code, shifted past the
+    tail, times a 1 in every lane, written a block at a time.
     """
     width = (m - 1).bit_length() or 1
-    t = n - n // 2
-    heads = _split(m, n, t, p, q, False, lambda w: _code(w, width))
-    return _Codes(chain.from_iterable(
-        map((_code(head, width) << width * t).__add__, lasts) for head, lasts in heads
-    ), n, width)
-
-
-def _repeats(raw: Sequence[int], bits: int) -> bool:
-    """Whether the codes ``raw``, of ``bits`` bits each, hold some code twice.
-
-    Found on sorted copies.  An array of ``_TAIL_LINES`` codes or more is split
-    by their highest whole byte, one array per value, as equal codes share it.
-    The keys are read a block of codes at a time, so no copy of all the codes'
-    bytes is made.
-    """
-    groups = [raw]
-    if type(raw) is not tuple and len(raw) >= _TAIL_LINES:
-        size, byte = raw.itemsize, max(0, bits - 8) // 8
-        key = slice(byte if _LITTLE_ENDIAN else size - 1 - byte, None, size)
-        starts = range(0, len(raw), _TAIL_LINES)
-        keys = b"".join([raw[i:i + _TAIL_LINES].tobytes()[key] for i in starts])
-        if keys.count(keys[0]) < len(keys):  # else the codes are their own group
-            groups = [array(raw.format) for _ in range(256)]
-            any(map(array.append, map(groups.__getitem__, keys), raw))
-    # One group's sorted copy is alive at a time; a repeat stops its ascent.
-    return any(any(map(ge, ordered, islice(ordered, 1, None))) for ordered in map(sorted, groups))
+    t, codes, laned, out = n - n // 2, _Codes((), n, width), {}, BytesIO()
+    size, items = codes.lane_size(), getattr(codes.raw, "format", "")
+    for head, tails in _split(m, n, t, p, q, False, lambda w: _code(w, width)):
+        if id(tails) not in laned:  # ``_split`` hands each list of tails on again
+            laned[id(tails)] = [
+                (int.from_bytes(_lanes(b, size), "little"), _spread(1, len(b), size), len(b) * size)
+                for b in _blocks(tails, size)]
+        top = _code(head, width) << width * t
+        for lanes, ones, length in laned[id(tails)]:
+            block = (lanes + top * ones).to_bytes(length, "little")
+            # Lanes of an item's size, read back as items, give the items' bytes (``_lanes``).
+            out.write(_lanes(memoryview(block).cast(items), size) if items else block)
+    data = out.getvalue()  # ``_set`` with one value sets ``raw``, the first slot
+    return codes._set(memoryview(data).cast(items)) if items else codes.like(
+        int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size))
 
 
 def _spelled(cycle: _Codes, lead: int, end: str, m: int) -> Iterator[str]:
-    """The first ``lead`` digits of each code, then ``end``, a block of ``_TAIL_LINES`` at a time.
+    """The first ``lead`` digits of each code, then ``end``, a block (``_blocks``) at a time.
 
     Digits are spelled as ``format_word`` spells them over m; with no ``end``
     the heads join into one word.  Only the ``lead`` head columns are read
     (``readers``).  Where every digit lies in 0..9 (m <= 10, none below 0)
     each column is spelled in ASCII and lands in the text by one strided
-    slice assignment; other heads go through ``format_word``.  Every block
-    but the first starts with the glue between heads, and ``end`` comes last.
+    slice assignment, else heads go through ``format_word``.  Blocks after
+    the first start with the glue between heads; ``end`` comes last.
     """
     spell = m <= 10 and cycle.low >= 0
     glue = end or ("," if m > 10 else "")

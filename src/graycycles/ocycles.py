@@ -12,13 +12,11 @@ the digraph, the Hierholzer walk, the self-check ``_cycle_fault`` and
 compression.  They work on the word codes (``_Codes``) of ``codes``, which
 owns the one word coding, its decoding and the cycle's text.  Words enter
 through one entry coder, ``codes._coded``, which the digraph, the
-self-check and compression each call once: it passes codes through, and
-codes tuple words or names the first whose length is off.  Tuple words
-given to the library are decoded once on exit.
-The self-check's overlap test reads digit columns a block of codes at a
-time, so it holds no copy of the whole cycle.  The tests check the engine
-against the tuple-based Hierholzer kept in ``tests/ocycle_oracles.py`` and
-against networkx.
+self-check and compression each call once; tuple words given to the
+library are decoded once on exit.  The digraph's ascending test and the
+self-check's overlap test cost a few big-int operations per block of codes
+(``codes._paired``).  The tests check the engine against the tuple-based
+Hierholzer in ``tests/ocycle_oracles.py`` and against networkx.
 
 The library-only names (``verify_ocycle`` and its report,
 ``decompress_cycle``, ``export_dot``, ``is_balanced`` and the component
@@ -30,6 +28,7 @@ live in ``existence``; this module keeps only the engine and its
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
@@ -37,9 +36,9 @@ from itertools import chain, compress, count, islice
 from operator import ge, length_hint, ne
 
 from . import _LAZY
-from .codes import _Codes, _code, _coded, _repeats, _spelled
+from .codes import _Codes, _blocks, _code, _coded, _lanes, _paired, _spelled
 from .records import _Record
-from .words import Word, _check_overlap, format_word
+from .words import _TAIL_LINES, Word, _check_overlap, format_word
 
 TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
@@ -164,8 +163,9 @@ def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph
     All words must share one length n with 1 <= s <= n-1 and be pairwise
     distinct; an empty list only needs s >= 1 and builds an empty digraph.
     The entry coder (``_coded``) codes the words once, and their codes are
-    sorted; codes (``_Codes``) are kept as they are, and must be strictly
-    ascending, which also makes them distinct.
+    sorted; codes (``_Codes``) are kept as they are, and must strictly
+    ascend: with a guard bit over each lane (``_paired``), next > code iff
+    (next | guard) - code - 1 keeps the guard.
     """
     codes = _coded(words)
     if type(codes) is tuple:
@@ -180,11 +180,11 @@ def build_transition_digraph(words: Sequence[Word], s: int) -> TransitionDigraph
         _check_overlap(codes.n, s)
     elif s < 1:
         raise ValueError(f"overlap length s={s} out of range")
-    raw = codes.raw
-    if any(map(ge, raw, islice(raw, 1, None))):
-        if codes.tuples:
-            raise ValueError("duplicate words in input set")
-        raise ValueError("codes are not strictly ascending")
+    size, bits = codes.lane_size(True), codes.n * codes.width
+    for lanes, guards in _paired(codes.raw, size, 1 << bits):
+        if ((lanes >> 8 * size | guards) - lanes - (guards >> bits)) & guards != guards:
+            raise ValueError("duplicate words in input set" if codes.tuples
+                             else "codes are not strictly ascending")
     return TransitionDigraph(s, codes.n, 1 << codes.width, codes)
 
 
@@ -287,6 +287,24 @@ class OcycleSolution(_Record):
     cycle: tuple[Word, ...] | _Codes
 
 
+def _repeats(raw: Sequence[int], bits: int) -> bool:
+    """Whether the codes ``raw``, of ``bits`` bits each, hold some code twice.
+
+    Found on sorted copies.  An array of ``_TAIL_LINES`` codes or more is split
+    by their highest whole byte, one array per value, as equal codes share it;
+    the keys are read from the lanes (``codes._lanes``) a block at a time.
+    """
+    groups = [raw]
+    if type(raw) is not tuple and len(raw) >= _TAIL_LINES:
+        size, byte = raw.itemsize, max(0, bits - 8) // 8
+        keys = b"".join([_lanes(block, size)[byte::size] for block in _blocks(raw, size)])
+        if keys.count(keys[0]) < len(keys):  # else the codes are their own group
+            groups = [array(raw.format) for _ in range(256)]
+            any(map(array.append, map(groups.__getitem__, keys), raw))
+    # One group's sorted copy is alive at a time; a repeat stops its ascent.
+    return any(any(map(ge, ordered, islice(ordered, 1, None))) for ordered in map(sorted, groups))
+
+
 def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, str] | None:
     """First fault of a claimed s-overlap cycle, checked against itself only.
 
@@ -295,29 +313,21 @@ def _cycle_fault(cycle: Sequence[Word] | _Codes, n: int, s: int) -> tuple[int, s
     first s digits, wrapping around.  Returns (index, description) or None.
     Takes words or codes (``_Codes``), through the entry coder (``_coded``),
     and 1 <= s < n.  The codes pass if the last code's suffix is the first
-    one's prefix and, in each block read with the next code
-    (``readers(1)``), digit column n-s+j less its last code equals column j
-    less its first; only a cycle that fails is scanned by word, to find the
-    fault.
+    one's prefix and in each block's lanes (``_paired``) every suffix is the
+    next lane's prefix; only a cycle that fails is scanned by word.
     """
     cycle = _coded(cycle, n)
-    if type(cycle) is tuple:
-        i, length = cycle
-        return i, f"word has length {length}, expected {n}"
+    if type(cycle) is tuple:  # (index, length) of a misfit
+        return cycle[0], f"word has length {cycle[1]}, expected {n}"
     raw, width = cycle.raw, cycle.width
     if _repeats(raw, n * width):
         return -1, "input word set contains duplicates"
-    mask, shift = (1 << width * s) - 1, width * (n - s)
+    mask, shift, size = (1 << width * s) - 1, width * (n - s), cycle.lane_size()
     if not raw or raw[-1] & mask == raw[0] >> shift:
-        columns = cycle.readers(1)
-        if all(column(n - s + j)[:-1] == column(j)[1:] for column in columns for j in range(s)):
+        if all(x & m == x >> 8 * size + shift & m for x, m in _paired(raw, size, mask)):
             return None
-    suffixes = map(mask.__and__, raw)
-    following = chain(islice(raw, 1, None), raw[:1])
-    next_prefixes = map(shift.__rrshift__, following)
-    i = next(compress(count(), map(ne, suffixes, next_prefixes)), None)
-    if i is None:
-        return None
+    following = map(shift.__rrshift__, chain(islice(raw, 1, None), raw[:1]))
+    i = next(compress(count(), map(ne, map(mask.__and__, raw), following)))  # the accept failed
     w, nxt = cycle.like((raw[i], raw[(i + 1) % len(raw)])).digits()
     return i, f"words {format_word(w)} and {format_word(nxt)} do not overlap in {s} digits"
 

@@ -19,8 +19,13 @@ ocycle`` as it was before it shared ``compress_cycle``'s check.
 already owns that import name on the shared test path.)
 """
 
+from itertools import chain, islice
+from operator import ge
+
 from graycycles import NotEulerianError, format_word
+from graycycles.codes import _code
 from graycycles.ocycles import REASON_DISCONNECTED, REASON_SINGLETON, REASON_UNBALANCED
+from graycycles.words import _split
 
 
 def oracle_edges(words, s):
@@ -141,3 +146,33 @@ def oracle_cycle(words, s):
     tour = oracle_tour(labels, s)
     pivot = tour.index(min(tour))
     return tuple(tour[pivot:] + tour[:pivot])
+
+
+# The expressions the lane kernels (``codes._lanes``) replaced, kept as
+# oracles for them.
+
+def oracle_lanes(codes, size):
+    """The codes' lanes of ``size`` bytes, little-endian, laid out code by code."""
+    return b"".join([c.to_bytes(size, "little") for c in codes])
+
+
+def oracle_ascending(raw):
+    """Whether the codes strictly ascend: the pairwise test the digraph ran."""
+    return not any(map(ge, raw, islice(raw, 1, None)))
+
+
+def oracle_overlap_accept(raw, n, width, s):
+    """Whether every code's last s digits are the next code's first s, wrapping around."""
+    mask, shift = (1 << width * s) - 1, width * (n - s)
+    following = chain(islice(raw, 1, None), raw[:1])
+    return all(c & mask == d >> shift for c, d in zip(raw, following))
+
+
+def oracle_codes(m, n, p, q):
+    """The codes of ``codes._codes(m, n, p, q)`` as the chained per-word additions made them."""
+    width = (m - 1).bit_length() or 1
+    t = n - n // 2
+    heads = _split(m, n, t, p, q, False, lambda w: _code(w, width))
+    return list(chain.from_iterable(
+        map((_code(head, width) << width * t).__add__, lasts) for head, lasts in heads
+    ))
