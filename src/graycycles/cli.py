@@ -6,6 +6,18 @@ codes: 0 success / exists / valid, 1 not-exists / invalid input list,
 2 usage or parameter error.  A reader that closes the pipe early (``| head``)
 ends the command with exit 1 and nothing on stderr.
 
+``GRAMMAR`` is the one table of the command line: each command, or command
+and mode, with its help text, its int positionals and its one optional
+flag.  ``main`` first matches argv against it with str methods alone
+(``_matched``), and takes only the canonical form: the command, the mode or
+target, exactly the int positionals (each an ASCII run of digits with an
+optional ``-``), and the flag, if given, as the last token.  A well-formed
+command line so loads neither ``argparse`` (with ``gettext``, ``locale``
+and ``re``) nor any parser.  Anything else, from ``-h`` and abbreviated or
+misplaced flags to ``--dot PATH`` and ints such as ``+3`` or ``3_0``, goes
+to the ``argparse`` tree that ``build_parser`` builds from the same table:
+it prints every help text and usage error, and parses what it accepts.
+
 Word lists are written in chunks of at least ``words._CHUNK`` words, one
 ``write`` call per chunk, so the cost does not depend on whether stdout is
 buffered.  ``gray`` always streams the text blocks of ``words._gray_blocks``,
@@ -30,11 +42,11 @@ theorem, and only ``digraph`` loads ``views``, for ``export_dot``.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 from .words import (
     _CHUNK,
@@ -52,61 +64,83 @@ from .words import (
 
 TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
+    import argparse
     from typing import Sequence
 
+# command -> (help, int positionals, flag); a command with modes maps to
+# (help, the mode's attribute, {mode: (help, int positionals, flag)}).
+GRAMMAR = {
+    "gray": ("list the two-change ordering of B_k(m,n)", "m n k", "--stream"),
+    "count": ("print |B_k(m,n)| exactly", "m n k", None),
+    "exists": ("fixed-weight s-overlap cycle existence", "m n k s", None),
+    "ocycle": ("construct an s-overlap cycle", "mode", {
+        "fixed": ("cycle for the weight-k words", "m n k s", "--compressed"),
+        "range": ("cycle for the words with weight in [p,q]", "m n p q s", "--compressed"),
+    }),
+    "verify": ("check a word list from stdin", "target", {
+        "gray": ("check a claimed two-change ordering", "m n k", None),
+        "ocycle": ("check a claimed s-overlap cycle", "n s", None),
+    }),
+    "digraph": ("export a transition digraph as DOT", "mode", {
+        "fixed": (None, "m n k s", "--dot"),
+        "range": (None, "m n p q s", "--dot"),
+    }),
+}
+FLAGS = {"--stream": "lift the 10^6-word cap", "--compressed": "one-line compressed form",
+         "--dot": "write DOT here instead of stdout"}  # --dot alone takes a value
 
-@functools.cache  # built once per process: each build costs about 3 ms
+
+def _matched(argv: Sequence[str]) -> dict | None:
+    """The attributes argparse gives a canonical command line, else None."""
+    args, rest = {}, list(argv)
+    names, flag = "command", GRAMMAR
+    while isinstance(flag, dict):  # the command, then its mode or target
+        if not rest or rest[0] not in flag:
+            return None
+        args[names] = rest[0]
+        _, names, flag = flag[rest.pop(0)]
+    names = names.split()
+    ints, tail = rest[:len(names)], rest[len(names):]
+    if len(ints) < len(names) or tail not in ([], [flag]) or tail == ["--dot"]:
+        return None
+    for text in ints:
+        digits = text[text[:1] == "-":]
+        if not (digits.isdigit() and digits.isascii()):
+            return None
+    if flag:
+        args[flag[2:]] = None if flag == "--dot" else bool(tail)
+    args.update(zip(names, map(int, ints)))
+    return args
+
+
+@functools.cache  # built once per process, for help and usage errors only
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="graycycles",
         description="Fixed-weight m-ary Gray codes and s-overlap cycles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gray", help="list the two-change ordering of B_k(m,n)")
-    _add_ints(p, "m", "n", "k")
-    p.add_argument("--stream", action="store_true", help="lift the 10^6-word cap")
-
-    p = sub.add_parser("count", help="print |B_k(m,n)| exactly")
-    _add_ints(p, "m", "n", "k")
-
-    p = sub.add_parser("exists", help="fixed-weight s-overlap cycle existence")
-    _add_ints(p, "m", "n", "k", "s")
-
-    p = sub.add_parser("ocycle", help="construct an s-overlap cycle")
-    modes = p.add_subparsers(dest="mode", required=True)
-    fixed = modes.add_parser("fixed", help="cycle for the weight-k words")
-    _add_ints(fixed, "m", "n", "k", "s")
-    fixed.add_argument("--compressed", action="store_true", help="one-line compressed form")
-    rng = modes.add_parser("range", help="cycle for the words with weight in [p,q]")
-    _add_ints(rng, "m", "n", "p", "q", "s")
-    rng.add_argument("--compressed", action="store_true", help="one-line compressed form")
-
-    p = sub.add_parser("verify", help="check a word list from stdin")
-    targets = p.add_subparsers(dest="target", required=True)
-    vg = targets.add_parser("gray", help="check a claimed two-change ordering")
-    _add_ints(vg, "m", "n", "k")
-    vo = targets.add_parser("ocycle", help="check a claimed s-overlap cycle")
-    _add_ints(vo, "n", "s")
-
-    p = sub.add_parser("digraph", help="export a transition digraph as DOT")
-    modes = p.add_subparsers(dest="mode", required=True)
-    fixed = modes.add_parser("fixed")
-    _add_ints(fixed, "m", "n", "k", "s")
-    fixed.add_argument("--dot", metavar="PATH", help="write DOT here instead of stdout")
-    rng = modes.add_parser("range")
-    _add_ints(rng, "m", "n", "p", "q", "s")
-    rng.add_argument("--dot", metavar="PATH", help="write DOT here instead of stdout")
-
+    _add_commands(parser, "command", GRAMMAR)
     return parser
 
 
-def _add_ints(parser: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        parser.add_argument(name, type=int)
+def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (text, names, flag) in table.items():
+        p = sub.add_parser(name, **{"help": text} if text else {})  # help=None lists it too
+        if isinstance(flag, dict):
+            _add_commands(p, names, flag)
+            continue
+        for arg in names.split():
+            p.add_argument(arg, type=int)
+        if flag == "--dot":
+            p.add_argument(flag, metavar="PATH", help=FLAGS[flag])
+        elif flag:
+            p.add_argument(flag, action="store_true", help=FLAGS[flag])
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     # Exact counts, and the argv ints they come from, may run past the
     # interpreter's limit on int/str conversion (4300 digits by default);
     # lift it while the command runs.  Interpreters without one read as 0.
@@ -114,7 +148,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = SimpleNamespace(**(_matched(argv) or vars(build_parser().parse_args(argv))))
         handler = {
             "gray": _cmd_gray,
             "count": _cmd_count,
@@ -139,7 +173,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
-def _cmd_gray(args: argparse.Namespace) -> int:
+def _cmd_gray(args: SimpleNamespace) -> int:
     if not args.stream:
         total = count_fixed_weight(args.m, args.n, args.k)
         _check_cap(total, DEFAULT_MATERIALIZATION_CAP, _ORDERING_HEAD)
@@ -157,12 +191,12 @@ def _cmd_gray(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     print(count_fixed_weight(args.m, args.n, args.k))
     return 0
 
 
-def _cmd_exists(args: argparse.Namespace) -> int:
+def _cmd_exists(args: SimpleNamespace) -> int:
     from .existence import REASON_GCD, exists_fixed_weight_ocycle
     verdict = exists_fixed_weight_ocycle(args.m, args.n, args.k, args.s)
     if verdict.reason == REASON_GCD:
@@ -173,14 +207,14 @@ def _cmd_exists(args: argparse.Namespace) -> int:
     return 0 if verdict.exists else 1
 
 
-def _checked_weights(args: argparse.Namespace) -> tuple[int, int]:
+def _checked_weights(args: SimpleNamespace) -> tuple[int, int]:
     p, q = (args.k, None) if args.mode == "fixed" else (args.p, args.q)
     _check_set(args.m, args.n, p, q, DEFAULT_MATERIALIZATION_CAP)
     _check_overlap(args.n, args.s)  # after the set's own checks, on an empty set too
     return p, p if q is None else q
 
 
-def _cmd_ocycle(args: argparse.Namespace) -> int:
+def _cmd_ocycle(args: SimpleNamespace) -> int:
     p, q = _checked_weights(args)  # the engine then compiles before any code is held
     from .codes import _codes, _spelled
     from .ocycles import NotEulerianError, _compressed, construct_ocycle
@@ -204,7 +238,7 @@ def _cmd_ocycle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     # One word per line; blank lines and '#' comments are ignored.
     words = []
     for lineno, raw in enumerate(sys.stdin, start=1):
@@ -232,7 +266,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_digraph(args: argparse.Namespace) -> int:
+def _cmd_digraph(args: SimpleNamespace) -> int:
     p, q = _checked_weights(args)
     from .codes import _codes
     from .ocycles import build_transition_digraph, export_dot

@@ -73,10 +73,11 @@ def fresh(code):
 
 # Modules that CLI gray and count leave unloaded: graycode, the engine
 # (ocycles, codes and views, with the array module), existence and the
-# records' base are not needed there, and the others cost start-up time.
-UNNEEDED = ["array", "dataclasses", "graycycles.codes", "graycycles.existence",
-            "graycycles.graycode", "graycycles.ocycles", "graycycles.records",
-            "graycycles.views", "inspect", "typing"]
+# records' base are not needed there, and the others cost start-up time;
+# argparse, with gettext, locale and re, serves only help and usage errors.
+UNNEEDED = ["argparse", "array", "dataclasses", "gettext", "graycycles.codes",
+            "graycycles.existence", "graycycles.graycode", "graycycles.ocycles",
+            "graycycles.records", "graycycles.views", "inspect", "locale", "re", "typing"]
 
 
 @pytest.mark.parametrize("argv", [["gray", "3", "4", "5"], ["count", "3", "4", "5"]])
@@ -87,6 +88,17 @@ def test_gray_and_count_load_only_what_they_use(argv):
         f"print(code, [m for m in {UNNEEDED!r} if m in sys.modules])"
     )
     assert lines[-1] == "0 []"
+
+
+def test_malformed_command_line_goes_to_argparse():
+    lines = fresh(
+        "import io, sys; from graycycles.cli import main; "
+        "sys.stderr = io.StringIO()\n"
+        "try: main(['ocycle', 'fixed', '3', 'x', '12', '5'])\n"
+        "except SystemExit as exc: print(exc.code, 'argparse' in sys.modules)\n"
+        "print(sys.stderr.getvalue().splitlines()[0])"
+    )
+    assert lines == ["2 True", "usage: graycycles ocycle fixed [-h] [--compressed] m n k s"]
 
 
 def test_lazy_names_load_on_first_access():
@@ -109,7 +121,8 @@ def test_lazy_names_load_on_first_access():
 
 
 def test_exists_decides_the_gcd_rule_without_the_engine():
-    probe = "[m for m in ('array', 'graycycles.codes', 'graycycles.ocycles') if m in sys.modules]"
+    probe = ("[m for m in ('argparse', 'array', 'graycycles.codes', 'graycycles.ocycles') "
+             "if m in sys.modules]")
     lines = fresh(
         "import sys; from graycycles.cli import main; "
         "code = main(['exists', '3', '6', '6', '2']); "
@@ -133,7 +146,8 @@ def test_rejected_parameters_load_no_engine(argv, err):
         "import io, sys; from graycycles.cli import main; "
         "sys.stdin, sys.stderr = io.StringIO(''), io.StringIO(); "
         f"code = main({argv!r}); "
-        "probe = ('array', 'graycycles.codes', 'graycycles.ocycles', 'graycycles.graycode'); "
+        "probe = ('argparse', 'array', 'graycycles.codes', 'graycycles.ocycles', "
+        "'graycycles.graycode'); "
         "print(code, [m for m in probe if m in sys.modules]); "
         "print(sys.stderr.getvalue(), end='')"
     )
