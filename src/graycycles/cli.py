@@ -17,13 +17,15 @@ and ``re``) nor any parser.  Anything else, from ``-h`` and abbreviated or
 misplaced flags to ``--dot PATH`` and ints such as ``+3`` or ``3_0``, goes
 to the ``argparse`` tree that ``build_parser`` builds from the same table:
 it prints every help text and usage error, and parses what it accepts.
+Either way ``main`` then calls the handler ``_cmd_<command>``.
 
-Word lists are written in chunks of at least ``words._CHUNK`` words, one
-``write`` call per chunk, so the cost does not depend on whether stdout is
-buffered.  ``gray`` always streams the text blocks of ``words._gray_blocks``,
-in O(n) memory plus a tail table of at most ``words._TAIL_LINES`` short
-lines for every m; without ``--stream`` it first refuses, from the count,
-sets over the 10^6-word cap.
+``gray`` and ``ocycle`` end in one write loop, ``_write``: one ``write``
+call per text block, so the cost does not depend on whether stdout is
+buffered.  ``gray`` writes the blocks of ``words._gray_blocks``, each of at
+least ``words._CHUNK`` lines but the last, in O(n) memory plus a tail table
+of at most ``words._TAIL_LINES`` short lines for every m; without
+``--stream`` it first refuses, from the count, an ordering over the
+10^6-word cap (``words._check_ordering``, as ``gray_list`` does).
 
 ``ocycle`` and ``digraph`` check the set's parameters, its size against
 the same cap (``words._check_set``) and s, in that order, and only then
@@ -49,11 +51,9 @@ from itertools import chain
 from types import SimpleNamespace
 
 from .words import (
-    _CHUNK,
     DEFAULT_MATERIALIZATION_CAP,
-    _ORDERING_HEAD,
     MaterializationLimitError,
-    _check_cap,
+    _check_ordering,
     _check_overlap,
     _check_params,
     _check_set,
@@ -65,7 +65,7 @@ from .words import (
 TYPE_CHECKING = False  # typing serves type checkers only; see words
 if TYPE_CHECKING:
     import argparse
-    from typing import Sequence
+    from typing import Iterable, Sequence
 
 # command -> (help, int positionals, flag); a command with modes maps to
 # (help, the mode's attribute, {mode: (help, int positionals, flag)}).
@@ -149,15 +149,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = SimpleNamespace(**(_matched(argv) or vars(build_parser().parse_args(argv))))
-        handler = {
-            "gray": _cmd_gray,
-            "count": _cmd_count,
-            "exists": _cmd_exists,
-            "ocycle": _cmd_ocycle,
-            "verify": _cmd_verify,
-            "digraph": _cmd_digraph,
-        }[args.command]
-        code = handler(args)
+        code = globals()[f"_cmd_{args.command}"](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -173,22 +165,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def _write(blocks: Iterable[str]) -> int:
+    write = sys.stdout.write
+    for text in blocks:
+        write(text)
+    return 0
+
+
 def _cmd_gray(args: SimpleNamespace) -> int:
     if not args.stream:
-        total = count_fixed_weight(args.m, args.n, args.k)
-        _check_cap(total, DEFAULT_MATERIALIZATION_CAP, _ORDERING_HEAD)
-    # One write per run of blocks that reaches _CHUNK lines.
-    write = sys.stdout.write
-    pending, lines = [], 0
-    for text, count in _gray_blocks(args.m, args.n, args.k):
-        pending.append(text)
-        lines += count
-        if lines >= _CHUNK:
-            write("".join(pending))
-            pending, lines = [], 0
-    if pending:
-        write("".join(pending))
-    return 0
+        _check_ordering(args.m, args.n, args.k, DEFAULT_MATERIALIZATION_CAP)
+    return _write(_gray_blocks(args.m, args.n, args.k))
 
 
 def _cmd_count(args: SimpleNamespace) -> int:
@@ -232,10 +219,7 @@ def _cmd_ocycle(args: SimpleNamespace) -> int:
         blocks = chain(_compressed(solution, args.n), ("\n",))
     else:
         blocks = _spelled(solution.cycle, args.n, "\n", args.m)
-    write = sys.stdout.write
-    for text in blocks:
-        write(text)
-    return 0
+    return _write(blocks)
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:

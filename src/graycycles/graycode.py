@@ -25,9 +25,8 @@ from . import _LAZY
 from .records import _Record
 from .words import (
     DEFAULT_MATERIALIZATION_CAP,
-    _ORDERING_HEAD,
     Word,
-    _check_cap,
+    _check_ordering,
     _check_params,
     _walk,
     count_fixed_weight,
@@ -78,7 +77,7 @@ def gray_list(
     empty); m < 1 or n < 0 raise.  Lists longer than ``cap`` raise
     MaterializationLimitError; use gray_stream for those.
     """
-    _check_cap(count_fixed_weight(m, n, k), cap, _ORDERING_HEAD)  # the count validates m, n
+    _check_ordering(m, n, k, cap)
     return GrayList(m, n, k, tuple(_walk(m, n, k, k, True)))
 
 
@@ -93,7 +92,12 @@ def gray_stream(m: int, n: int, k: int) -> Iterator[Word]:
 
 
 def _require_nonempty(m: int, n: int, k: int) -> None:
-    if m < 1 or n < 1 or not 0 <= k <= (m - 1) * n:
+    """Raise ValueError unless the set holds a word; n = 0 holds the empty word.
+
+    For m >= 1 and n >= 0 the count is nonzero exactly on this window of k,
+    which, unlike the count, costs nothing for long words.
+    """
+    if m < 1 or n < 0 or not 0 <= k <= (m - 1) * n:
         raise ValueError(
             f"no weight-{k} words of length {n} over an alphabet of size {m}"
         )
@@ -129,8 +133,8 @@ def last_word(m: int, n: int, k: int) -> Word:
     from .existence import weight_decomposition
 
     _require_nonempty(m, n, k)
-    if n == 1:
-        return (k,)
+    if n <= 1:  # the empty word, or the one word (k,)
+        return (k,) * n
     u = min(m - 1, k)
     dec = weight_decomposition(k - u, m)
     if dec.q == n - 1:  # tail weight saturates every remaining digit

@@ -9,9 +9,11 @@ a difference of two of its values.  Tests check both against brute-force,
 recursive and dynamic-programming oracles kept in ``tests/``.
 
 ``_split`` cuts a word order into heads and shared tails.  ``_gray_blocks``
-uses it to give CLI ``gray`` the reflected order as text blocks, each tail
-spelled once, and ``codes`` to enumerate a set straight into the integer
-codes of the overlap-cycle engine.
+uses it to give CLI ``gray`` the reflected order as write-ready text blocks
+of at least ``_CHUNK`` lines, each tail spelled once, and ``codes`` to
+enumerate a set straight into the integer codes of the overlap-cycle engine.
+``_check_ordering`` refuses an ordering over the cap, for ``gray_list`` and
+CLI ``gray`` alike.
 
 Every command imports this module, and without a bytecode cache compiles it
 on each start, so it holds only the word-set core that ``gray`` and ``count``
@@ -54,10 +56,6 @@ __all__ = [
 ]
 
 
-# Head of the over-cap message of an ordering, shared by ``gray_list`` and CLI ``gray``.
-_ORDERING_HEAD = "ordering holds {} words"
-
-
 class MaterializationLimitError(Exception):
     """A full-list operation would exceed the configured word cap."""
 
@@ -93,6 +91,11 @@ def _check_cap(total: int, cap: int, head: str) -> None:
         from decimal import Decimal  # imported on this error path only
 
         raise MaterializationLimitError(f"{head.format(Decimal(total))}, cap is {cap}")
+
+
+def _check_ordering(m: int, n: int, k: int, cap: int) -> None:
+    """Refuse an ordering of the weight-k words over ``cap`` words; the count checks m, n."""
+    _check_cap(count_fixed_weight(m, n, k), cap, "ordering holds {} words")
 
 
 def _walk(m: int, n: int, p: int, q: int, reflected: bool) -> Iterator[Word]:
@@ -286,22 +289,23 @@ def _split(
 
 # The tail table of ``_gray_blocks`` holds at most this many lines.
 _TAIL_LINES = 4096
-# Words per block of ``_gray_blocks`` when nothing is shared, and per stdout write of CLI ``gray``.
+# Every block of ``_gray_blocks`` but the last holds at least this many lines.
 _CHUNK = 1024
 
 
-def _gray_blocks(m: int, n: int, k: int) -> Iterator[tuple[str, int]]:
+def _gray_blocks(m: int, n: int, k: int) -> Iterator[str]:
     """The reflected Gray order of the weight-k words as text blocks.
 
-    Yields (text, lines): words in their text form, each line ending in a
-    newline, and the number of lines.  ``_split`` cuts the words after n-t
-    digits, with t <= n the longest tail whose m**t tails fit in
-    ``_TAIL_LINES`` lines (13 digits for m = 1), so the tail table holds at
-    most that many lines of t digits.  Each head's block is its text joined
-    to its tails in one pass.  A one-digit tail is forced by its head, so
-    below t = 2 (n <= 1, or m**2 over ``_TAIL_LINES``) nothing is shared and
-    the walker's words are formatted one by one, ``_CHUNK`` per block.
-    m < 1 or n < 0 raise on the first next(); out-of-range k yields nothing.
+    Each block is words in their text form, each line ending in a newline,
+    and every block but the last has at least ``_CHUNK`` lines, so one write
+    per block costs the same whether stdout is buffered or not.  ``_split``
+    cuts the words after n-t digits, with t <= n the longest tail whose m**t
+    tails fit in ``_TAIL_LINES`` lines (13 digits for m = 1), so the tail
+    table holds at most that many lines of t digits.  Each head's text is
+    joined to its tails in one pass.  A one-digit tail is forced by its
+    head, so below t = 2 (n <= 1, or m**2 over ``_TAIL_LINES``) nothing is
+    shared and the walker's words are formatted one by one.  m < 1 or n < 0
+    raise on the first next(); out-of-range k yields nothing.
     """
     _check_params(m, n)
     t = min(n, _TAIL_LINES.bit_length())
@@ -310,12 +314,19 @@ def _gray_blocks(m: int, n: int, k: int) -> Iterator[tuple[str, int]]:
     if t < 2:
         walk = _walk(m, n, k, k, True)
         while words := list(islice(walk, _CHUNK)):
-            yield "".join([format_word(w, m) + "\n" for w in words]), len(words)
+            yield "".join([format_word(w, m) + "\n" for w in words])
         return
     sep = "," if m > 10 and t < n else ""  # between head and tail digits
+    block, lines = [], 0
     for head, tails in _split(m, n, t, k, k, True, lambda w: format_word(w, m)):
         text = format_word(head, m) + sep
-        yield text + ("\n" + text).join(tails) + "\n", len(tails)
+        block.append(text + ("\n" + text).join(tails) + "\n")
+        lines += len(tails)
+        if lines >= _CHUNK:
+            yield "".join(block)
+            block, lines = [], 0
+    if block:
+        yield "".join(block)
 
 
 # Byte d in 0..9 becomes ASCII digit d; every other byte becomes 0xFF.  A
@@ -338,7 +349,7 @@ def format_word(word: Sequence[int], m: int | None = None) -> str:
         # refuses digits that are not ints, such as 1.0, with a TypeError.
         if isinstance(word, (tuple, list)) and word and min(word) >= 0 and max(word) <= 9:
             try:
-                word = bytes(word)
+                return bytes(word).translate(_DIGIT_TABLE).decode("ascii")
             except TypeError:
                 pass
         if isinstance(word, bytes):
@@ -353,18 +364,15 @@ def format_word(word: Sequence[int], m: int | None = None) -> str:
 
 
 def parse_word(text: str) -> Word:
-    """Inverse of format_word; accepts both text forms."""
+    """Inverse of format_word; accepts both text forms.
+
+    Each digit, or each comma-separated value once stripped, must be a run
+    of ASCII digits: no sign, no underscore, no other script's digits.
+    """
     stripped = text.strip()
     if not stripped:
         return ()
-    if "," in stripped:
-        parts = [p.strip() for p in stripped.split(",")]
-    else:
-        parts = list(stripped)
-    try:
-        digits = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"cannot parse word from {text!r}") from None
-    if any(d < 0 for d in digits):
+    parts = [p.strip() for p in stripped.split(",")] if "," in stripped else stripped
+    if not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"cannot parse word from {text!r}")
-    return digits
+    return tuple(map(int, parts))

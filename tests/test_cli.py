@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import graycycles.cli
 from graycycles import (
     MaterializationLimitError,
     NotEulerianError,
@@ -27,11 +28,12 @@ from graycycles import (
     verify_ocycle,
 )
 from graycycles import existence, graycode, ocycles
-from graycycles.cli import _CHUNK, build_parser, main
-from graycycles.words import _split
+from graycycles.cli import GRAMMAR, build_parser, main
+from graycycles.words import _CHUNK, _split
 from ocycle_oracles import oracle_cycle, oracle_self_check
 
 GOLDEN_345 = Path(__file__).parent / "data" / "gray_3_4_5.txt"
+DIGESTS = Path(__file__).parent / "data" / "digests.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -225,9 +227,11 @@ def test_verify_gray_rejects_bad_list(capsys, monkeypatch):
 
 
 def test_verify_gray_rejects_garbage(capsys, monkeypatch):
-    feed(monkeypatch, "01x2\n")
-    code, _, err = run(capsys, "verify", "gray", "3", "4", "5")
-    assert code == 1 and "line 1" in err
+    # int() would read an Arabic-Indic three, a sign or an underscore.
+    for line in ("01x2", "\u0663", "+1,2", "1_0,2"):
+        feed(monkeypatch, line + "\n")
+        code, out, err = run(capsys, "verify", "gray", "3", "4", "5")
+        assert (code, out, err) == (1, "", f"error: line 1: cannot parse word from {line!r}\n")
 
 
 @pytest.mark.parametrize("stdin", ["", "01\n", "# c\n\n01\n10\n", "0122\n2210\n"],
@@ -292,6 +296,7 @@ def test_verify_ocycle_bad_s(capsys, monkeypatch):
      (1, "", "error: line 4: cannot parse word from '01x1'\n")),
     ("# c\n\n0011\n01x1\n", "4 9",
      (1, "", "error: line 4: cannot parse word from '01x1'\n")),
+    ("\u0663\n", "2 1", (1, "", "error: line 1: cannot parse word from '\u0663'\n")),
 ])
 def test_verify_ocycle_contract(capsys, monkeypatch, stdin, argv, expected):
     feed(monkeypatch, stdin)
@@ -341,19 +346,6 @@ def test_digraph_stdout_and_file(capsys, tmp_path):
 
     code, ranged, _ = run(capsys, "digraph", "range", "2", "3", "0", "1", "1")
     assert code == 0 and ranged.count("->") == 4
-
-
-@pytest.mark.parametrize("argv, digest", [
-    ("digraph fixed 3 12 12 5",
-     "2476077777b66f808ca160e510cc9b9d759646bdf8f2cbf1c2ad1105f2850ea0"),
-    # 80-bit codes: a tuple of ints, not an array
-    ("digraph fixed 3 40 2 3", "a58b18259aec869742005ecbc5ac70d1c4ed813d57ee106480b11cb230590c0d"),
-])
-def test_digraph_output_is_pinned(capsys, argv, digest):
-    # Digests taken while the degree and component queries read a tuple view.
-    code, out, err = run(capsys, *argv.split())
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_usage_errors_exit_2(capsys):
@@ -494,13 +486,18 @@ def test_gray_writer_matches_format_word(capsys, monkeypatch):
     assert code == 0 and out == lines_of(gray_list(2, 1200, 1), 2)
 
 
-@pytest.mark.parametrize("argv, digest", [
-    ("gray 3 12 12 --stream", "542f29b9525179e9f0040109b3cce8b3c555c69f73ba722165fc00fd8c00c480"),
-    ("gray 3 11 11", "170a67cbd14afe7fc5c5a3e57bfb6f4798dbfcd31de26053eafe7d2aeb44355c"),
-    ("gray 3 14 14 --stream", "faccab4e87e9149b7c9548f631ac0379f0fadb3fcfa197b54466b39fb45017a8"),
-])
-def test_gray_output_is_pinned(capsys, argv, digest):
-    # Digests taken while the CLI still wrote the walker's words one by one.
+def pinned_outputs():
+    """(argv, digest) for each entry of the digest table."""
+    for line in DIGESTS.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            digest, argv = line.split(maxsplit=1)
+            yield pytest.param(argv, digest, id=argv)
+
+
+@pytest.mark.parametrize("argv, digest", pinned_outputs())
+def test_output_is_pinned(capsys, argv, digest):
+    # The table's comments say what each entry covers; CI runs the same
+    # table through the installed console script.
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
@@ -620,50 +617,6 @@ def test_ocycle_writer_matches_format_word(capsys):
             assert run(capsys, *argv, "--compressed") == expected[s, True], argv
 
 
-@pytest.mark.parametrize("flags, digest", [
-    ((), "361c8ae891799159500d85b9621e62c1c0f7a2be80b469b3e1ffd9f8d3046839"),
-    (("--compressed",), "e7de658a8e2f887f08f7c6c48d8ec8274fc2ab84dcd8d19ceb436f290a3d9cac"),
-])
-def test_ocycle_output_is_pinned(capsys, flags, digest):
-    # Digests of the 73,789-word cycle, taken before words became byte codes.
-    code, out, err = run(capsys, "ocycle", "fixed", "3", "12", "12", "5", *flags)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
-
-
-@pytest.mark.parametrize("argv, digest", [
-    ("ocycle fixed 3 14 14 6 --compressed",
-     "cadbf4685887e02efeff9128851f532e6efabce0a12d6e6345edd391c9658ee1"),
-    # 80-bit and 1,200-bit codes: a tuple of ints, not an array
-    ("ocycle fixed 3 40 2 3", "7994c3d0a4c4c6ab8dd2e252cdd16d06f931f1454ee4a69c22228a5c5a2f5cc9"),
-    ("ocycle range 2 1200 0 1 1 --compressed",
-     "166c24f82c0f50cba59b7a5b88f5dfc2098f18916346d9ccf6fb38b16bea5b3a"),
-    # Each spans more than one block of text: digits over 9 (commas),
-    # 300-bit codes, and m = 11 with no digit over 9 (no commas).
-    ("ocycle fixed 12 6 30 2 --compressed",
-     "c0f481ad5659f6aced64f0a46036d8c477fe58cdceb2c3f1b4d379b9a520db8c"),
-    ("ocycle range 2 300 0 2 1 --compressed",
-     "862e682b2664b0dfafc736cba22bb3fc0f4668a67bc1fd44c9ff77bd2f5dcb72"),
-    ("ocycle fixed 11 8 9 3 --compressed",
-     "1d21fb62b08633a89f6e76061622fca9e3256492c16721b7ced088ad199b8b84"),
-    # Fields of 5, 6 and 7 bits, some crossing a byte (the 5-bit one with
-    # commas), the digraph's vertex decoder on 5-bit fields, and 66-bit
-    # codes in a tuple of ints over 12 blocks of plain text.
-    ("ocycle fixed 20 5 40 2 --compressed",
-     "d035ebd1c1ee699828f6cb31a2e9022cbb180fad032cf707db204e461b88eafa"),
-    ("ocycle fixed 40 3 60 1 --compressed",
-     "e4e9176b8bf817d2b0b8b1b5e27f844935c16782bb58992ac55b9b9776b8f7f4"),
-    ("ocycle fixed 100 3 150 1", "913f4f223e98a5f387a7282e0736ea8d43d9bf5a148772e9ed6022ec82b56c92"),
-    ("digraph fixed 20 4 30 1", "b7af01a0257dc496e8c2e1f13eff217ee125d8dc070edda5185d963211db33d0"),
-    ("ocycle fixed 2 66 3 1", "a03b831cf34556948bb95c0ed0113983289ea46829a305f5c871dc6975ce3b26"),
-])
-def test_larger_and_wider_ocycles_are_pinned(capsys, argv, digest):
-    # Digests taken while every word was still a byte code.
-    code, out, err = run(capsys, *argv.split())
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
-
-
 def traced_ocycle(monkeypatch, *args):
     """Exit code, stdout lines and traced peak of ``ocycle`` with args."""
     sink = LineSink(10**9)
@@ -751,6 +704,12 @@ def test_compressed_ocycle_keeps_its_self_check(capsys, monkeypatch):
     monkeypatch.setattr(ocycles, "euler_tour", swapped)
     code, out, err = run(capsys, "ocycle", "fixed", "3", "6", "6", "2", "--compressed")
     assert (code, out, err) == (2, "", "error: refusing to compress an unverified cycle\n")
+
+
+def test_every_command_has_its_handler():
+    # main calls _cmd_<command> for each command that GRAMMAR parses.
+    names = vars(graycycles.cli)
+    assert {name[len("_cmd_"):] for name in names if name.startswith("_cmd_")} == set(GRAMMAR)
 
 
 def test_handlers_call_the_module_functions_they_find(capsys, monkeypatch):

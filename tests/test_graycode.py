@@ -95,7 +95,9 @@ def test_leading_digit_groups_are_contiguous_ascending():
 
 
 def test_first_last_formulas_match_list():
-    for m, n, k in sweep():
+    # n = 0 holds only the empty word, and m = 1 only the all-zero word.
+    edges = [(m, 0, 0) for m in (1, 2, 3, 4)] + [(1, n, 0) for n in range(1, 6)]
+    for m, n, k in [*sweep(), *edges]:
         words = gray_list(m, n, k).words
         if not words:
             continue
@@ -116,10 +118,12 @@ def test_first_last_examples():
 
 
 def test_first_last_reject_empty_sets():
-    for m, n, k in [(3, 2, 5), (2, 4, -1), (2, 0, 0), (0, 2, 1)]:
-        with pytest.raises(ValueError):
+    for m, n, k in [(3, 2, 5), (2, 4, -1), (2, 0, 1), (3, 0, -1), (1, 3, 1), (0, 2, 1),
+                    (2, -1, 0)]:
+        message = f"no weight-{k} words of length {n} over an alphabet of size {m}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             first_word(m, n, k)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             last_word(m, n, k)
 
 

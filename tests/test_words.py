@@ -502,7 +502,9 @@ def test_parse_word():
     assert parse_word(" 0122 \n") == (0, 1, 2, 2)
     assert parse_word("0,1,11,2") == (0, 1, 11, 2)
     assert parse_word("") == ()
-    for bad in ("01x2", "1,-2", "-1"):
+    # Only ASCII digits: no sign, no underscore, no digits of other scripts
+    # (an Arabic-Indic three), though int() takes all three.
+    for bad in ("01x2", "1,-2", "-1", "\u0663", "+1,2", "1_0,2"):
         with pytest.raises(ValueError):
             parse_word(bad)
 
